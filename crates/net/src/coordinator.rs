@@ -276,8 +276,7 @@ where
         // Deliver every batch due this tick, then collect the replies in
         // the same ascending recipient order the in-process executor
         // steps agents in, routing each reply's messages as it lands.
-        let batches: Vec<(usize, Vec<discsp_runtime::Envelope<M>>)> =
-            net.take_due(due, tick).into_iter().collect();
+        let batches = net.take_due(due, tick);
         for (recipient, inbox) in &batches {
             conn_at(&mut conns, *recipient)?.send(&RunFrame::Deliver {
                 tick,

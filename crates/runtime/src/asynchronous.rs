@@ -681,7 +681,8 @@ fn dispatch<M: Classify + Clone>(
                 });
             }
         }
-        if decision.deliveries.is_empty() {
+        let copies = decision.deliveries.as_slice();
+        if copies.is_empty() {
             // Dropped: decrement at the drop point and park for the
             // stall-triggered recovery pass.
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -689,7 +690,7 @@ fn dispatch<M: Classify + Clone>(
             parked.push(env);
             continue;
         }
-        let extra_copies = decision.deliveries.len().saturating_sub(1);
+        let extra_copies = copies.len().saturating_sub(1);
         if extra_copies > 0 {
             // Duplicates: increment at the dup point.
             shared
@@ -697,9 +698,9 @@ fn dispatch<M: Classify + Clone>(
                 .fetch_add(extra_copies as i64, Ordering::SeqCst);
         }
         let class = env.payload.class();
-        let last = decision.deliveries.len();
+        let last = copies.len();
         let mut env = Some(env);
-        for (index, due) in decision.deliveries.into_iter().enumerate() {
+        for (index, &due) in copies.iter().enumerate() {
             let copy = if index + 1 == last {
                 env.take()
             } else {

@@ -54,8 +54,8 @@ pub use discsp_trace::{
 };
 pub use error::RuntimeError;
 pub use link::{
-    derive_link_seed, run_virtual, Link, LinkPolicy, LinkStats, RouteDecision, VirtualConfig,
-    VirtualReport, PPM,
+    derive_link_seed, run_virtual, Deliveries, Link, LinkPolicy, LinkStats, RouteDecision,
+    VirtualConfig, VirtualReport, PPM,
 };
 pub use message::{Classify, Envelope, MessageClass};
 pub use pool::{ShardPlan, Slab};

@@ -183,12 +183,36 @@ impl LinkStats {
     }
 }
 
+/// The due ticks of the copies one message becomes. A link enqueues at
+/// most two copies of a message, so they are held inline and a perfect
+/// link's decision allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deliveries {
+    /// No copy: the message was dropped (and should be parked for
+    /// retransmission).
+    Dropped,
+    /// One copy, due at this tick.
+    Once(u64),
+    /// A duplicated message: the first copy's due tick, then the second's.
+    Twice([u64; 2]),
+}
+
+impl Deliveries {
+    /// Due tick of each copy to enqueue, in enqueue order.
+    pub fn as_slice(&self) -> &[u64] {
+        match self {
+            Deliveries::Dropped => &[],
+            Deliveries::Once(due) => std::slice::from_ref(due),
+            Deliveries::Twice(dues) => dues,
+        }
+    }
+}
+
 /// The fate of one message offered to a link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteDecision {
-    /// Due tick of each copy to enqueue. Empty means the message was
-    /// dropped (and should be parked for retransmission).
-    pub deliveries: Vec<u64>,
+    /// The copies to enqueue.
+    pub deliveries: Deliveries,
     /// Faults injected into this message, for trace recording.
     pub faults: Vec<FaultKind>,
 }
@@ -307,7 +331,7 @@ impl Link {
             // fault on *another* link never perturbs this one.
             self.max_due = self.max_due.max(now + 1);
             return RouteDecision {
-                deliveries: vec![now + 1],
+                deliveries: Deliveries::Once(now + 1),
                 faults: Vec::new(),
             };
         }
@@ -319,7 +343,7 @@ impl Link {
             faults.push(FaultKind::Dropped);
             self.log.push((call, FaultAction::Drop));
             return RouteDecision {
-                deliveries: Vec::new(),
+                deliveries: Deliveries::Dropped,
                 faults,
             };
         }
@@ -333,17 +357,17 @@ impl Link {
             let first = self.base_delay();
             let second = self.base_delay();
             self.log.push((call, FaultAction::Duplicate { first, second }));
-            let deliveries = vec![
+            let deliveries = Deliveries::Twice([
                 self.assign(now, first, &mut faults),
                 self.assign(now, second, &mut faults),
-            ];
+            ]);
             return RouteDecision { deliveries, faults };
         }
         let delay = self.base_delay();
         if delay > 0 {
             self.log.push((call, FaultAction::Delay(delay)));
         }
-        let deliveries = vec![self.assign(now, delay, &mut faults)];
+        let deliveries = Deliveries::Once(self.assign(now, delay, &mut faults));
         RouteDecision { deliveries, faults }
     }
 
@@ -359,27 +383,27 @@ impl Link {
     ) -> RouteDecision {
         let mut faults = Vec::new();
         let deliveries = match action {
-            None => vec![self.assign(now, 0, &mut faults)],
+            None => Deliveries::Once(self.assign(now, 0, &mut faults)),
             Some(FaultAction::Drop) => {
                 self.stats.dropped += 1;
                 faults.push(FaultKind::Dropped);
                 self.log.push((call, FaultAction::Drop));
-                Vec::new()
+                Deliveries::Dropped
             }
             Some(FaultAction::Delay(delay)) => {
                 if delay > 0 {
                     self.log.push((call, FaultAction::Delay(delay)));
                 }
-                vec![self.assign(now, delay, &mut faults)]
+                Deliveries::Once(self.assign(now, delay, &mut faults))
             }
             Some(FaultAction::Duplicate { first, second }) => {
                 self.stats.duplicated += 1;
                 faults.push(FaultKind::Duplicated);
                 self.log.push((call, FaultAction::Duplicate { first, second }));
-                vec![
+                Deliveries::Twice([
                     self.assign(now, first, &mut faults),
                     self.assign(now, second, &mut faults),
-                ]
+                ])
             }
         };
         RouteDecision { deliveries, faults }
@@ -621,7 +645,7 @@ where
         tick = tick.max(due);
 
         // Deliver every message due this tick, batched per recipient in
-        // ascending (recipient, enqueue_seq) order. The wave is one
+        // ascending (recipient, link_rank, enqueue_seq) order. The wave is one
         // maxcck accounting unit, closed by a cycle barrier.
         let mut wave_max: u64 = 0;
         for (recipient, inbox) in net.take_due(due, tick) {
@@ -714,7 +738,7 @@ mod tests {
         let mut link = Link::new(LinkPolicy::perfect(), 7);
         for now in [0u64, 3, 9] {
             let d = link.route(now);
-            assert_eq!(d.deliveries, vec![now + 1], "one base tick per hop");
+            assert_eq!(d.deliveries, Deliveries::Once(now + 1), "one tick per hop");
             assert!(d.faults.is_empty());
         }
         assert_eq!(link.stats.sent, 3);
@@ -763,7 +787,7 @@ mod tests {
     fn total_drop_parks_everything() {
         let mut link = Link::new(LinkPolicy::lossy(PPM), 5);
         for _ in 0..50 {
-            assert!(link.route(0).deliveries.is_empty());
+            assert_eq!(link.route(0).deliveries, Deliveries::Dropped);
         }
         assert_eq!(link.stats.dropped, 50);
     }
@@ -782,7 +806,7 @@ mod tests {
     fn duplication_emits_two_copies() {
         let mut link = Link::new(LinkPolicy::perfect().with_duplication(PPM), 1);
         let d = link.route(4);
-        assert_eq!(d.deliveries.len(), 2);
+        assert_eq!(d.deliveries.as_slice().len(), 2);
         assert_eq!(link.stats.duplicated, 1);
         assert!(d.faults.contains(&FaultKind::Duplicated));
     }
@@ -1014,15 +1038,15 @@ mod tests {
         let mut link = Link::scripted(script);
 
         let d0 = link.route(0);
-        assert!(d0.deliveries.is_empty());
+        assert_eq!(d0.deliveries, Deliveries::Dropped);
         assert_eq!(d0.faults, vec![FaultKind::Dropped]);
 
         let d1 = link.route(0);
-        assert_eq!(d1.deliveries, vec![5]);
+        assert_eq!(d1.deliveries, Deliveries::Once(5));
         assert_eq!(d1.faults, vec![FaultKind::Delayed(4)]);
 
         let d2 = link.route(0);
-        assert_eq!(d2.deliveries, vec![1, 3]);
+        assert_eq!(d2.deliveries, Deliveries::Twice([1, 3]));
         assert!(d2.faults.contains(&FaultKind::Duplicated));
         assert!(
             d2.faults.contains(&FaultKind::Reordered),
@@ -1031,7 +1055,7 @@ mod tests {
 
         // Call 3 is unscripted: perfect delivery.
         let d3 = link.route(2);
-        assert_eq!(d3.deliveries, vec![3]);
+        assert_eq!(d3.deliveries, Deliveries::Once(3));
         assert_eq!(link.stats.sent, 4);
         assert_eq!(link.stats.dropped, 1);
         assert_eq!(link.stats.duplicated, 1);

@@ -1,16 +1,22 @@
-//! The deterministic message router shared by the virtual executor and
-//! the TCP coordinator.
+//! The deterministic message router shared by the virtual, sharded and
+//! service executors and the TCP coordinator.
 //!
-//! [`Router`] owns the event queue, the n×n [`Link`] matrix, the parked
-//! (dropped-message) recovery buffers, and the per-class message
-//! counters that used to live inside `run_virtual`. Extracting it lets
-//! `discsp-net` relay frames between OS processes through *exactly* the
+//! [`Router`] owns the event queue, the lazily built [`Link`] table, the
+//! parked (dropped-message) recovery buffers, and the per-class message
+//! counters. Sharing it lets `discsp-net` relay frames between OS processes through *exactly* the
 //! same fault lottery and delivery ordering as the in-process virtual
 //! runtime: as long as callers issue `route`/`flush_parked`/`take_due`
 //! in the same order, the per-link [`SplitMix64`](crate::SplitMix64)
 //! streams are consumed identically and every fault counter replays
 //! bit-for-bit from `(seed, policy)` — whether the agents live in this
 //! process or behind a socket.
+//!
+//! Every message of a run passes through one router on the
+//! coordinator's thread, so its structures are sized to the traffic:
+//! the queue is one `Vec` bucket per due tick, each link lives in a
+//! short row per sender, and [`Router::take_due`] hands back a `Vec` of
+//! exactly sized per-recipient inboxes. Routing a message is a row
+//! lookup and a push; delivering a tick is one sort of its bucket.
 //!
 //! The router also owns the link-layer half of the trace: it records
 //! `Sent` at the moment a message enters its link (mirroring the
@@ -54,31 +60,57 @@ enum LinkMode {
     Scripted(FaultSchedule),
 }
 
+/// One queued message copy with its same-tick sort key.
+#[derive(Debug)]
+struct Queued<M> {
+    /// Its link's same-tick delivery rank.
+    rank: u64,
+    /// Router-wide enqueue sequence number.
+    seq: u64,
+    env: Envelope<M>,
+}
+
+/// A materialized link in its sender's row.
+#[derive(Debug)]
+struct LinkSlot {
+    to: AgentId,
+    /// The link's same-tick delivery rank, derived once at creation.
+    rank: u64,
+    link: Link,
+}
+
 /// Deterministic routing/enqueue state: event queue, lazily materialized
 /// link table, parked drops, and message-class counters.
 ///
-/// Delivery order is total and deterministic: the queue is keyed by
-/// `(due_tick, link_rank, enqueue_seq)`, where `link_rank` is a
-/// seed-derived constant per directed link. Messages due the same tick
-/// therefore drain in an order that is a pure function of the run seed —
-/// identical across reruns and independent of the order in which links
-/// happened to enqueue them — while two same-tick messages on the *same*
-/// link keep their send order (per-link FIFO; the explicit reordering
-/// window is the only way a link reorders its own traffic).
+/// Delivery order is total and deterministic: messages due the same tick
+/// drain in `(link_rank, enqueue_seq)` order, where `link_rank` is a
+/// seed-derived constant per directed link. They therefore drain in an
+/// order that is a pure function of the run seed — identical across
+/// reruns and independent of the order in which links happened to
+/// enqueue them — while two same-tick messages on the *same* link keep
+/// their send order (per-link FIFO; the explicit reordering window is the
+/// only way a link reorders its own traffic).
 ///
-/// Links are created on first use rather than as an n×n matrix: a link's
-/// fault stream ([`derive_link_seed`]) and its same-tick rank
-/// (`derive_order_rank`) are pure functions of `(run_seed, from, to)`, so
-/// lazy creation is replay-transparent while keeping memory proportional
-/// to the links actually exercised — for a degree-bounded constraint
-/// graph that is O(agents), not O(agents²).
+/// The queue holds one bucket per due tick, in enqueue order; each entry
+/// carries its link's rank and its enqueue seq. [`Router::take_due`]
+/// sorts the one due bucket by `(recipient, link_rank, enqueue_seq)` and
+/// cuts it into per-recipient inboxes.
+///
+/// Links are created on first use rather than as an n×n matrix, in a row
+/// per sender sorted by recipient: a link's fault stream
+/// ([`derive_link_seed`]) and its same-tick rank (`derive_order_rank`)
+/// are pure functions of `(run_seed, from, to)`, so lazy creation is
+/// replay-transparent while keeping memory proportional to the links
+/// actually exercised — for a degree-bounded constraint graph that is
+/// O(agents), not O(agents²).
 #[derive(Debug)]
 pub struct Router<M> {
-    /// Event queue keyed by `(due_tick, link_rank, enqueue_seq)` — a
-    /// total, deterministic, seed-derived delivery order.
-    queue: BTreeMap<(u64, u64, u64), Envelope<M>>,
-    /// Links touched so far, keyed by `from * n + to`.
-    links: BTreeMap<usize, Link>,
+    /// In-flight copies: one bucket per due tick, each in enqueue order.
+    /// No bucket is ever empty, so the first key is the next due tick.
+    queue: BTreeMap<u64, Vec<Queued<M>>>,
+    /// Links touched so far: row `from` holds its links sorted by
+    /// recipient.
+    links: Vec<Vec<LinkSlot>>,
     mode: LinkMode,
     /// Dropped messages parked per sending agent, in drop order.
     parked: BTreeMap<usize, Vec<Envelope<M>>>,
@@ -117,7 +149,7 @@ impl<M: Classify + Clone> Router<M> {
     fn build(n: usize, run_seed: u64, record_trace: bool, mode: LinkMode) -> Self {
         Router {
             queue: BTreeMap::new(),
-            links: BTreeMap::new(),
+            links: (0..n).map(|_| Vec::new()).collect(),
             mode,
             parked: BTreeMap::new(),
             n,
@@ -134,38 +166,42 @@ impl<M: Classify + Clone> Router<M> {
         }
     }
 
-    fn link_index(&self, from: AgentId, to: AgentId) -> usize {
-        from.index() * self.n + to.index()
-    }
-
-    /// The link at `index`, materialized on first touch. Creation order
-    /// cannot perturb replay: the link's stream seed is a pure function
-    /// of `(run_seed, from, to)`, not of when the link first saw traffic.
-    fn link_mut(&mut self, index: usize) -> &mut Link {
-        let n = self.n;
-        let run_seed = self.run_seed;
-        let mode = &self.mode;
-        self.links.entry(index).or_insert_with(|| {
-            let from = AgentId::new((index / n) as u32);
-            let to = AgentId::new((index % n) as u32);
-            match mode {
-                LinkMode::Lottery(policy) => {
-                    Link::new(*policy, derive_link_seed(run_seed, from, to))
-                }
-                LinkMode::Scripted(schedule) => Link::scripted(schedule.actions_for(from, to)),
+    /// The link `from → to`, materialized on first touch; `from` must be
+    /// a member of the population. Creation order cannot perturb replay:
+    /// the link's stream seed and rank are pure functions of
+    /// `(run_seed, from, to)`, not of when the link first saw traffic.
+    fn link_mut(&mut self, from: AgentId, to: AgentId) -> &mut LinkSlot {
+        let row = &mut self.links[from.index()];
+        let at = match row.binary_search_by_key(&to, |slot| slot.to) {
+            Ok(at) => at,
+            Err(at) => {
+                let link = match &self.mode {
+                    LinkMode::Lottery(policy) => {
+                        Link::new(*policy, derive_link_seed(self.run_seed, from, to))
+                    }
+                    LinkMode::Scripted(schedule) => Link::scripted(schedule.actions_for(from, to)),
+                };
+                let index = from.index() * self.n + to.index();
+                let rank = derive_order_rank(self.run_seed, index as u64);
+                row.insert(at, LinkSlot { to, rank, link });
+                at
             }
-        })
+        };
+        &mut row[at]
     }
 
-    fn enqueue(&mut self, due: u64, link: usize, env: Envelope<M>) {
+    fn enqueue(&mut self, due: u64, rank: u64, env: Envelope<M>) {
         match env.payload.class() {
             MessageClass::Ok => self.ok_messages += 1,
             MessageClass::Nogood => self.nogood_messages += 1,
             MessageClass::Other => self.other_messages += 1,
         }
-        let rank = derive_order_rank(self.run_seed, link as u64);
-        self.queue.insert((due, rank, self.seq), env);
+        let seq = self.seq;
         self.seq += 1;
+        self.queue
+            .entry(due)
+            .or_default()
+            .push(Queued { rank, seq, env });
     }
 
     /// Routes one freshly sent envelope through its link at time `now`,
@@ -180,8 +216,9 @@ impl<M: Classify + Clone> Router<M> {
         if env.to.index() >= self.n || env.from.index() >= self.n {
             return Err(RuntimeError::UnknownRecipient { agent: env.to });
         }
-        let index = self.link_index(env.from, env.to);
-        let decision = self.link_mut(index).route(now);
+        let slot = self.link_mut(env.from, env.to);
+        let rank = slot.rank;
+        let decision = slot.link.route(now);
         if self.sink.enabled() {
             self.sink.record(TraceEvent::Sent {
                 cycle: now,
@@ -199,19 +236,14 @@ impl<M: Classify + Clone> Router<M> {
                 });
             }
         }
-        if decision.deliveries.is_empty() {
+        let Some((&last, earlier)) = decision.deliveries.as_slice().split_last() else {
             self.parked.entry(env.from.index()).or_default().push(env);
             return Ok(());
+        };
+        for &due in earlier {
+            self.enqueue(due, rank, env.clone());
         }
-        let mut copies = decision.deliveries.into_iter().peekable();
-        while let Some(due) = copies.next() {
-            if copies.peek().is_some() {
-                self.enqueue(due, index, env.clone());
-            } else {
-                self.enqueue(due, index, env);
-                break;
-            }
-        }
+        self.enqueue(last, rank, env);
         Ok(())
     }
 
@@ -226,8 +258,9 @@ impl<M: Classify + Clone> Router<M> {
         // dense per-sender buckets used to flush in.
         for (_, bucket) in std::mem::take(&mut self.parked) {
             for env in bucket {
-                let index = self.link_index(env.from, env.to);
-                let (due, faults) = self.link_mut(index).redeliver(now);
+                let slot = self.link_mut(env.from, env.to);
+                let rank = slot.rank;
+                let (due, faults) = slot.link.redeliver(now);
                 if self.sink.enabled() {
                     self.sink.record(TraceEvent::Fault {
                         cycle: now,
@@ -246,7 +279,7 @@ impl<M: Classify + Clone> Router<M> {
                         });
                     }
                 }
-                self.enqueue(due, index, env);
+                self.enqueue(due, rank, env);
                 flushed += 1;
             }
         }
@@ -255,7 +288,7 @@ impl<M: Classify + Clone> Router<M> {
 
     /// The due tick of the earliest queued message, if any.
     pub fn next_due(&self) -> Option<u64> {
-        self.queue.keys().next().map(|&(due, _, _)| due)
+        self.queue.keys().next().copied()
     }
 
     /// Whether the in-flight set (queue) is empty. The queue *is* the
@@ -265,28 +298,43 @@ impl<M: Classify + Clone> Router<M> {
         self.queue.is_empty()
     }
 
-    /// Removes every message due exactly at `due`, batched per recipient
-    /// in the queue's seed-derived `(link_rank, enqueue_seq)` order,
-    /// recording `Delivered` trace events at cycle `tick`.
-    pub fn take_due(&mut self, due: u64, tick: u64) -> BTreeMap<usize, Vec<Envelope<M>>> {
-        let mut inboxes: BTreeMap<usize, Vec<Envelope<M>>> = BTreeMap::new();
-        let due_keys: Vec<(u64, u64, u64)> = self
-            .queue
-            .range((due, 0, 0)..=(due, u64::MAX, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in due_keys {
-            if let Some(env) = self.queue.remove(&key) {
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::Delivered {
-                        cycle: tick,
-                        from: env.from,
-                        to: env.to,
-                        class: env.payload.class(),
-                    });
-                }
-                inboxes.entry(env.to.index()).or_default().push(env);
+    /// Removes every message due exactly at `due`, recording `Delivered`
+    /// trace events at cycle `tick` in the seed-derived
+    /// `(link_rank, enqueue_seq)` order. Returns one inbox per recipient
+    /// in ascending recipient order, each allocated at its exact size
+    /// and holding its copies in that same `(link_rank, enqueue_seq)`
+    /// order.
+    pub fn take_due(&mut self, due: u64, tick: u64) -> Vec<(usize, Vec<Envelope<M>>)> {
+        let Some(mut bucket) = self.queue.remove(&due) else {
+            return Vec::new();
+        };
+        if self.sink.enabled() {
+            let mut order: Vec<&Queued<M>> = bucket.iter().collect();
+            order.sort_unstable_by_key(|q| (q.rank, q.seq));
+            for q in order {
+                self.sink.record(TraceEvent::Delivered {
+                    cycle: tick,
+                    from: q.env.from,
+                    to: q.env.to,
+                    class: q.env.payload.class(),
+                });
             }
+        }
+        bucket.sort_unstable_by_key(|q| (q.env.to, q.rank, q.seq));
+        let recipients = bucket.chunk_by(|a, b| a.env.to == b.env.to).count();
+        let mut inboxes = Vec::with_capacity(recipients);
+        let mut entries = bucket.into_iter();
+        while let Some(first) = entries.next() {
+            let to = first.env.to;
+            let more = entries
+                .as_slice()
+                .iter()
+                .take_while(|q| q.env.to == to)
+                .count();
+            let mut inbox = Vec::with_capacity(1 + more);
+            inbox.push(first.env);
+            inbox.extend(entries.by_ref().take(more).map(|q| q.env));
+            inboxes.push((to.index(), inbox));
         }
         inboxes
     }
@@ -300,15 +348,15 @@ impl<M: Classify + Clone> Router<M> {
     /// Number of message copies still queued (in flight). Parked drops
     /// are *not* in flight — they were already counted as dropped.
     pub fn queued(&self) -> u64 {
-        self.queue.len() as u64
+        self.queue.values().map(|bucket| bucket.len() as u64).sum()
     }
 
     /// Fault counters summed over every link touched so far (untouched
     /// links have all-zero counters by definition).
     pub fn link_totals(&self) -> LinkStats {
         let mut totals = LinkStats::default();
-        for link in self.links.values() {
-            totals.absorb(link.stats);
+        for slot in self.links.iter().flatten() {
+            totals.absorb(slot.link.stats);
         }
         totals
     }
@@ -318,16 +366,17 @@ impl<M: Classify + Clone> Router<M> {
     /// under the same run seed replays this router's behavior exactly.
     pub fn fault_log(&self) -> FaultSchedule {
         let mut events = Vec::new();
-        for (&index, link) in self.links.iter() {
-            let from = AgentId::new((index / self.n) as u32);
-            let to = AgentId::new((index % self.n) as u32);
-            for &(call, action) in link.fault_log() {
-                events.push(FaultEvent {
-                    from,
-                    to,
-                    call,
-                    action,
-                });
+        for (from, row) in self.links.iter().enumerate() {
+            let from = AgentId::new(from as u32);
+            for slot in row {
+                for &(call, action) in slot.link.fault_log() {
+                    events.push(FaultEvent {
+                        from,
+                        to: slot.to,
+                        call,
+                        action,
+                    });
+                }
             }
         }
         FaultSchedule::new(events)
@@ -488,7 +537,9 @@ mod tests {
                 .route(0, Envelope { from: AgentId::new(0), to: AgentId::new(1), payload: Note(Value::new(2)) })
                 .expect("routes");
             let inboxes = router.take_due(1, 1);
-            let inbox = inboxes.get(&1).expect("recipient 1 has mail");
+            let [(1, inbox)] = inboxes.as_slice() else {
+                panic!("seed {seed}: only recipient 1 has mail");
+            };
             let values: Vec<_> = inbox.iter().map(|e| e.payload.0).collect();
             assert_eq!(values, vec![Value::new(1), Value::new(2)], "seed {seed}");
         }
@@ -570,5 +621,298 @@ mod tests {
             2,
             "retransmission-path delays are recorded"
         );
+    }
+
+    // -- differential test against the pre-bucket queue -----------------
+
+    /// A payload that spreads messages over all three classes and makes
+    /// every copy identifiable.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Tagged(u64);
+
+    impl Classify for Tagged {
+        fn class(&self) -> MessageClass {
+            match self.0 % 3 {
+                0 => MessageClass::Ok,
+                1 => MessageClass::Nogood,
+                _ => MessageClass::Other,
+            }
+        }
+    }
+
+    /// Reference model: the router as it was before due-tick buckets,
+    /// with one `BTreeMap` queue keyed by `(due, link_rank, enqueue_seq)`
+    /// and links keyed by `from * n + to`, rank derived per enqueue.
+    struct Reference {
+        queue: BTreeMap<(u64, u64, u64), Envelope<Tagged>>,
+        links: BTreeMap<usize, Link>,
+        mode: LinkMode,
+        parked: BTreeMap<usize, Vec<Envelope<Tagged>>>,
+        n: usize,
+        run_seed: u64,
+        seq: u64,
+        counts: (u64, u64, u64),
+        sink: RingBuffer,
+    }
+
+    impl Reference {
+        fn new(n: usize, mode: LinkMode, run_seed: u64, record_trace: bool) -> Self {
+            Reference {
+                queue: BTreeMap::new(),
+                links: BTreeMap::new(),
+                mode,
+                parked: BTreeMap::new(),
+                n,
+                run_seed,
+                seq: 0,
+                counts: (0, 0, 0),
+                sink: if record_trace {
+                    RingBuffer::new()
+                } else {
+                    RingBuffer::disabled()
+                },
+            }
+        }
+
+        fn link_mut(&mut self, index: usize) -> &mut Link {
+            let (n, run_seed, mode) = (self.n, self.run_seed, &self.mode);
+            self.links.entry(index).or_insert_with(|| {
+                let from = AgentId::new((index / n) as u32);
+                let to = AgentId::new((index % n) as u32);
+                match mode {
+                    LinkMode::Lottery(policy) => {
+                        Link::new(*policy, derive_link_seed(run_seed, from, to))
+                    }
+                    LinkMode::Scripted(schedule) => Link::scripted(schedule.actions_for(from, to)),
+                }
+            })
+        }
+
+        fn enqueue(&mut self, due: u64, index: usize, env: Envelope<Tagged>) {
+            match env.payload.class() {
+                MessageClass::Ok => self.counts.0 += 1,
+                MessageClass::Nogood => self.counts.1 += 1,
+                MessageClass::Other => self.counts.2 += 1,
+            }
+            let rank = derive_order_rank(self.run_seed, index as u64);
+            self.queue.insert((due, rank, self.seq), env);
+            self.seq += 1;
+        }
+
+        fn fault(&mut self, now: u64, env: &Envelope<Tagged>, kind: FaultKind) {
+            if self.sink.enabled() {
+                self.sink.record(TraceEvent::Fault {
+                    cycle: now,
+                    from: env.from,
+                    to: env.to,
+                    class: env.payload.class(),
+                    kind,
+                });
+            }
+        }
+
+        fn route(&mut self, now: u64, env: Envelope<Tagged>) -> Result<(), RuntimeError> {
+            if env.to.index() >= self.n || env.from.index() >= self.n {
+                return Err(RuntimeError::UnknownRecipient { agent: env.to });
+            }
+            let index = env.from.index() * self.n + env.to.index();
+            let decision = self.link_mut(index).route(now);
+            if self.sink.enabled() {
+                self.sink.record(TraceEvent::Sent {
+                    cycle: now,
+                    from: env.from,
+                    to: env.to,
+                    class: env.payload.class(),
+                });
+            }
+            for &kind in &decision.faults {
+                self.fault(now, &env, kind);
+            }
+            let copies = decision.deliveries.as_slice();
+            if copies.is_empty() {
+                self.parked.entry(env.from.index()).or_default().push(env);
+                return Ok(());
+            }
+            for &due in copies {
+                self.enqueue(due, index, env.clone());
+            }
+            Ok(())
+        }
+
+        fn flush_parked(&mut self, now: u64) -> usize {
+            let mut flushed = 0;
+            for (_, bucket) in std::mem::take(&mut self.parked) {
+                for env in bucket {
+                    let index = env.from.index() * self.n + env.to.index();
+                    let (due, faults) = self.link_mut(index).redeliver(now);
+                    self.fault(now, &env, FaultKind::Retransmitted);
+                    for kind in faults {
+                        self.fault(now, &env, kind);
+                    }
+                    self.enqueue(due, index, env);
+                    flushed += 1;
+                }
+            }
+            flushed
+        }
+
+        fn take_due(&mut self, due: u64, tick: u64) -> Vec<(usize, Vec<Envelope<Tagged>>)> {
+            let mut inboxes: BTreeMap<usize, Vec<Envelope<Tagged>>> = BTreeMap::new();
+            let keys: Vec<_> = self
+                .queue
+                .range((due, 0, 0)..=(due, u64::MAX, u64::MAX))
+                .map(|(&key, _)| key)
+                .collect();
+            for key in keys {
+                let env = self.queue.remove(&key).expect("key was just listed");
+                if self.sink.enabled() {
+                    self.sink.record(TraceEvent::Delivered {
+                        cycle: tick,
+                        from: env.from,
+                        to: env.to,
+                        class: env.payload.class(),
+                    });
+                }
+                inboxes.entry(env.to.index()).or_default().push(env);
+            }
+            inboxes.into_iter().collect()
+        }
+
+        fn next_due(&self) -> Option<u64> {
+            self.queue.keys().next().map(|&(due, _, _)| due)
+        }
+
+        fn link_totals(&self) -> LinkStats {
+            let mut totals = LinkStats::default();
+            for link in self.links.values() {
+                totals.absorb(link.stats);
+            }
+            totals
+        }
+
+        fn fault_log(&self) -> FaultSchedule {
+            let mut events = Vec::new();
+            for (&index, link) in &self.links {
+                for &(call, action) in link.fault_log() {
+                    events.push(FaultEvent {
+                        from: AgentId::new((index / self.n) as u32),
+                        to: AgentId::new((index % self.n) as u32),
+                        call,
+                        action,
+                    });
+                }
+            }
+            FaultSchedule::new(events)
+        }
+    }
+
+    /// Drives the router and the reference model through one seeded
+    /// sequence of `route`, `flush_parked` and `take_due` calls in the
+    /// order an executor issues them, comparing every observable after
+    /// every call. Returns the router's fault log.
+    fn differential_run(
+        label: &str,
+        n: usize,
+        run_seed: u64,
+        mode: impl Fn() -> LinkMode,
+        record_trace: bool,
+        ops_seed: u64,
+    ) -> FaultSchedule {
+        let mut router: Router<Tagged> = Router::build(n, run_seed, record_trace, mode());
+        let mut reference = Reference::new(n, mode(), run_seed, record_trace);
+        let mut ops = SplitMix64::new(ops_seed);
+        let mut tick = 0u64;
+        let mut tag = 0u64;
+        let mut deliveries = 0usize;
+        for step in 0..600 {
+            let roll = ops.next_below(100);
+            if roll < 70 {
+                // A burst of sends at the current tick, occasionally to an
+                // agent outside the population.
+                for _ in 0..=ops.next_below(4) {
+                    let from = ops.next_below(n as u64) as u32;
+                    let outside = u64::from(ops.next_below(20) == 0);
+                    let to = ops.next_below(n as u64 + outside) as u32;
+                    let env = Envelope::new(AgentId::new(from), AgentId::new(to), Tagged(tag));
+                    tag += 1;
+                    let got = router.route(tick, env.clone());
+                    let want = reference.route(tick, env);
+                    assert_eq!(got, want, "{label}: route at step {step}");
+                }
+            } else if roll < 78 {
+                tick += 1;
+                let got = router.flush_parked(tick);
+                let want = reference.flush_parked(tick);
+                assert_eq!(got, want, "{label}: flush at step {step}");
+            } else {
+                // Executors take the earliest due tick; now and then ask
+                // for a later tick or one with nothing due.
+                let Some(next) = reference.next_due() else {
+                    continue;
+                };
+                let due = match ops.next_below(10) {
+                    0 => next + ops.next_below(3),
+                    1 => tick + 50,
+                    _ => next,
+                };
+                tick = tick.max(due);
+                let got = router.take_due(due, tick);
+                let want = reference.take_due(due, tick);
+                deliveries += want.iter().map(|(_, inbox)| inbox.len()).sum::<usize>();
+                assert_eq!(got, want, "{label}: take_due({due}) at step {step}");
+            }
+            let at = format!("{label}: after step {step}");
+            assert_eq!(router.next_due(), reference.next_due(), "{at}: next_due");
+            let queued = reference.queue.len() as u64;
+            assert_eq!(router.queued(), queued, "{at}: queued");
+            assert_eq!(router.class_counts(), reference.counts, "{at}: counts");
+        }
+        assert!(deliveries > 0, "{label}: nothing was delivered");
+        let totals = reference.link_totals();
+        assert_eq!(router.link_totals(), totals, "{label}: link_totals");
+        assert_eq!(router.fault_log(), reference.fault_log(), "{label}: log");
+        let trace = router.take_trace();
+        assert_eq!(trace, reference.sink.take(), "{label}: trace");
+        assert_eq!(trace.is_empty(), !record_trace, "{label}: trace iff asked");
+        router.fault_log()
+    }
+
+    #[test]
+    fn bucketed_router_matches_the_btreemap_reference() {
+        let policies = [
+            ("perfect", LinkPolicy::perfect()),
+            ("lossy", LinkPolicy::lossy(300_000)),
+            (
+                "duplicating",
+                LinkPolicy::perfect().with_duplication(400_000),
+            ),
+            ("delayed", LinkPolicy::delayed(0, 3)),
+            ("reordering", LinkPolicy::reordering(3)),
+            (
+                "hostile",
+                LinkPolicy::lossy(250_000)
+                    .with_duplication(200_000)
+                    .with_delay(1, 4)
+                    .with_reordering(2),
+            ),
+        ];
+        for (name, policy) in policies {
+            for seed in 0..6u64 {
+                let n = 2 + seed as usize;
+                for record_trace in [false, true] {
+                    let label = format!("{name} seed {seed} trace {record_trace}");
+                    let lottery = || LinkMode::Lottery(policy);
+                    let ops_seed = seed ^ 0xD1FF;
+                    let log = differential_run(&label, n, seed, lottery, record_trace, ops_seed);
+                    assert_eq!(log.is_empty(), policy.is_perfect(), "{label}");
+                    // The lottery run's log, replayed as a script over the
+                    // same operation sequence, must match the reference
+                    // too.
+                    let scripted = || LinkMode::Scripted(log.clone());
+                    let label = format!("scripted {label}");
+                    differential_run(&label, n, seed, scripted, record_trace, ops_seed);
+                }
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@
 //! coordinator merges those outputs back in **ascending agent-id order**
 //! before any of them touch the router or the trace. Ascending agent id
 //! is precisely the order `run_virtual` activates agents in (its start
-//! and nudge waves iterate ids 0..n; its delivery wave iterates
-//! `take_due`'s BTreeMap, which is keyed by recipient id) — so the
+//! and nudge waves iterate ids 0..n; its delivery wave iterates the
+//! inboxes `take_due` returns in ascending recipient order) — so the
 //! router consumes every per-link fault stream in the same order, the
 //! trace interleaves identically, and the report is bit-identical to
 //! `run_virtual` for *any* worker count. The shard partition and each

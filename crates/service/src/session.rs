@@ -120,8 +120,6 @@ pub struct Driver<A: DistributedAgent> {
     net: Router<A::Message>,
     overflow: VecDeque<Envelope<A::Message>>,
     overflow_peak: usize,
-    parked_any: bool,
-    faults_enabled: bool,
     recorder: StepRecorder,
     metrics: RunMetrics,
     snapshot: Assignment,
@@ -163,7 +161,6 @@ impl<A: DistributedAgent> Driver<A> {
             Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
             None => Router::new(n, config.link, config.seed, config.record_trace),
         };
-        let faults_enabled = config.schedule.is_some() || !config.link.is_perfect();
         let num_vars = problem.num_vars();
         Ok(Driver {
             agents,
@@ -172,8 +169,6 @@ impl<A: DistributedAgent> Driver<A> {
             net,
             overflow: VecDeque::new(),
             overflow_peak: 0,
-            parked_any: false,
-            faults_enabled,
             recorder: StepRecorder::new(),
             metrics: RunMetrics::new(Termination::CutOff),
             snapshot: Assignment::empty(num_vars),
@@ -196,7 +191,6 @@ impl<A: DistributedAgent> Driver<A> {
         if self.overflow.is_empty() && self.net.queued() < self.budget {
             self.net.route(now, env)
         } else {
-            self.parked_any = true;
             self.overflow.push_back(env);
             self.overflow_peak = self.overflow_peak.max(self.overflow.len());
             Ok(())
@@ -384,11 +378,10 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
                 self.finish(Termination::Solved);
                 return Ok(SessionPoll::Finished);
             }
-            // Backpressure delays messages like a faulty link delays
-            // them, so a session that ever parked gets the same
-            // stall-recovery nudges a lossy link would.
-            let recoverable = self.faults_enabled || self.parked_any;
-            if !recoverable || self.nudges >= self.config.max_nudges {
+            // As in `run_virtual`: recovery is not gated on the fault
+            // policy or on backpressure, since a protocol can park itself
+            // without losing a message.
+            if self.nudges >= self.config.max_nudges {
                 self.finish(Termination::CutOff);
                 return Ok(SessionPoll::Finished);
             }
@@ -477,7 +470,8 @@ pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, Serv
 mod tests {
     use super::*;
     use discsp_awc::AwcConfig;
-    use discsp_core::{Domain, Value};
+    use discsp_core::{AgentId, Domain, Value, VarValue, VariableId};
+    use discsp_runtime::{run_virtual, Classify, MessageClass};
 
     fn ring_spec(n: usize, seed: u64) -> SessionSpec {
         let mut b = DistributedCsp::builder();
@@ -551,5 +545,104 @@ mod tests {
         let second = again.take_report().expect("report");
         assert_eq!(report.outcome.metrics, second.outcome.metrics);
         assert_eq!(report.outcome.solution, second.outcome.solution);
+    }
+
+    #[derive(Debug, Clone)]
+    struct Announce(Value);
+
+    impl Classify for Announce {
+        fn class(&self) -> MessageClass {
+            MessageClass::Ok
+        }
+    }
+
+    /// One of two agents holding a boolean each, both `false`, under
+    /// `x0 != x1`. Neither speaks on start, so the run is quiescent at a
+    /// conflict from tick 0 over perfect links. Agent 0 announces its
+    /// value only when nudged; agent 1 takes the other value on hearing
+    /// it, which solves the problem.
+    struct Shy {
+        id: AgentId,
+        value: Value,
+    }
+
+    impl DistributedAgent for Shy {
+        type Message = Announce;
+
+        fn id(&self) -> AgentId {
+            self.id
+        }
+
+        fn on_start(&mut self, _: &mut Outbox<Announce>) {}
+
+        fn on_batch(&mut self, inbox: Vec<Envelope<Announce>>, _: &mut Outbox<Announce>) {
+            for env in inbox {
+                self.value = Value::from_bool(env.payload.0 == Value::FALSE);
+            }
+        }
+
+        fn on_nudge(&mut self, out: &mut Outbox<Announce>) {
+            if self.id.index() == 0 {
+                out.send(AgentId::new(1), Announce(self.value));
+            }
+        }
+
+        fn assignments(&self) -> Vec<VarValue> {
+            vec![VarValue::new(VariableId::new(self.id.raw()), self.value)]
+        }
+
+        fn take_checks(&mut self) -> u64 {
+            0
+        }
+
+        fn stats(&self) -> AgentStats {
+            AgentStats::default()
+        }
+    }
+
+    fn shy_pair() -> Vec<Shy> {
+        (0..2)
+            .map(|i| Shy {
+                id: AgentId::new(i),
+                value: Value::FALSE,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn perfect_link_stall_is_nudged_exactly_as_run_virtual_does() {
+        let mut b = DistributedCsp::builder();
+        let x = b.variable(Domain::BOOL);
+        let y = b.variable(Domain::BOOL);
+        b.not_equal(x, y).expect("edge");
+        let problem = b.build().expect("pair");
+        let config = VirtualConfig {
+            record_trace: true,
+            ..VirtualConfig::default()
+        };
+
+        let mut driver =
+            Driver::new(shy_pair(), problem.clone(), config.clone(), u64::MAX).expect("driver");
+        while driver.poll().expect("poll") == SessionPoll::Running {}
+        let report = driver.take_report().expect("report");
+        let virt = run_virtual(shy_pair(), &problem, &config).expect("virtual");
+
+        assert_eq!(report.outcome.metrics.termination, Termination::Solved);
+        assert_eq!(report.nudges, 1, "one nudge wave unsticks the pair");
+        assert_eq!(report.outcome.metrics, virt.outcome.metrics);
+        assert_eq!(report.outcome.solution, virt.outcome.solution);
+        assert_eq!(report.ticks, virt.ticks);
+        assert_eq!(report.activations, virt.activations);
+        assert_eq!(report.nudges, virt.nudges);
+        assert_eq!(report.fault_log, virt.fault_log);
+        // The traces agree event for event but for the RunEnd stamp.
+        let events = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
+            trace
+                .iter()
+                .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(events(&report.trace), events(&virt.trace));
     }
 }

@@ -61,4 +61,7 @@ echo "$scale_out" | grep -q "benchmarks completed" \
   || { echo "$scale_out"; echo "scale smoke: missing completion marker"; exit 1; }
 echo "$scale_out" | tail -4
 
+echo "==> perf smoke (one traced pass of every benchmark workload; replays checked bit for bit)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --trace 1
+
 echo "verify: OK"
