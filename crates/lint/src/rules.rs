@@ -921,6 +921,13 @@ mod tests {
             rules_for("crates/runtime/src/pool.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
+        // The wave engine holds every executor's termination logic, so
+        // wall-clock policing must reach it: only the link layer is
+        // D2-exempt by name.
+        assert_eq!(
+            rules_for("crates/runtime/src/engine.rs"),
+            vec![Rule::D1, Rule::D2, Rule::P1]
+        );
         assert_eq!(rules_for("crates/cspsolve/src/backtrack.rs"), vec![Rule::D1]);
         assert_eq!(rules_for("crates/probgen/src/lib.rs"), vec![Rule::D1]);
         assert_eq!(rules_for("crates/lint/src/main.rs"), Vec::<Rule>::new());

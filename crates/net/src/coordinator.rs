@@ -1,9 +1,12 @@
-//! The coordinator: runs the session event loop over sockets.
+//! The coordinator: runs a solve session over sockets.
 //!
-//! The loop is shaped exactly like the in-process `run_virtual`
-//! executor, with the agent step calls replaced by `Deliver`/`Step`
-//! frame exchanges. The coordinator relays every inter-agent message
-//! through the shared [`Router`], which gives two properties for free:
+//! After the handshake the session is the runtime's
+//! [`WaveEngine`](discsp_runtime::WaveEngine), the same control loop as
+//! the in-process `run_virtual` executor, stepping the agents through
+//! `Start`/`Deliver`/`Nudge` and `Step` frame exchanges instead of calls.
+//! This module is only that socket fan-out. The engine relays every
+//! inter-agent message through its [`Router`](discsp_runtime::Router),
+//! which gives two properties for free:
 //!
 //! * **exact quiescence detection** — the router's queue is the
 //!   in-flight set (agents only send in reply to a delivery the
@@ -14,15 +17,18 @@
 //!   same traffic, so a lossy run's fault counters replay bit-for-bit
 //!   from `(seed, policy)`.
 //!
-//! `maxcck` (the paper's sum over cycles of the per-cycle maximum of
-//! agents' nogood checks) is accumulated from the `Step` replies of
-//! each delivery wave, because the wave boundary is where "concurrent"
-//! is well defined — the same wave accounting as `run_virtual`.
+//! Each wave's frames go out to every agent involved before any reply is
+//! read, so the agents step concurrently; the replies are read back in
+//! ascending agent index, the order the engine merges in. `maxcck` (the
+//! paper's sum over cycles of the per-cycle maximum of agents' nogood
+//! checks) is therefore accumulated per wave exactly as in-process.
 
 use std::net::TcpListener;
 
-use discsp_core::{Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome, Wire};
-use discsp_runtime::{AgentStats, Classify, Router};
+use discsp_core::{AgentId, DistributedCsp, TrialOutcome, Wire};
+use discsp_runtime::{
+    Admission, Classify, Direct, Merge, Stepper, Teardown, VirtualConfig, Wave, WaveEngine,
+};
 use discsp_trace::{canonical_sort, RuntimeKind, TraceEvent, TraceSink};
 
 use crate::frame::{RunFrame, SetupFrame};
@@ -50,47 +56,103 @@ pub struct NetReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// One `Step` reply, already unpacked and sanity-checked.
-struct StepReply<M> {
-    out: Vec<discsp_runtime::Envelope<M>>,
-    checks: u64,
-    assignments: Vec<discsp_core::VarValue>,
-    insoluble: bool,
+/// The engine's socket fan-out stepper: one connection per agent, in
+/// agent-index order.
+struct Sockets {
+    conns: Vec<FrameConn>,
 }
 
-fn recv_step<M: Wire>(conn: &mut FrameConn, index: usize) -> Result<StepReply<M>, NetError> {
-    match conn.recv::<RunFrame<M>>() {
-        Ok(RunFrame::Step {
-            out,
-            checks,
-            assignments,
-            insoluble,
-        }) => Ok(StepReply {
-            out,
-            checks,
-            assignments,
-            insoluble,
-        }),
-        Ok(_) => Err(NetError::UnexpectedFrame { expected: "Step" }),
-        Err(NetError::Io { context, error }) => Err(NetError::AgentFailed {
+impl Sockets {
+    fn conn(&mut self, index: usize) -> Result<&mut FrameConn, NetError> {
+        let population = self.conns.len();
+        self.conns.get_mut(index).ok_or(NetError::BadAgentIndex {
             index: index as u32,
-            detail: format!("i/o failure while {context}: {error}"),
-        }),
-        Err(e) => Err(e),
+            population,
+        })
+    }
+
+    /// Sends `frame` to every agent; all of them reply.
+    fn broadcast<M: Wire>(&mut self, frame: &RunFrame<M>) -> Result<Vec<usize>, NetError> {
+        for conn in self.conns.iter_mut() {
+            conn.send(frame)?;
+        }
+        Ok((0..self.conns.len()).collect())
+    }
+
+    /// Reads agent `index`'s next frame, blaming socket failures on it.
+    fn recv<M: Wire>(&mut self, index: usize) -> Result<RunFrame<M>, NetError> {
+        match self.conn(index)?.recv::<RunFrame<M>>() {
+            Err(NetError::Io { context, error }) => Err(NetError::AgentFailed {
+                index: index as u32,
+                detail: format!("i/o failure while {context}: {error}"),
+            }),
+            other => other,
+        }
     }
 }
 
-fn conn_at(conns: &mut [FrameConn], index: usize) -> Result<&mut FrameConn, NetError> {
-    let population = conns.len();
-    conns.get_mut(index).ok_or(NetError::BadAgentIndex {
-        index: index as u32,
-        population,
-    })
+impl<M: Wire + Classify + Clone> Stepper<M> for Sockets {
+    type Error = NetError;
+
+    fn step<G: Admission<M>>(
+        &mut self,
+        wave: Wave<M>,
+        merge: &mut Merge<'_, M, G>,
+    ) -> Result<(), NetError> {
+        let tick = merge.tick();
+        let recipients = match wave {
+            Wave::Start => self.broadcast(&RunFrame::<M>::Start)?,
+            Wave::Nudge => self.broadcast(&RunFrame::<M>::Nudge { tick })?,
+            Wave::Deliver(inboxes) => {
+                let mut recipients = Vec::with_capacity(inboxes.len());
+                for (recipient, msgs) in inboxes {
+                    self.conn(recipient)?
+                        .send(&RunFrame::Deliver { tick, msgs })?;
+                    recipients.push(recipient);
+                }
+                recipients
+            }
+        };
+        for index in recipients {
+            let RunFrame::Step {
+                out,
+                checks,
+                assignments,
+                insoluble,
+            } = self.recv::<M>(index)?
+            else {
+                return Err(NetError::UnexpectedFrame { expected: "Step" });
+            };
+            // Endpoints record their own step events and ship them home
+            // in `Final`.
+            merge.activation(checks, insoluble, assignments, |_| {}, out)?;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, teardown: &mut Teardown<'_>) -> Result<(), NetError> {
+        self.broadcast(&RunFrame::<M>::Stop)?;
+        for index in 0..self.conns.len() {
+            let RunFrame::Final {
+                stats,
+                leftover_checks,
+                trace,
+            } = self.recv::<M>(index)?
+            else {
+                return Err(NetError::UnexpectedFrame { expected: "Final" });
+            };
+            teardown.agent(AgentId::new(index as u32), leftover_checks, stats);
+            for event in trace {
+                teardown.sink().record(event);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Accepts `slices.len()` agent connections on `listener`, completes the
 /// handshake, and drives the session to termination, aggregating every
-/// agent's statistics into a single [`RunMetrics`].
+/// agent's statistics into a single [`RunMetrics`](discsp_core::RunMetrics).
 ///
 /// The generic parameter `M` is the algorithm's message type; it must
 /// match what the agents instantiate from their
@@ -184,203 +246,26 @@ where
         })?);
     }
 
-    // --- Session: the run_virtual loop, over sockets. ----------------
-    let mut net: Router<M> = Router::new(n, config.link, config.seed, config.record_trace);
-    let mut metrics = RunMetrics::new(Termination::CutOff);
-    let mut snapshot = Assignment::empty(problem.num_vars());
-    let mut activations: u64 = 0;
-    let mut nudges: u64 = 0;
-    let mut tick: u64 = 0;
-    let termination;
-
-    // Tick 0: every agent announces its initial state. Starts go out to
-    // all agents before any reply is read (they step concurrently), but
-    // replies are routed in ascending index order — the same router
-    // call order as the in-process executor.
-    for conn in conns.iter_mut() {
-        conn.send(&RunFrame::<M>::Start)?;
-    }
-    let mut insoluble = false;
-    let mut start_max: u64 = 0;
-    for index in 0..n {
-        let reply = recv_step::<M>(conn_at(&mut conns, index)?, index)?;
-        activations += 1;
-        metrics.total_checks += reply.checks;
-        start_max = start_max.max(reply.checks);
-        for vv in reply.assignments {
-            snapshot.set(vv.var, vv.value);
-        }
-        insoluble |= reply.insoluble;
-        for env in reply.out {
-            net.route(0, env)?;
-        }
-    }
-    metrics.maxcck += start_max;
-    net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-
-    loop {
-        if insoluble {
-            termination = Termination::Insoluble;
-            break;
-        }
-        if config.stop_on_first_solution && problem.is_solution(&snapshot) {
-            termination = Termination::Solved;
-            break;
-        }
-        let Some(due) = net.next_due() else {
-            // Quiescent: the relay queue is the in-flight set, so the
-            // snapshot is stable unless the recovery pass injects
-            // traffic.
-            if problem.is_solution(&snapshot) {
-                termination = Termination::Solved;
-                break;
-            }
-            if config.link.is_perfect() || nudges >= config.max_nudges {
-                termination = Termination::CutOff;
-                break;
-            }
-            nudges += 1;
-            tick += 1;
-            net.flush_parked(tick);
-            for conn in conns.iter_mut() {
-                conn.send(&RunFrame::<M>::Nudge { tick })?;
-            }
-            let mut wave_max: u64 = 0;
-            for index in 0..n {
-                let reply = recv_step::<M>(conn_at(&mut conns, index)?, index)?;
-                // Checks count (they drain the agent's counter), but the
-                // in-process executor does not refresh snapshot or
-                // insolubility during a nudge pass, so neither do we.
-                metrics.total_checks += reply.checks;
-                wave_max = wave_max.max(reply.checks);
-                for env in reply.out {
-                    net.route(tick, env)?;
-                }
-            }
-            metrics.maxcck += wave_max;
-            net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-            if net.is_quiescent() {
-                // Nothing retransmitted and nobody re-announced: the
-                // stall is permanent.
-                termination = Termination::CutOff;
-                break;
-            }
-            continue;
-        };
-        if due > config.max_ticks {
-            termination = Termination::CutOff;
-            break;
-        }
-        tick = tick.max(due);
-
-        // Deliver every batch due this tick, then collect the replies in
-        // the same ascending recipient order the in-process executor
-        // steps agents in, routing each reply's messages as it lands.
-        let batches = net.take_due(due, tick);
-        for (recipient, inbox) in &batches {
-            conn_at(&mut conns, *recipient)?.send(&RunFrame::Deliver {
-                tick,
-                msgs: inbox.clone(),
-            })?;
-        }
-        let mut wave_max: u64 = 0;
-        for (recipient, _) in &batches {
-            let reply = recv_step::<M>(conn_at(&mut conns, *recipient)?, *recipient)?;
-            activations += 1;
-            metrics.total_checks += reply.checks;
-            wave_max = wave_max.max(reply.checks);
-            for vv in reply.assignments {
-                snapshot.set(vv.var, vv.value);
-            }
-            insoluble |= reply.insoluble;
-            for env in reply.out {
-                net.route(tick, env)?;
-            }
-        }
-        metrics.maxcck += wave_max;
-        net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-    }
-
-    // --- Teardown: collect every agent's statistics. ------------------
-    for conn in conns.iter_mut() {
-        conn.send(&RunFrame::<M>::Stop)?;
-    }
-    let mut stats = AgentStats::default();
-    let mut agent_events: Vec<TraceEvent> = Vec::new();
-    for index in 0..n {
-        match conn_at(&mut conns, index)?.recv::<RunFrame<M>>() {
-            Ok(RunFrame::Final {
-                stats: agent_stats,
-                leftover_checks,
-                trace,
-            }) => {
-                metrics.total_checks += leftover_checks;
-                if leftover_checks > 0 && config.record_trace {
-                    // Mirror run_virtual's final sweep: leftover checks
-                    // appear in the trace so the audit's total matches.
-                    agent_events.push(TraceEvent::AgentStep {
-                        cycle: tick,
-                        agent: discsp_core::AgentId::new(index as u32),
-                        checks: leftover_checks,
-                    });
-                }
-                agent_events.extend(trace);
-                stats.absorb(agent_stats);
-            }
-            Ok(_) => return Err(NetError::UnexpectedFrame { expected: "Final" }),
-            Err(NetError::Io { context, error }) => {
-                return Err(NetError::AgentFailed {
-                    index: index as u32,
-                    detail: format!("i/o failure while {context}: {error}"),
-                })
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    metrics.termination = termination;
-    metrics.cycles = tick;
-    let (ok, nogood, other) = net.class_counts();
-    metrics.ok_messages = ok;
-    metrics.nogood_messages = nogood;
-    metrics.other_messages = other;
-    net.link_totals().fold_into(&mut stats);
-    metrics.nogoods_generated = stats.nogoods_generated;
-    metrics.redundant_nogoods = stats.redundant_nogoods;
-    metrics.largest_nogood = stats.largest_nogood;
-    metrics.messages_sent = stats.messages_sent;
-    metrics.messages_dropped = stats.messages_dropped;
-    metrics.messages_duplicated = stats.messages_duplicated;
-    metrics.messages_reordered = stats.messages_reordered;
-    metrics.messages_retransmitted = stats.messages_retransmitted;
-    metrics.max_delivery_delay = stats.max_delivery_delay;
-
-    let trace = if config.record_trace {
-        let mut trace = net.take_trace();
-        trace.extend(agent_events);
-        canonical_sort(&mut trace);
-        let in_flight = net.queued();
-        trace.push(TraceEvent::RunEnd {
-            cycle: metrics.cycles,
-            runtime: RuntimeKind::Net,
-            in_flight,
-            metrics: metrics.clone(),
-        });
-        trace
-    } else {
-        Vec::new()
+    // --- Session: the wave engine, stepping agents over sockets. ------
+    let session = VirtualConfig {
+        seed: config.seed,
+        link: config.link,
+        schedule: None,
+        max_ticks: config.max_ticks,
+        max_nudges: config.max_nudges,
+        stop_on_first_solution: config.stop_on_first_solution,
+        record_trace: config.record_trace,
     };
-
-    let solution = if termination == Termination::Solved {
-        Some(snapshot)
-    } else {
-        None
-    };
+    let engine: WaveEngine<M> = WaveEngine::new(n, problem, &session, RuntimeKind::Net, Direct);
+    let mut report = engine.run(problem, &mut Sockets { conns })?;
+    // The endpoints' events arrived last; the canonical order interleaves
+    // them with the router's (`RunEnd` sorts last).
+    canonical_sort(&mut report.trace);
     Ok(NetReport {
-        outcome: TrialOutcome { metrics, solution },
-        ticks: tick,
-        activations,
-        nudges,
-        trace,
+        outcome: report.outcome,
+        ticks: report.ticks,
+        activations: report.activations,
+        nudges: report.nudges,
+        trace: report.trace,
     })
 }

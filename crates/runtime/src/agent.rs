@@ -1,8 +1,9 @@
 //! The agent abstraction shared by both runtimes.
 
-use discsp_core::{AgentId, VarValue};
+use discsp_core::{AgentId, RunMetrics, VarValue};
 use serde::{Deserialize, Serialize};
 
+use crate::error::RuntimeError;
 use crate::message::{Classify, Envelope, MessageClass};
 
 /// Outbound mailbox handed to an agent while it computes.
@@ -105,6 +106,20 @@ impl AgentStats {
         self.messages_retransmitted += other.messages_retransmitted;
         self.max_delivery_delay = self.max_delivery_delay.max(other.max_delivery_delay);
     }
+
+    /// Writes these run totals into the learning and link-fault fields of
+    /// `metrics`: the one place a runtime turns statistics into metrics.
+    pub fn fold_into(&self, metrics: &mut RunMetrics) {
+        metrics.nogoods_generated = self.nogoods_generated;
+        metrics.redundant_nogoods = self.redundant_nogoods;
+        metrics.largest_nogood = self.largest_nogood;
+        metrics.messages_sent = self.messages_sent;
+        metrics.messages_dropped = self.messages_dropped;
+        metrics.messages_duplicated = self.messages_duplicated;
+        metrics.messages_reordered = self.messages_reordered;
+        metrics.messages_retransmitted = self.messages_retransmitted;
+        metrics.max_delivery_delay = self.max_delivery_delay;
+    }
 }
 
 /// A noteworthy agent-local event surfaced to the trace pipeline.
@@ -190,6 +205,20 @@ pub trait DistributedAgent {
     fn drain_notes(&mut self) -> Vec<AgentNote> {
         Vec::new()
     }
+}
+
+/// Fails unless agent *i* reports id *i*, the layout every runtime
+/// indexes its population by.
+pub(crate) fn check_dense_ids<A: DistributedAgent>(agents: &[A]) -> Result<(), RuntimeError> {
+    for (position, agent) in agents.iter().enumerate() {
+        if agent.id().index() != position {
+            return Err(RuntimeError::NonDenseAgentIds {
+                position,
+                found: agent.id(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

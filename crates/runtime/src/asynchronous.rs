@@ -39,7 +39,7 @@ use discsp_core::{AgentId, Assignment, DistributedCsp, RunMetrics, Termination, 
 use discsp_trace::{canonical_sort, FaultKind, RingBuffer, RuntimeKind, TraceEvent, TraceSink};
 use parking_lot::Mutex;
 
-use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::agent::{check_dense_ids, AgentStats, DistributedAgent, Outbox};
 use crate::error::RuntimeError;
 use crate::link::{derive_link_seed, Link, LinkPolicy, LinkStats};
 use crate::message::{Classify, Envelope, MessageClass};
@@ -248,14 +248,7 @@ pub fn run_async<A>(
 where
     A: DistributedAgent + Send + 'static,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
+    check_dense_ids(&agents)?;
     let n = agents.len();
     let shared = Arc::new(Shared {
         in_flight: AtomicI64::new(0),
@@ -453,15 +446,7 @@ where
     metrics.ok_messages = shared.ok_messages.load(Ordering::SeqCst);
     metrics.nogood_messages = shared.nogood_messages.load(Ordering::SeqCst);
     metrics.other_messages = shared.other_messages.load(Ordering::SeqCst);
-    metrics.nogoods_generated = agent_stats.nogoods_generated;
-    metrics.redundant_nogoods = agent_stats.redundant_nogoods;
-    metrics.largest_nogood = agent_stats.largest_nogood;
-    metrics.messages_sent = agent_stats.messages_sent;
-    metrics.messages_dropped = agent_stats.messages_dropped;
-    metrics.messages_duplicated = agent_stats.messages_duplicated;
-    metrics.messages_reordered = agent_stats.messages_reordered;
-    metrics.messages_retransmitted = agent_stats.messages_retransmitted;
-    metrics.max_delivery_delay = agent_stats.max_delivery_delay;
+    agent_stats.fold_into(&mut metrics);
 
     let solution = if termination == Termination::Solved {
         Some(shared.snapshot.lock().clone())
@@ -788,94 +773,9 @@ fn publish<A: DistributedAgent>(agent: &A, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::AgentStats;
+    use crate::fixtures::{all_true_problem, ring, Gossip};
     use crate::link::PPM;
-    use crate::message::Classify;
-    use discsp_core::{AgentId, Domain, Nogood, Value, VarValue, VariableId};
-
-    /// Agents that must all agree on `true`: each starts `false` except
-    /// agent 0, and flips to the max value it has heard, gossiping changes
-    /// to the next agent in a ring.
-    #[derive(Debug, Clone)]
-    struct Gossip(Value);
-
-    impl Classify for Gossip {
-        fn class(&self) -> MessageClass {
-            MessageClass::Ok
-        }
-    }
-
-    struct RingAgent {
-        id: AgentId,
-        n: usize,
-        value: Value,
-    }
-
-    impl RingAgent {
-        fn next(&self) -> AgentId {
-            AgentId::new(((self.id.index() + 1) % self.n) as u32)
-        }
-    }
-
-    impl DistributedAgent for RingAgent {
-        type Message = Gossip;
-
-        fn id(&self) -> AgentId {
-            self.id
-        }
-
-        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
-            let mut changed = false;
-            for env in inbox {
-                if env.payload.0 > self.value {
-                    self.value = env.payload.0;
-                    changed = true;
-                }
-            }
-            if changed {
-                out.send(self.next(), Gossip(self.value));
-            }
-        }
-
-        fn on_nudge(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn assignments(&self) -> Vec<VarValue> {
-            vec![VarValue::new(VariableId::new(self.id.raw()), self.value)]
-        }
-
-        fn take_checks(&mut self) -> u64 {
-            0
-        }
-
-        fn stats(&self) -> AgentStats {
-            AgentStats::default()
-        }
-    }
-
-    fn all_true_problem(n: usize) -> DistributedCsp {
-        let mut b = DistributedCsp::builder();
-        let vars: Vec<_> = (0..n).map(|_| b.variable(Domain::BOOL)).collect();
-        for &v in &vars {
-            b.nogood(Nogood::of([(v, Value::FALSE)])).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    fn ring(n: usize) -> Vec<RingAgent> {
-        (0..n)
-            .map(|i| RingAgent {
-                id: AgentId::new(i as u32),
-                n,
-                value: Value::from_bool(i == 0),
-            })
-            .collect()
-    }
+    use discsp_core::{Value, VarValue, VariableId};
 
     #[test]
     fn async_run_converges_to_quiescent_solution() {

@@ -1,6 +1,6 @@
 //! Distributed-system substrates for DisCSP algorithms.
 //!
-//! Two runtimes execute the same [`DistributedAgent`] implementations:
+//! Four runtimes execute the same [`DistributedAgent`] implementations:
 //!
 //! * [`SyncSimulator`] — the synchronous cycle simulator the paper uses
 //!   for all measurements (§4): per cycle, every agent reads its inbox,
@@ -15,6 +15,14 @@
 //!   deterministic semantics with agent activations fanned out to a
 //!   fixed pool of worker threads owning slab-pooled per-shard arenas.
 //!   Bit-identical to `run_virtual` for any worker count.
+//!
+//! The deterministic executors share one control loop, the
+//! [`WaveEngine`]: it owns the [`Router`], the metrics, the snapshot and
+//! every termination decision, and advances one wave per poll. What
+//! differs is the [`Stepper`] that runs each wave's activations:
+//! [`InProcess`] for `run_virtual` (and the `discsp-service` sessions),
+//! a worker pool for `run_sharded`, and a socket fan-out in the
+//! `discsp-net` coordinator.
 //!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
 //! delay, and reordering faults into either runtime's traffic, with
@@ -34,7 +42,10 @@
 
 mod agent;
 mod asynchronous;
+mod engine;
 mod error;
+#[cfg(test)]
+mod fixtures;
 mod link;
 mod message;
 mod pool;
@@ -51,6 +62,9 @@ pub use asynchronous::{run_async, AsyncConfig, AsyncReport};
 pub use discsp_trace::{
     canonical_sort, render_trace, FaultKind, NullSink, RingBuffer, RuntimeKind, TraceEvent,
     TraceSink,
+};
+pub use engine::{
+    Admission, Direct, InProcess, Merge, Stepper, Teardown, Wave, WaveEngine, WavePoll,
 };
 pub use error::RuntimeError;
 pub use link::{

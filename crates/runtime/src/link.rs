@@ -12,9 +12,10 @@
 //! `(seed, policy)` — no wall clock, no OS entropy.
 //!
 //! Time here is a `u64` **virtual tick**, never `std::time::Instant`: the
-//! synchronous-style executor ([`run_virtual`]) advances ticks as the
-//! event queue drains, and the threaded runtime advances a shared atomic
-//! tick from its observer loop. That is why this file is exempted from
+//! deterministic executors ([`run_virtual`] and the others on the
+//! [`WaveEngine`](crate::WaveEngine)) advance ticks as the event queue
+//! drains, and the threaded runtime advances a shared atomic tick from
+//! its observer loop. That is why this file is exempted from
 //! `discsp-lint` rule D2 *by name* in `crates/lint/src/rules.rs` — the
 //! tick arithmetic below is the sanctioned replacement for wall time.
 //!
@@ -27,17 +28,14 @@
 
 use std::collections::BTreeMap;
 
-use discsp_core::{
-    AgentId, Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome,
-};
+use discsp_core::{AgentId, DistributedCsp, TrialOutcome};
 use serde::{Deserialize, Serialize};
 
-use discsp_trace::{FaultKind, RuntimeKind, TraceEvent, TraceSink};
+use discsp_trace::{FaultKind, RuntimeKind, TraceEvent};
 
-use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::agent::{AgentStats, DistributedAgent};
+use crate::engine::{Direct, InProcess, WaveEngine};
 use crate::error::RuntimeError;
-use crate::recorder::StepRecorder;
-use crate::router::Router;
 use crate::schedule::{FaultAction, FaultSchedule};
 use crate::seed::SplitMix64;
 
@@ -172,7 +170,7 @@ impl LinkStats {
     }
 
     /// Folds these link counters into an [`AgentStats`] record (the
-    /// sender-side attribution surfaced through [`RunMetrics`]).
+    /// sender-side attribution surfaced through [`RunMetrics`](discsp_core::RunMetrics)).
     pub fn fold_into(&self, stats: &mut AgentStats) {
         stats.messages_sent += self.sent;
         stats.messages_dropped += self.dropped;
@@ -520,13 +518,14 @@ pub struct VirtualReport {
 /// inputs produce bit-identical metrics, fault counters, and traces —
 /// the replay harness for any failure observed under injected faults.
 ///
-/// Quiescence detection is exact by construction: the event queue *is*
-/// the in-flight set. When it drains, the snapshot is checked; if the
-/// system stalled short of a solution, a recovery pass retransmits parked
-/// drops and asks agents to re-announce and re-evaluate
-/// ([`DistributedAgent::on_nudge`]), up to `config.max_nudges` times —
-/// regardless of the fault policy, since a protocol can park itself
-/// without losing a message.
+/// This is the [`WaveEngine`] with the [`InProcess`] stepper, so its
+/// termination rules are the engine's. Quiescence detection is exact by
+/// construction: the event queue *is* the in-flight set. When it drains,
+/// the snapshot is checked; if the system stalled short of a solution, a
+/// recovery pass retransmits parked drops and asks agents to re-announce
+/// and re-evaluate ([`DistributedAgent::on_nudge`]), up to
+/// `config.max_nudges` times — regardless of the fault policy, since a
+/// protocol can park itself without losing a message.
 ///
 /// # Errors
 ///
@@ -534,204 +533,25 @@ pub struct VirtualReport {
 /// [`RuntimeError::UnknownRecipient`] when a message addresses an agent
 /// outside the population.
 pub fn run_virtual<A>(
-    mut agents: Vec<A>,
+    agents: Vec<A>,
     problem: &DistributedCsp,
     config: &VirtualConfig,
 ) -> Result<VirtualReport, RuntimeError>
 where
     A: DistributedAgent,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
     let n = agents.len();
-    let mut net: Router<A::Message> = match &config.schedule {
-        Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
-        None => Router::new(n, config.link, config.seed, config.record_trace),
-    };
-    let mut recorder = StepRecorder::new();
-
-    let mut metrics = RunMetrics::new(Termination::CutOff);
-    let mut snapshot = Assignment::empty(problem.num_vars());
-    let mut activations: u64 = 0;
-    let mut nudges: u64 = 0;
-    let mut tick: u64 = 0;
-    let termination;
-
-    // Tick 0: every agent announces its initial state. This is the first
-    // maxcck wave — the same accounting as the net coordinator's start
-    // wave, so the two runtimes report identical maxcck for identical
-    // traffic.
-    let mut start_max: u64 = 0;
-    for agent in agents.iter_mut() {
-        let mut out = Outbox::new(agent.id());
-        agent.on_start(&mut out);
-        activations += 1;
-        let checks = agent.take_checks();
-        metrics.total_checks += checks;
-        start_max = start_max.max(checks);
-        recorder.record_step(agent, 0, checks, net.sink());
-        for env in out.drain() {
-            net.route(0, env)?;
-        }
-    }
-    metrics.maxcck += start_max;
-    net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-    let mut insoluble = agents.iter().any(|a| a.detected_insoluble());
-    for agent in agents.iter() {
-        for vv in agent.assignments() {
-            snapshot.set(vv.var, vv.value);
-        }
-    }
-
-    loop {
-        if insoluble {
-            termination = Termination::Insoluble;
-            break;
-        }
-        if config.stop_on_first_solution && problem.is_solution(&snapshot) {
-            termination = Termination::Solved;
-            break;
-        }
-        let Some(due) = net.next_due() else {
-            // Quiescent: the queue is the in-flight set, so this snapshot
-            // is stable unless the recovery pass injects new traffic.
-            if problem.is_solution(&snapshot) {
-                termination = Termination::Solved;
-                break;
-            }
-            // Recovery is not gated on the fault policy: a protocol can
-            // park itself without losing a message (AWC's repeated-nogood
-            // rule silences a deadended agent), so perfect links get the
-            // same bounded nudge treatment.
-            if nudges >= config.max_nudges {
-                termination = Termination::CutOff;
-                break;
-            }
-            nudges += 1;
-            tick += 1;
-            net.flush_parked(tick);
-            let mut wave_max: u64 = 0;
-            for agent in agents.iter_mut() {
-                let mut out = Outbox::new(agent.id());
-                agent.on_nudge(&mut out);
-                let checks = agent.take_checks();
-                metrics.total_checks += checks;
-                wave_max = wave_max.max(checks);
-                recorder.record_step(agent, tick, checks, net.sink());
-                for env in out.drain() {
-                    net.route(tick, env)?;
-                }
-            }
-            metrics.maxcck += wave_max;
-            net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-            if net.is_quiescent() {
-                // Nothing to retransmit and nobody re-announced: the
-                // stall is permanent.
-                termination = Termination::CutOff;
-                break;
-            }
-            continue;
-        };
-        if due > config.max_ticks {
-            termination = Termination::CutOff;
-            break;
-        }
-        tick = tick.max(due);
-
-        // Deliver every message due this tick, batched per recipient in
-        // ascending (recipient, link_rank, enqueue_seq) order. The wave is one
-        // maxcck accounting unit, closed by a cycle barrier.
-        let mut wave_max: u64 = 0;
-        for (recipient, inbox) in net.take_due(due, tick) {
-            let Some(agent) = agents.get_mut(recipient) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            agent.on_batch(inbox, &mut out);
-            activations += 1;
-            let checks = agent.take_checks();
-            metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            for vv in agent.assignments() {
-                snapshot.set(vv.var, vv.value);
-            }
-            insoluble |= agent.detected_insoluble();
-            recorder.record_step(agent, tick, checks, net.sink());
-            for env in out.drain() {
-                net.route(tick, env)?;
-            }
-        }
-        metrics.maxcck += wave_max;
-        net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-    }
-
-    metrics.termination = termination;
-    metrics.cycles = tick;
-    let (ok, nogood, other) = net.class_counts();
-    metrics.ok_messages = ok;
-    metrics.nogood_messages = nogood;
-    metrics.other_messages = other;
-    let mut stats = AgentStats::default();
-    for agent in agents.iter_mut() {
-        // Per-step draining leaves this at zero for well-behaved agents;
-        // if an agent did checks outside an activation, surface them as
-        // a final step so the trace still sums to `total_checks`.
-        let leftover = agent.take_checks();
-        if leftover > 0 {
-            metrics.total_checks += leftover;
-            net.sink().record(TraceEvent::AgentStep {
-                cycle: tick,
-                agent: agent.id(),
-                checks: leftover,
-            });
-        }
-        stats.absorb(agent.stats());
-    }
-    net.link_totals().fold_into(&mut stats);
-    metrics.nogoods_generated = stats.nogoods_generated;
-    metrics.redundant_nogoods = stats.redundant_nogoods;
-    metrics.largest_nogood = stats.largest_nogood;
-    metrics.messages_sent = stats.messages_sent;
-    metrics.messages_dropped = stats.messages_dropped;
-    metrics.messages_duplicated = stats.messages_duplicated;
-    metrics.messages_reordered = stats.messages_reordered;
-    metrics.messages_retransmitted = stats.messages_retransmitted;
-    metrics.max_delivery_delay = stats.max_delivery_delay;
-
-    let in_flight = net.queued();
-    net.sink().record(TraceEvent::RunEnd {
-        cycle: metrics.cycles,
-        runtime: RuntimeKind::Virtual,
-        in_flight,
-        metrics: metrics.clone(),
-    });
-
-    let solution = if termination == Termination::Solved {
-        Some(snapshot)
-    } else {
-        None
-    };
-    Ok(VirtualReport {
-        outcome: TrialOutcome { metrics, solution },
-        ticks: tick,
-        activations,
-        nudges,
-        fault_log: net.fault_log(),
-        trace: net.take_trace(),
-    })
+    let engine = WaveEngine::new(n, problem, config, RuntimeKind::Virtual, Direct);
+    engine.run(problem, &mut InProcess::new(agents)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Classify, Envelope, MessageClass};
-    use discsp_core::{Domain, Nogood, Value, VarValue, VariableId};
+    use crate::agent::Outbox;
+    use crate::fixtures::{all_true_problem, ring, Gossip};
+    use crate::message::Envelope;
+    use discsp_core::{Termination, Value, VarValue};
 
     #[test]
     fn perfect_policy_routes_instantly_without_draws() {
@@ -825,89 +645,6 @@ mod tests {
     }
 
     // -- run_virtual ------------------------------------------------------
-
-    /// Max-gossip agents on a ring (same protocol as the async runtime's
-    /// unit tests): everyone must end up holding `true`.
-    #[derive(Debug, Clone)]
-    struct Gossip(Value);
-
-    impl Classify for Gossip {
-        fn class(&self) -> MessageClass {
-            MessageClass::Ok
-        }
-    }
-
-    struct RingAgent {
-        id: AgentId,
-        n: usize,
-        value: Value,
-    }
-
-    impl RingAgent {
-        fn next(&self) -> AgentId {
-            AgentId::new(((self.id.index() + 1) % self.n) as u32)
-        }
-    }
-
-    impl DistributedAgent for RingAgent {
-        type Message = Gossip;
-
-        fn id(&self) -> AgentId {
-            self.id
-        }
-
-        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
-            let mut changed = false;
-            for env in inbox {
-                if env.payload.0 > self.value {
-                    self.value = env.payload.0;
-                    changed = true;
-                }
-            }
-            if changed {
-                out.send(self.next(), Gossip(self.value));
-            }
-        }
-
-        fn on_nudge(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn assignments(&self) -> Vec<VarValue> {
-            vec![VarValue::new(VariableId::new(self.id.raw()), self.value)]
-        }
-
-        fn take_checks(&mut self) -> u64 {
-            0
-        }
-
-        fn stats(&self) -> AgentStats {
-            AgentStats::default()
-        }
-    }
-
-    fn all_true_problem(n: usize) -> DistributedCsp {
-        let mut b = DistributedCsp::builder();
-        let vars: Vec<_> = (0..n).map(|_| b.variable(Domain::BOOL)).collect();
-        for &v in &vars {
-            b.nogood(Nogood::of([(v, Value::FALSE)])).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    fn ring(n: usize) -> Vec<RingAgent> {
-        (0..n)
-            .map(|i| RingAgent {
-                id: AgentId::new(i as u32),
-                n,
-                value: Value::from_bool(i == 0),
-            })
-            .collect()
-    }
 
     #[test]
     fn virtual_run_solves_with_perfect_links() {

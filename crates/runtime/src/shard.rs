@@ -6,20 +6,18 @@
 //! virtual-time semantics of [`run_virtual`](crate::run_virtual) but
 //! executes agent activations on a fixed pool of worker threads: agents
 //! live in slab-pooled per-shard arenas ([`Slab`]), each worker owns one
-//! shard and drains its agents' mailbox batches, and all routing goes
-//! through the single [`Router`] owned by the coordinator.
+//! shard and drains its agents' mailbox batches, and the coordinator
+//! thread runs the [`WaveEngine`], which owns the single [`Router`].
+//! This module is only the engine's shard-pool [`Stepper`].
 //!
-//! **Why determinism survives M:N.** The coordinator runs the exact
-//! control flow of `run_virtual` — the same start wave, quiescence
-//! check, nudge recovery, tick bookkeeping, and cut-off rules. Each wave
-//! is partitioned across shards by the seed-derived [`ShardPlan`];
-//! workers return one buffered [`StepOutput`] per activated agent
-//! (checks, assignments, trace events, outbound envelopes), and the
-//! coordinator merges those outputs back in **ascending agent-id order**
-//! before any of them touch the router or the trace. Ascending agent id
-//! is precisely the order `run_virtual` activates agents in (its start
-//! and nudge waves iterate ids 0..n; its delivery wave iterates the
-//! inboxes `take_due` returns in ascending recipient order) — so the
+//! **Why determinism survives M:N.** The coordinator runs the same
+//! engine as `run_virtual`, so the start wave, quiescence check, nudge
+//! recovery, tick bookkeeping, and cut-off rules are not copies but the
+//! same code. Each wave is partitioned across shards by the seed-derived
+//! [`ShardPlan`]; workers return one buffered [`StepOutput`] per
+//! activated agent (checks, assignments, trace events, outbound
+//! envelopes), and the pool hands those outputs to the engine in
+//! **ascending agent-id order**, the order every stepper owes it. So the
 //! router consumes every per-link fault stream in the same order, the
 //! trace interleaves identically, and the report is bit-identical to
 //! `run_virtual` for *any* worker count. The shard partition and each
@@ -32,21 +30,21 @@
 //! event with the wave's tick passed down in the job — a batch that
 //! drains just before a nudge wave can never smear its events into the
 //! nudge's tick, because ticks travel with jobs, not with threads.
+//!
+//! [`Router`]: crate::Router
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-use discsp_core::{
-    Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome, VarValue,
-};
+use discsp_core::{AgentId, DistributedCsp, VarValue};
 use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
 
-use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::agent::{check_dense_ids, AgentStats, DistributedAgent, Outbox};
+use crate::engine::{Admission, Direct, Merge, Stepper, Teardown, Wave, WaveEngine};
 use crate::error::RuntimeError;
 use crate::link::{VirtualConfig, VirtualReport};
-use crate::message::Envelope;
+use crate::message::{Classify, Envelope};
 use crate::pool::{ShardPlan, Slab};
 use crate::recorder::StepRecorder;
-use crate::router::Router;
 
 /// Configuration of a sharded run: [`VirtualConfig`] semantics plus a
 /// worker count. The worker count is a pure throughput knob — metrics,
@@ -87,21 +85,17 @@ type SlotInboxes<M> = Vec<(usize, Vec<Envelope<M>>)>;
 /// One wave of work for a shard worker. Ticks travel with the job so a
 /// worker can never stamp events with a stale wave's tick.
 enum Job<M> {
-    /// Run `on_start` for every agent in the shard (tick 0).
-    Start,
-    /// Run `on_nudge` for every agent in the shard.
-    Nudge { tick: u64 },
+    /// Run `on_start`, or `on_nudge` when `nudge` is set, for every agent
+    /// in the shard.
+    Everyone { tick: u64, nudge: bool },
     /// Deliver inbox batches: `(slot, messages)` pairs.
-    Batch {
-        tick: u64,
-        inboxes: SlotInboxes<M>,
-    },
-    /// Drain final leftovers and report stats; the shard empties.
-    Finish { tick: u64 },
+    Batch { tick: u64, inboxes: SlotInboxes<M> },
+    /// Report leftover checks and final stats; the shard empties.
+    Finish,
 }
 
-/// The buffered result of one agent activation, merged id-sorted by the
-/// coordinator before touching the router or the trace.
+/// The buffered result of one agent activation, or of an agent's
+/// teardown (leftover `checks` and `stats`), merged id-sorted.
 struct StepOutput<M> {
     agent: u32,
     checks: u64,
@@ -130,10 +124,30 @@ impl<A: DistributedAgent> ShardWorker<A> {
     ) {
         while let Ok(job) = jobs.recv() {
             let reply = match job {
-                Job::Start => self.wave(0, false),
-                Job::Nudge { tick } => self.wave(tick, true),
-                Job::Batch { tick, inboxes } => self.batch(tick, inboxes),
-                Job::Finish { tick } => self.finish(tick),
+                Job::Everyone { tick, nudge } => {
+                    let mut outputs = Vec::with_capacity(self.slots);
+                    for slot in 0..self.slots {
+                        outputs.extend(self.activate(slot, tick, |agent, out| {
+                            if nudge {
+                                agent.on_nudge(out);
+                            } else {
+                                agent.on_start(out);
+                            }
+                        }));
+                    }
+                    outputs
+                }
+                Job::Batch { tick, mut inboxes } => {
+                    inboxes.sort_unstable_by_key(|&(slot, _)| slot);
+                    let mut outputs = Vec::with_capacity(inboxes.len());
+                    for (slot, inbox) in inboxes {
+                        outputs.extend(
+                            self.activate(slot, tick, |agent, out| agent.on_batch(inbox, out)),
+                        );
+                    }
+                    outputs
+                }
+                Job::Finish => self.finish(),
             };
             if replies.send(reply).is_err() {
                 return;
@@ -141,108 +155,50 @@ impl<A: DistributedAgent> ShardWorker<A> {
         }
     }
 
-    /// A full-shard wave: `on_start` or `on_nudge` for every agent, in
-    /// slot (drain) order.
-    fn wave(&mut self, tick: u64, nudge: bool) -> Vec<StepOutput<A::Message>> {
-        let mut outputs = Vec::with_capacity(self.slots);
-        for slot in 0..self.slots {
-            let Some(agent) = self.agents.get_mut(slot) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            if nudge {
-                agent.on_nudge(&mut out);
-            } else {
-                agent.on_start(&mut out);
-            }
-            outputs.push(finish_step(
-                &mut self.recorder,
-                &mut self.scratch,
-                agent,
-                tick,
-                out,
-            ));
-        }
-        outputs
-    }
-
-    /// A delivery wave for the subset of slots that received mail, in
-    /// slot (drain) order.
-    fn batch(
+    /// Runs one activation of the agent in `slot` and packages its
+    /// output, its step events recorded through the shard's recorder.
+    fn activate(
         &mut self,
+        slot: usize,
         tick: u64,
-        mut inboxes: SlotInboxes<A::Message>,
-    ) -> Vec<StepOutput<A::Message>> {
-        inboxes.sort_unstable_by_key(|&(slot, _)| slot);
-        let mut outputs = Vec::with_capacity(inboxes.len());
-        for (slot, inbox) in inboxes {
-            let Some(agent) = self.agents.get_mut(slot) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            agent.on_batch(inbox, &mut out);
-            outputs.push(finish_step(
-                &mut self.recorder,
-                &mut self.scratch,
-                agent,
-                tick,
-                out,
-            ));
-        }
-        outputs
+        act: impl FnOnce(&mut A, &mut Outbox<A::Message>),
+    ) -> Option<StepOutput<A::Message>> {
+        let agent = self.agents.get_mut(slot)?;
+        let mut out = Outbox::new(agent.id());
+        act(agent, &mut out);
+        let checks = agent.take_checks();
+        self.recorder
+            .record_step(agent, tick, checks, &mut self.scratch);
+        Some(StepOutput {
+            agent: agent.id().raw(),
+            checks,
+            insoluble: agent.detected_insoluble(),
+            assignments: agent.assignments(),
+            events: self.scratch.take(),
+            outbox: out.drain(),
+            stats: AgentStats::default(),
+        })
     }
 
-    /// Removes every agent from the arena, surfacing leftover checks and
-    /// final stats (the end-of-run accounting `run_virtual` does inline).
-    fn finish(&mut self, tick: u64) -> Vec<StepOutput<A::Message>> {
+    /// Removes every agent from the arena, reporting its leftover checks
+    /// and final stats.
+    fn finish(&mut self) -> Vec<StepOutput<A::Message>> {
         let mut outputs = Vec::with_capacity(self.agents.len());
         for slot in 0..self.slots {
             let Some(mut agent) = self.agents.remove(slot) else {
                 continue;
             };
-            let leftover = agent.take_checks();
-            let mut events = Vec::new();
-            if leftover > 0 && self.scratch.enabled() {
-                events.push(TraceEvent::AgentStep {
-                    cycle: tick,
-                    agent: agent.id(),
-                    checks: leftover,
-                });
-            }
             outputs.push(StepOutput {
                 agent: agent.id().raw(),
-                checks: leftover,
+                checks: agent.take_checks(),
                 insoluble: false,
                 assignments: Vec::new(),
-                events,
+                events: Vec::new(),
                 outbox: Vec::new(),
                 stats: agent.stats(),
             });
         }
         outputs
-    }
-}
-
-/// Shared post-activation bookkeeping: drain checks and notes, record
-/// the step through the shard's recorder into the scratch buffer, and
-/// package everything the coordinator needs.
-fn finish_step<A: DistributedAgent>(
-    recorder: &mut StepRecorder,
-    scratch: &mut RingBuffer,
-    agent: &mut A,
-    tick: u64,
-    mut out: Outbox<A::Message>,
-) -> StepOutput<A::Message> {
-    let checks = agent.take_checks();
-    recorder.record_step(agent, tick, checks, scratch);
-    StepOutput {
-        agent: agent.id().raw(),
-        checks,
-        insoluble: agent.detected_insoluble(),
-        assignments: agent.assignments(),
-        events: scratch.take(),
-        outbox: out.drain(),
-        stats: AgentStats::default(),
     }
 }
 
@@ -252,37 +208,93 @@ struct ShardHandle<M> {
     replies: Receiver<Vec<StepOutput<M>>>,
 }
 
-/// Sends one job per shard and collects the merged, id-sorted outputs.
-/// `make` is called once per shard index; shards receiving `None` are
-/// skipped (a delivery wave only wakes shards that got mail).
-fn run_wave<M>(
-    shards: &[ShardHandle<M>],
-    mut make: impl FnMut(usize) -> Option<Job<M>>,
-) -> Result<Vec<StepOutput<M>>, RuntimeError> {
-    let mut involved = Vec::with_capacity(shards.len());
-    for (index, shard) in shards.iter().enumerate() {
-        let Some(job) = make(index) else {
-            continue;
-        };
-        shard
-            .jobs
-            .send(job)
-            .map_err(|_| RuntimeError::ShardWorkerDied { shard: index })?;
-        involved.push(index);
+/// The engine's shard-pool stepper.
+struct ShardPool<M> {
+    shards: Vec<ShardHandle<M>>,
+    plan: ShardPlan,
+}
+
+impl<M> ShardPool<M> {
+    /// Sends one job per shard and collects the merged, id-sorted
+    /// outputs. `make` is called once per shard index; shards receiving
+    /// `None` are skipped (a delivery wave only wakes shards that got
+    /// mail).
+    fn run_wave(
+        &self,
+        mut make: impl FnMut(usize) -> Option<Job<M>>,
+    ) -> Result<Vec<StepOutput<M>>, RuntimeError> {
+        let died = |shard| RuntimeError::ShardWorkerDied { shard };
+        let mut involved = Vec::with_capacity(self.shards.len());
+        for (index, shard) in self.shards.iter().enumerate() {
+            if let Some(job) = make(index) {
+                shard.jobs.send(job).map_err(|_| died(index))?;
+                involved.push((index, shard));
+            }
+        }
+        let mut outputs = Vec::new();
+        for (index, shard) in involved {
+            outputs.extend(shard.replies.recv().map_err(|_| died(index))?);
+        }
+        outputs.sort_unstable_by_key(|o| o.agent);
+        Ok(outputs)
     }
-    let mut outputs = Vec::new();
-    for index in involved {
-        let Some(shard) = shards.get(index) else {
-            continue;
+}
+
+impl<M: Classify + Clone> Stepper<M> for ShardPool<M> {
+    type Error = RuntimeError;
+
+    fn step<G: Admission<M>>(
+        &mut self,
+        wave: Wave<M>,
+        merge: &mut Merge<'_, M, G>,
+    ) -> Result<(), RuntimeError> {
+        let tick = merge.tick();
+        let outputs = match wave {
+            Wave::Start => self.run_wave(|_| Some(Job::Everyone { tick, nudge: false }))?,
+            Wave::Nudge => self.run_wave(|_| Some(Job::Everyone { tick, nudge: true }))?,
+            Wave::Deliver(inboxes) => {
+                // Partition the inboxes to their shards; each shard
+                // drains its part in parallel.
+                let mut per_shard: Vec<SlotInboxes<M>> =
+                    (0..self.shards.len()).map(|_| Vec::new()).collect();
+                for (recipient, inbox) in inboxes {
+                    let (shard, slot) = self.plan.placement_of(recipient);
+                    if let Some(bucket) = per_shard.get_mut(shard) {
+                        bucket.push((slot, inbox));
+                    }
+                }
+                self.run_wave(|index| match per_shard.get_mut(index) {
+                    Some(bucket) if !bucket.is_empty() => Some(Job::Batch {
+                        tick,
+                        inboxes: std::mem::take(bucket),
+                    }),
+                    _ => None,
+                })?
+            }
         };
-        let reply = shard
-            .replies
-            .recv()
-            .map_err(|_| RuntimeError::ShardWorkerDied { shard: index })?;
-        outputs.extend(reply);
+        for output in outputs {
+            let events = output.events;
+            merge.activation(
+                output.checks,
+                output.insoluble,
+                output.assignments,
+                |sink| {
+                    for event in events {
+                        sink.record(event);
+                    }
+                },
+                output.outbox,
+            )?;
+        }
+        Ok(())
     }
-    outputs.sort_unstable_by_key(|o| o.agent);
-    Ok(outputs)
+
+    fn finish(&mut self, teardown: &mut Teardown<'_>) -> Result<(), RuntimeError> {
+        for output in self.run_wave(|_| Some(Job::Finish))? {
+            teardown.agent(AgentId::new(output.agent), output.checks, output.stats);
+        }
+        Ok(())
+    }
 }
 
 /// Runs `agents` on the M:N sharded executor: `config.workers` threads,
@@ -308,21 +320,10 @@ pub fn run_sharded<A>(
 where
     A: DistributedAgent + Send,
 {
-    for (position, agent) in agents.iter().enumerate() {
-        if agent.id().index() != position {
-            return Err(RuntimeError::NonDenseAgentIds {
-                position,
-                found: agent.id(),
-            });
-        }
-    }
+    check_dense_ids(&agents)?;
     let n = agents.len();
     let base = &config.base;
     let plan = ShardPlan::new(n, config.workers, base.seed);
-    let mut net: Router<A::Message> = match &base.schedule {
-        Some(schedule) => Router::scripted(n, schedule, base.seed, base.record_trace),
-        None => Router::new(n, base.link, base.seed, base.record_trace),
-    };
     // Deal the agents into per-shard slab arenas in plan (drain) order;
     // sequential insertion into an empty slab makes slot == drain rank.
     let mut by_id: Vec<Option<A>> = agents.into_iter().map(Some).collect();
@@ -338,9 +339,10 @@ where
         arenas.push(arena);
     }
     drop(by_id);
+    let engine = WaveEngine::new(n, problem, base, RuntimeKind::Sharded, Direct);
 
     std::thread::scope(|scope| {
-        let mut shards: Vec<ShardHandle<A::Message>> = Vec::with_capacity(arenas.len());
+        let mut shards = Vec::with_capacity(arenas.len());
         for arena in arenas {
             let (job_tx, job_rx) = channel();
             let (reply_tx, reply_rx) = channel();
@@ -360,276 +362,17 @@ where
                 replies: reply_rx,
             });
         }
-
-        let mut metrics = RunMetrics::new(Termination::CutOff);
-        let mut snapshot = Assignment::empty(problem.num_vars());
-        let mut activations: u64 = 0;
-        let mut nudges: u64 = 0;
-        let mut tick: u64 = 0;
-        let mut insoluble = false;
-        let termination;
-
-        // Tick 0: every agent announces its initial state — the same
-        // start-wave accounting as run_virtual.
-        let starts = run_wave(&shards, |_| Some(Job::Start))?;
-        let mut start_max: u64 = 0;
-        for output in starts {
-            activations += 1;
-            metrics.total_checks += output.checks;
-            start_max = start_max.max(output.checks);
-            insoluble |= output.insoluble;
-            for vv in output.assignments {
-                snapshot.set(vv.var, vv.value);
-            }
-            for event in output.events {
-                net.sink().record(event);
-            }
-            for env in output.outbox {
-                net.route(0, env)?;
-            }
-        }
-        metrics.maxcck += start_max;
-        net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-
-        loop {
-            if insoluble {
-                termination = Termination::Insoluble;
-                break;
-            }
-            if base.stop_on_first_solution && problem.is_solution(&snapshot) {
-                termination = Termination::Solved;
-                break;
-            }
-            let Some(due) = net.next_due() else {
-                // Quiescent: the queue is the in-flight set. A fully
-                // parked system (every copy dropped) lands here too —
-                // that is a *recoverable* stall, answered by a
-                // retransmission flush plus a nudge wave, never a
-                // deadlock report.
-                if problem.is_solution(&snapshot) {
-                    termination = Termination::Solved;
-                    break;
-                }
-                // As in `run_virtual`: recovery is not gated on the
-                // fault policy, since a protocol can park itself
-                // without losing a message.
-                if nudges >= base.max_nudges {
-                    termination = Termination::CutOff;
-                    break;
-                }
-                nudges += 1;
-                tick += 1;
-                net.flush_parked(tick);
-                let wave = run_wave(&shards, |_| Some(Job::Nudge { tick }))?;
-                let mut wave_max: u64 = 0;
-                for output in wave {
-                    metrics.total_checks += output.checks;
-                    wave_max = wave_max.max(output.checks);
-                    for event in output.events {
-                        net.sink().record(event);
-                    }
-                    for env in output.outbox {
-                        net.route(tick, env)?;
-                    }
-                }
-                metrics.maxcck += wave_max;
-                net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-                if net.is_quiescent() {
-                    termination = Termination::CutOff;
-                    break;
-                }
-                continue;
-            };
-            if due > base.max_ticks {
-                termination = Termination::CutOff;
-                break;
-            }
-            tick = tick.max(due);
-
-            // Deliver every message due this tick: partition the inboxes
-            // to their shards, drain in parallel, merge id-sorted.
-            let mut per_shard: Vec<SlotInboxes<A::Message>> =
-                (0..shards.len()).map(|_| Vec::new()).collect();
-            for (recipient, inbox) in net.take_due(due, tick) {
-                let (shard, slot) = plan.placement_of(recipient);
-                if let Some(bucket) = per_shard.get_mut(shard) {
-                    bucket.push((slot, inbox));
-                }
-            }
-            let wave = run_wave(&shards, |index| {
-                match per_shard.get_mut(index) {
-                    Some(bucket) if !bucket.is_empty() => Some(Job::Batch {
-                        tick,
-                        inboxes: std::mem::take(bucket),
-                    }),
-                    _ => None,
-                }
-            })?;
-            let mut wave_max: u64 = 0;
-            for output in wave {
-                activations += 1;
-                metrics.total_checks += output.checks;
-                wave_max = wave_max.max(output.checks);
-                insoluble |= output.insoluble;
-                for vv in output.assignments {
-                    snapshot.set(vv.var, vv.value);
-                }
-                for event in output.events {
-                    net.sink().record(event);
-                }
-                for env in output.outbox {
-                    net.route(tick, env)?;
-                }
-            }
-            metrics.maxcck += wave_max;
-            net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        }
-
-        metrics.termination = termination;
-        metrics.cycles = tick;
-        let (ok, nogood, other) = net.class_counts();
-        metrics.ok_messages = ok;
-        metrics.nogood_messages = nogood;
-        metrics.other_messages = other;
-
-        // End-of-run accounting: leftover checks surface as final steps
-        // (id-sorted, exactly as run_virtual's 0..n sweep), stats absorb.
-        let mut stats = AgentStats::default();
-        let finals = run_wave(&shards, |_| Some(Job::Finish { tick }))?;
-        for output in finals {
-            if output.checks > 0 {
-                metrics.total_checks += output.checks;
-            }
-            for event in output.events {
-                net.sink().record(event);
-            }
-            stats.absorb(output.stats);
-        }
-        net.link_totals().fold_into(&mut stats);
-        metrics.nogoods_generated = stats.nogoods_generated;
-        metrics.redundant_nogoods = stats.redundant_nogoods;
-        metrics.largest_nogood = stats.largest_nogood;
-        metrics.messages_sent = stats.messages_sent;
-        metrics.messages_dropped = stats.messages_dropped;
-        metrics.messages_duplicated = stats.messages_duplicated;
-        metrics.messages_reordered = stats.messages_reordered;
-        metrics.messages_retransmitted = stats.messages_retransmitted;
-        metrics.max_delivery_delay = stats.max_delivery_delay;
-
-        let in_flight = net.queued();
-        net.sink().record(TraceEvent::RunEnd {
-            cycle: metrics.cycles,
-            runtime: RuntimeKind::Sharded,
-            in_flight,
-            metrics: metrics.clone(),
-        });
-
-        let solution = if termination == Termination::Solved {
-            Some(snapshot)
-        } else {
-            None
-        };
-        Ok(VirtualReport {
-            outcome: TrialOutcome { metrics, solution },
-            ticks: tick,
-            activations,
-            nudges,
-            fault_log: net.fault_log(),
-            trace: net.take_trace(),
-        })
+        engine.run(problem, &mut ShardPool { shards, plan })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{all_true_problem, ring, Gossip};
     use crate::link::{run_virtual, LinkPolicy};
-    use crate::message::{Classify, MessageClass};
     use crate::PPM;
-    use discsp_core::{AgentId, Domain, Nogood, Value, VariableId};
-
-    /// Max-gossip agents on a ring (the same protocol as the virtual
-    /// runtime's unit tests): everyone must end up holding `true`.
-    #[derive(Debug, Clone)]
-    struct Gossip(Value);
-
-    impl Classify for Gossip {
-        fn class(&self) -> MessageClass {
-            MessageClass::Ok
-        }
-    }
-
-    struct RingAgent {
-        id: AgentId,
-        n: usize,
-        value: Value,
-    }
-
-    impl RingAgent {
-        fn next(&self) -> AgentId {
-            AgentId::new(((self.id.index() + 1) % self.n) as u32)
-        }
-    }
-
-    impl DistributedAgent for RingAgent {
-        type Message = Gossip;
-
-        fn id(&self) -> AgentId {
-            self.id
-        }
-
-        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
-            let mut changed = false;
-            for env in inbox {
-                if env.payload.0 > self.value {
-                    self.value = env.payload.0;
-                    changed = true;
-                }
-            }
-            if changed {
-                out.send(self.next(), Gossip(self.value));
-            }
-        }
-
-        fn on_nudge(&mut self, out: &mut Outbox<Gossip>) {
-            out.send(self.next(), Gossip(self.value));
-        }
-
-        fn assignments(&self) -> Vec<VarValue> {
-            vec![VarValue::new(VariableId::new(self.id.raw()), self.value)]
-        }
-
-        fn take_checks(&mut self) -> u64 {
-            0
-        }
-
-        fn stats(&self) -> AgentStats {
-            AgentStats::default()
-        }
-    }
-
-    fn all_true_problem(n: usize) -> DistributedCsp {
-        let mut b = DistributedCsp::builder();
-        let vars: Vec<_> = (0..n).map(|_| b.variable(Domain::BOOL)).collect();
-        for &v in &vars {
-            b.nogood(Nogood::of([(v, Value::FALSE)])).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    fn ring(n: usize) -> Vec<RingAgent> {
-        (0..n)
-            .map(|i| RingAgent {
-                id: AgentId::new(i as u32),
-                n,
-                value: Value::from_bool(i == 0),
-            })
-            .collect()
-    }
+    use discsp_core::{Termination, Value};
 
     fn strip_run_end(trace: &[TraceEvent]) -> Vec<TraceEvent> {
         trace

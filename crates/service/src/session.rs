@@ -1,30 +1,32 @@
 //! One session as a resumable state machine.
 //!
-//! [`Driver`] is `run_virtual` unrolled: instead of looping to
-//! termination it executes exactly **one wave per [`Pump::poll`]** —
-//! the tick-0 start wave, a delivery wave, or a stall-recovery nudge
-//! wave — in the same order, with the same maxcck wave accounting, the
-//! same barrier events, and the same teardown as the in-process
-//! executor. A session polled to completion therefore produces metrics
-//! and a trace **bit-identical** to `solve_virtual` on the same
-//! `(seed, policy)` (modulo the `RunEnd` runtime stamp), which is the
-//! property the service's interleaving tests pin.
+//! [`Driver`] is the runtime's [`WaveEngine`] with the [`InProcess`]
+//! stepper — exactly what `run_virtual` runs — polled instead of looped:
+//! it executes **one wave per [`Pump::poll`]** (the tick-0 start wave, a
+//! delivery wave, or a stall-recovery nudge wave), with the same
+//! termination decisions, maxcck wave accounting, barrier events, and
+//! teardown as the in-process executor, because they are the same code.
+//! A session polled to completion therefore produces metrics and a trace
+//! **bit-identical** to `solve_virtual` on the same `(seed, policy)`
+//! (modulo the `RunEnd` runtime stamp), which is the property the
+//! service's interleaving tests pin.
 //!
-//! Backpressure lives here too: each session has a bounded in-flight
-//! message budget. Sends past it spill to a deterministic FIFO parking
-//! queue ([`Pump::overflow_len`]) drained back into the router as its
-//! queue empties, so a hostile or chatty session has bounded router
-//! state no matter how much it sends per wave.
+//! Backpressure is the one thing the service adds, as the engine's
+//! [`Admission`] policy: each session has a bounded in-flight message
+//! budget. Sends past it spill to a deterministic FIFO parking queue
+//! ([`Pump::overflow_len`]) drained back into the router as its queue
+//! empties, so a hostile or chatty session has bounded router state no
+//! matter how much it sends per wave.
 
 use std::collections::VecDeque;
 
 use discsp_awc::AwcSolver;
-use discsp_core::{Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome};
+use discsp_core::{Assignment, DistributedCsp};
 use discsp_dba::DbaSolver;
 use discsp_net::AlgoSpec;
 use discsp_runtime::{
-    AgentStats, DistributedAgent, Envelope, Outbox, Router, RuntimeError, StepRecorder,
-    TraceEvent, TraceSink, VirtualConfig, VirtualReport,
+    Admission, Classify, DistributedAgent, Envelope, InProcess, Router, RuntimeError, TraceEvent,
+    VirtualConfig, VirtualReport, WaveEngine,
 };
 use discsp_trace::RuntimeKind;
 
@@ -46,14 +48,9 @@ pub struct SessionSpec {
     pub config: VirtualConfig,
 }
 
-/// What one poll did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionPoll {
-    /// The session advanced one wave and has more work.
-    Running,
-    /// The session has terminated; its report is ready.
-    Finished,
-}
+/// What one poll did: the session advanced one wave and has more work,
+/// or it has terminated and its report is ready.
+pub use discsp_runtime::WavePoll as SessionPoll;
 
 /// A pollable session, type-erased over the algorithm's agent type so
 /// the session table can hold AWC and DBA sessions side by side.
@@ -104,32 +101,59 @@ pub struct SessionSnapshot {
     pub events: Vec<TraceEvent>,
 }
 
-enum Phase {
-    NotStarted,
-    Running,
-    Finished,
+/// The session's in-flight budget: sends past it park in a FIFO queue,
+/// drained back into the router as its queue empties.
+struct Budget<M> {
+    limit: u64,
+    overflow: VecDeque<Envelope<M>>,
+    peak: usize,
 }
 
-/// The resumable `run_virtual` state machine, generic over the agent
-/// type. See the module docs for the exact correspondence.
+impl<M: Classify + Clone> Admission<M> for Budget<M> {
+    /// Routes now if the in-flight budget allows, else parks. Once
+    /// anything is parked, everything parks behind it: releases happen
+    /// strictly in send order, so backpressure delays messages but
+    /// never reorders one send past a later one.
+    fn admit(
+        &mut self,
+        net: &mut Router<M>,
+        now: u64,
+        env: Envelope<M>,
+    ) -> Result<(), RuntimeError> {
+        if self.overflow.is_empty() && net.queued() < self.limit {
+            net.route(now, env)
+        } else {
+            self.overflow.push_back(env);
+            self.peak = self.peak.max(self.overflow.len());
+            Ok(())
+        }
+    }
+
+    /// Budget headroom freed by earlier deliveries re-admits parked sends
+    /// first, in FIFO order, before the next wave routes anything. With
+    /// the router empty at least one send is re-admitted, so a quiescent
+    /// router always means an empty parking queue.
+    fn release(&mut self, net: &mut Router<M>, now: u64) -> Result<(), RuntimeError> {
+        while net.queued() < self.limit {
+            let Some(env) = self.overflow.pop_front() else {
+                break;
+            };
+            net.route(now, env)?;
+        }
+        Ok(())
+    }
+
+    fn holds_nothing(&self) -> bool {
+        self.overflow.is_empty()
+    }
+}
+
+/// One session: the in-process agents on the wave engine, with the
+/// in-flight budget as its admission policy. See the module docs.
 pub struct Driver<A: DistributedAgent> {
-    agents: Vec<A>,
+    agents: InProcess<A>,
     problem: DistributedCsp,
-    config: VirtualConfig,
-    budget: u64,
-    net: Router<A::Message>,
-    overflow: VecDeque<Envelope<A::Message>>,
-    overflow_peak: usize,
-    recorder: StepRecorder,
-    metrics: RunMetrics,
-    snapshot: Assignment,
-    activations: u64,
-    nudges: u64,
-    tick: u64,
-    insoluble: bool,
-    waves: u64,
-    phase: Phase,
-    report: Option<VirtualReport>,
+    engine: WaveEngine<A::Message, Budget<A::Message>>,
 }
 
 impl<A: DistributedAgent> Driver<A> {
@@ -148,284 +172,53 @@ impl<A: DistributedAgent> Driver<A> {
         config: VirtualConfig,
         budget: u64,
     ) -> Result<Self, RuntimeError> {
-        for (position, agent) in agents.iter().enumerate() {
-            if agent.id().index() != position {
-                return Err(RuntimeError::NonDenseAgentIds {
-                    position,
-                    found: agent.id(),
-                });
-            }
-        }
-        let n = agents.len();
-        let net = match &config.schedule {
-            Some(schedule) => Router::scripted(n, schedule, config.seed, config.record_trace),
-            None => Router::new(n, config.link, config.seed, config.record_trace),
-        };
-        let num_vars = problem.num_vars();
-        Ok(Driver {
-            agents,
-            problem,
-            budget: budget.max(1),
-            net,
+        let budget = Budget {
+            limit: budget.max(1),
             overflow: VecDeque::new(),
-            overflow_peak: 0,
-            recorder: StepRecorder::new(),
-            metrics: RunMetrics::new(Termination::CutOff),
-            snapshot: Assignment::empty(num_vars),
-            activations: 0,
-            nudges: 0,
-            tick: 0,
-            insoluble: false,
-            waves: 0,
-            phase: Phase::NotStarted,
-            report: None,
-            config,
-        })
-    }
-
-    /// Routes now if the in-flight budget allows, else parks. Once
-    /// anything is parked, everything parks behind it: releases happen
-    /// strictly in send order, so backpressure delays messages but
-    /// never reorders one send past a later one.
-    fn route_budgeted(&mut self, now: u64, env: Envelope<A::Message>) -> Result<(), RuntimeError> {
-        if self.overflow.is_empty() && self.net.queued() < self.budget {
-            self.net.route(now, env)
-        } else {
-            self.overflow.push_back(env);
-            self.overflow_peak = self.overflow_peak.max(self.overflow.len());
-            Ok(())
-        }
-    }
-
-    /// Tick 0: every agent announces its initial state (one maxcck wave).
-    fn start_wave(&mut self) -> Result<(), RuntimeError> {
-        let mut start_max: u64 = 0;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let mut out = Outbox::new(agent.id());
-            agent.on_start(&mut out);
-            self.activations += 1;
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            start_max = start_max.max(checks);
-            self.recorder.record_step(agent, 0, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(0, env)?;
-            }
-        }
-        self.metrics.maxcck += start_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: 0 });
-        self.insoluble = self.agents.iter().any(|a| a.detected_insoluble());
-        for agent in self.agents.iter() {
-            for vv in agent.assignments() {
-                self.snapshot.set(vv.var, vv.value);
-            }
-        }
-        Ok(())
-    }
-
-    /// A recovery pass: flush parked drops, ask agents to re-announce.
-    fn nudge_wave(&mut self) -> Result<(), RuntimeError> {
-        self.nudges += 1;
-        self.tick += 1;
-        self.net.flush_parked(self.tick);
-        let tick = self.tick;
-        let mut wave_max: u64 = 0;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let mut out = Outbox::new(agent.id());
-            agent.on_nudge(&mut out);
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            self.recorder.record_step(agent, tick, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(tick, env)?;
-            }
-        }
-        self.metrics.maxcck += wave_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        Ok(())
-    }
-
-    /// Delivers every batch due this tick (one maxcck wave).
-    fn delivery_wave(&mut self, due: u64) -> Result<(), RuntimeError> {
-        self.tick = self.tick.max(due);
-        let tick = self.tick;
-        let mut wave_max: u64 = 0;
-        for (recipient, inbox) in self.net.take_due(due, tick) {
-            let Some(agent) = self.agents.get_mut(recipient) else {
-                continue;
-            };
-            let mut out = Outbox::new(agent.id());
-            agent.on_batch(inbox, &mut out);
-            self.activations += 1;
-            let checks = agent.take_checks();
-            self.metrics.total_checks += checks;
-            wave_max = wave_max.max(checks);
-            for vv in agent.assignments() {
-                self.snapshot.set(vv.var, vv.value);
-            }
-            self.insoluble |= agent.detected_insoluble();
-            self.recorder.record_step(agent, tick, checks, self.net.sink());
-            for env in out.drain() {
-                self.route_budgeted(tick, env)?;
-            }
-        }
-        self.metrics.maxcck += wave_max;
-        self.net.sink().record(TraceEvent::CycleBarrier { cycle: tick });
-        Ok(())
-    }
-
-    /// The teardown from `run_virtual`: leftover checks, stats
-    /// aggregation, the terminal `RunEnd` event, and the report.
-    fn finish(&mut self, termination: Termination) {
-        self.metrics.termination = termination;
-        self.metrics.cycles = self.tick;
-        let (ok, nogood, other) = self.net.class_counts();
-        self.metrics.ok_messages = ok;
-        self.metrics.nogood_messages = nogood;
-        self.metrics.other_messages = other;
-        let mut stats = AgentStats::default();
-        let tick = self.tick;
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            let leftover = agent.take_checks();
-            if leftover > 0 {
-                self.metrics.total_checks += leftover;
-                let id = agent.id();
-                self.net.sink().record(TraceEvent::AgentStep {
-                    cycle: tick,
-                    agent: id,
-                    checks: leftover,
-                });
-            }
-            stats.absorb(agent.stats());
-        }
-        self.net.link_totals().fold_into(&mut stats);
-        self.metrics.nogoods_generated = stats.nogoods_generated;
-        self.metrics.redundant_nogoods = stats.redundant_nogoods;
-        self.metrics.largest_nogood = stats.largest_nogood;
-        self.metrics.messages_sent = stats.messages_sent;
-        self.metrics.messages_dropped = stats.messages_dropped;
-        self.metrics.messages_duplicated = stats.messages_duplicated;
-        self.metrics.messages_reordered = stats.messages_reordered;
-        self.metrics.messages_retransmitted = stats.messages_retransmitted;
-        self.metrics.max_delivery_delay = stats.max_delivery_delay;
-
-        let in_flight = self.net.queued();
-        self.net.sink().record(TraceEvent::RunEnd {
-            cycle: self.metrics.cycles,
-            runtime: RuntimeKind::Service,
-            in_flight,
-            metrics: self.metrics.clone(),
-        });
-
-        let solution = if termination == Termination::Solved {
-            Some(self.snapshot.clone())
-        } else {
-            None
+            peak: 0,
         };
-        self.report = Some(VirtualReport {
-            outcome: TrialOutcome {
-                metrics: self.metrics.clone(),
-                solution,
-            },
-            ticks: self.tick,
-            activations: self.activations,
-            nudges: self.nudges,
-            fault_log: self.net.fault_log(),
-            trace: self.net.take_trace(),
-        });
-        self.phase = Phase::Finished;
+        let engine = WaveEngine::new(
+            agents.len(),
+            &problem,
+            &config,
+            RuntimeKind::Service,
+            budget,
+        );
+        Ok(Driver {
+            agents: InProcess::new(agents)?,
+            problem,
+            engine,
+        })
     }
 }
 
 impl<A: DistributedAgent + Send> Pump for Driver<A> {
     fn poll(&mut self) -> Result<SessionPoll, RuntimeError> {
-        match self.phase {
-            Phase::Finished => return Ok(SessionPoll::Finished),
-            Phase::NotStarted => {
-                self.start_wave()?;
-                self.phase = Phase::Running;
-                self.waves += 1;
-                return Ok(SessionPoll::Running);
-            }
-            Phase::Running => {}
-        }
-
-        // Budget headroom freed by earlier deliveries re-admits parked
-        // sends first, in FIFO order, before this wave routes anything.
-        while self.net.queued() < self.budget {
-            let Some(env) = self.overflow.pop_front() else {
-                break;
-            };
-            self.net.route(self.tick, env)?;
-        }
-
-        if self.insoluble {
-            self.finish(Termination::Insoluble);
-            return Ok(SessionPoll::Finished);
-        }
-        if self.config.stop_on_first_solution && self.problem.is_solution(&self.snapshot) {
-            self.finish(Termination::Solved);
-            return Ok(SessionPoll::Finished);
-        }
-        let Some(due) = self.net.next_due() else {
-            // Quiescent (the overflow drain above guarantees the parking
-            // queue is empty whenever the router is): stable snapshot.
-            if self.problem.is_solution(&self.snapshot) {
-                self.finish(Termination::Solved);
-                return Ok(SessionPoll::Finished);
-            }
-            // As in `run_virtual`: recovery is not gated on the fault
-            // policy or on backpressure, since a protocol can park itself
-            // without losing a message.
-            if self.nudges >= self.config.max_nudges {
-                self.finish(Termination::CutOff);
-                return Ok(SessionPoll::Finished);
-            }
-            self.nudge_wave()?;
-            self.waves += 1;
-            if self.net.is_quiescent() && self.overflow.is_empty() {
-                // Nothing retransmitted and nobody re-announced: the
-                // stall is permanent.
-                self.finish(Termination::CutOff);
-                return Ok(SessionPoll::Finished);
-            }
-            return Ok(SessionPoll::Running);
-        };
-        if due > self.config.max_ticks {
-            self.finish(Termination::CutOff);
-            return Ok(SessionPoll::Finished);
-        }
-        self.delivery_wave(due)?;
-        self.waves += 1;
-        Ok(SessionPoll::Running)
+        self.engine.poll(&self.problem, &mut self.agents)
     }
 
     fn finished(&self) -> bool {
-        matches!(self.phase, Phase::Finished)
+        self.engine.is_finished()
     }
 
     fn take_report(&mut self) -> Option<VirtualReport> {
-        self.report.take()
+        self.engine.take_report()
     }
 
     fn waves(&self) -> u64 {
-        self.waves
+        self.engine.waves()
     }
 
     fn overflow_len(&self) -> usize {
-        self.overflow.len()
+        self.engine.admission().overflow.len()
     }
 
     fn overflow_peak(&self) -> usize {
-        self.overflow_peak
+        self.engine.admission().peak
     }
 
     fn trace_so_far(&mut self) -> Vec<TraceEvent> {
-        self.net.sink().iter().cloned().collect()
+        self.engine.sink().iter().cloned().collect()
     }
 }
 
@@ -470,8 +263,8 @@ pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, Serv
 mod tests {
     use super::*;
     use discsp_awc::AwcConfig;
-    use discsp_core::{AgentId, Domain, Value, VarValue, VariableId};
-    use discsp_runtime::{run_virtual, Classify, MessageClass};
+    use discsp_core::{AgentId, Domain, Termination, Value, VarValue, VariableId};
+    use discsp_runtime::{run_virtual, AgentStats, MessageClass, Outbox};
 
     fn ring_spec(n: usize, seed: u64) -> SessionSpec {
         let mut b = DistributedCsp::builder();
@@ -556,14 +349,27 @@ mod tests {
         }
     }
 
+    /// What a nudge makes the pair below do.
+    #[derive(Debug, Clone, Copy)]
+    enum OnNudge {
+        /// Agent 0 announces its value; agent 1 takes the other value on
+        /// hearing it, which solves the problem.
+        Announce,
+        /// Agent 1 flips its own value, which solves the problem, and
+        /// tells nobody.
+        Flip,
+        /// Agent 1 declares the problem insoluble and tells nobody.
+        GiveUp,
+    }
+
     /// One of two agents holding a boolean each, both `false`, under
     /// `x0 != x1`. Neither speaks on start, so the run is quiescent at a
-    /// conflict from tick 0 over perfect links. Agent 0 announces its
-    /// value only when nudged; agent 1 takes the other value on hearing
-    /// it, which solves the problem.
+    /// conflict from tick 0 over perfect links; only a nudge moves it.
     struct Shy {
         id: AgentId,
         value: Value,
+        on_nudge: OnNudge,
+        insoluble: bool,
     }
 
     impl DistributedAgent for Shy {
@@ -582,8 +388,11 @@ mod tests {
         }
 
         fn on_nudge(&mut self, out: &mut Outbox<Announce>) {
-            if self.id.index() == 0 {
-                out.send(AgentId::new(1), Announce(self.value));
+            match (self.on_nudge, self.id.index()) {
+                (OnNudge::Announce, 0) => out.send(AgentId::new(1), Announce(self.value)),
+                (OnNudge::Flip, 1) => self.value = Value::TRUE,
+                (OnNudge::GiveUp, 1) => self.insoluble = true,
+                _ => {}
             }
         }
 
@@ -598,13 +407,19 @@ mod tests {
         fn stats(&self) -> AgentStats {
             AgentStats::default()
         }
+
+        fn detected_insoluble(&self) -> bool {
+            self.insoluble
+        }
     }
 
-    fn shy_pair() -> Vec<Shy> {
+    fn shy_pair(on_nudge: OnNudge) -> Vec<Shy> {
         (0..2)
             .map(|i| Shy {
                 id: AgentId::new(i),
                 value: Value::FALSE,
+                on_nudge,
+                insoluble: false,
             })
             .collect()
     }
@@ -621,28 +436,42 @@ mod tests {
             ..VirtualConfig::default()
         };
 
-        let mut driver =
-            Driver::new(shy_pair(), problem.clone(), config.clone(), u64::MAX).expect("driver");
-        while driver.poll().expect("poll") == SessionPoll::Running {}
-        let report = driver.take_report().expect("report");
-        let virt = run_virtual(shy_pair(), &problem, &config).expect("virtual");
+        for (on_nudge, expected) in [
+            (OnNudge::Announce, Termination::Solved),
+            (OnNudge::Flip, Termination::Solved),
+            (OnNudge::GiveUp, Termination::Insoluble),
+        ] {
+            let mut driver = Driver::new(
+                shy_pair(on_nudge),
+                problem.clone(),
+                config.clone(),
+                u64::MAX,
+            )
+            .expect("driver");
+            while driver.poll().expect("poll") == SessionPoll::Running {}
+            let report = driver.take_report().expect("report");
+            let virt = run_virtual(shy_pair(on_nudge), &problem, &config).expect("virtual");
 
-        assert_eq!(report.outcome.metrics.termination, Termination::Solved);
-        assert_eq!(report.nudges, 1, "one nudge wave unsticks the pair");
-        assert_eq!(report.outcome.metrics, virt.outcome.metrics);
-        assert_eq!(report.outcome.solution, virt.outcome.solution);
-        assert_eq!(report.ticks, virt.ticks);
-        assert_eq!(report.activations, virt.activations);
-        assert_eq!(report.nudges, virt.nudges);
-        assert_eq!(report.fault_log, virt.fault_log);
-        // The traces agree event for event but for the RunEnd stamp.
-        let events = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
-            trace
-                .iter()
-                .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
-                .cloned()
-                .collect()
-        };
-        assert_eq!(events(&report.trace), events(&virt.trace));
+            assert_eq!(report.outcome.metrics.termination, expected, "{on_nudge:?}");
+            assert_eq!(
+                report.nudges, 1,
+                "{on_nudge:?}: one nudge wave unsticks the pair"
+            );
+            assert_eq!(report.outcome.metrics, virt.outcome.metrics);
+            assert_eq!(report.outcome.solution, virt.outcome.solution);
+            assert_eq!(report.ticks, virt.ticks);
+            assert_eq!(report.activations, virt.activations);
+            assert_eq!(report.nudges, virt.nudges);
+            assert_eq!(report.fault_log, virt.fault_log);
+            // The traces agree event for event but for the RunEnd stamp.
+            let events = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
+                trace
+                    .iter()
+                    .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
+                    .cloned()
+                    .collect()
+            };
+            assert_eq!(events(&report.trace), events(&virt.trace));
+        }
     }
 }

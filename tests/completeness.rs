@@ -123,3 +123,72 @@ fn size_bounded_learning_may_lose_the_proof() {
         Termination::CutOff | Termination::Insoluble
     ));
 }
+
+#[test]
+fn awc_resolvent_recovers_from_a_perfect_link_stall_on_every_executor() {
+    // From all zeros, AWC with resolvent learning parks itself on these
+    // one-solution 3SAT instances over perfect links: the queue drains
+    // short of the solution and one nudge wave repairs it. A complete
+    // configuration must not give up there on any executor, and every
+    // executor must report the run `solve_virtual` reports.
+    for (seed, ticks) in [(29, 19), (43, 15)] {
+        let problem = cnf_to_discsp(&paper_one_sat3(10, seed).cnf).expect("encodes");
+        let init = Assignment::total([Value::new(0); 10]);
+        let solver = AwcSolver::new(AwcConfig::resolvent());
+        let virt = solver
+            .solve_virtual(&problem, &init, &VirtualConfig::default())
+            .expect("virtual");
+        assert_eq!(
+            virt.outcome.metrics.termination,
+            Termination::Solved,
+            "seed {seed}"
+        );
+        assert_eq!(
+            virt.nudges, 1,
+            "seed {seed}: one nudge wave repairs the stall"
+        );
+        assert_eq!(virt.ticks, ticks, "seed {seed}");
+
+        let net = solver
+            .solve_net(
+                &problem,
+                &init,
+                &NetConfig::default(),
+                &AgentLaunch::Threads,
+            )
+            .expect("net");
+        assert_eq!(
+            net.outcome.metrics, virt.outcome.metrics,
+            "seed {seed}: net metrics"
+        );
+        assert_eq!(
+            net.outcome.solution, virt.outcome.solution,
+            "seed {seed}: net solution"
+        );
+        assert_eq!(net.ticks, virt.ticks, "seed {seed}: net ticks");
+        assert_eq!(
+            net.activations, virt.activations,
+            "seed {seed}: net activations"
+        );
+        assert_eq!(net.nudges, virt.nudges, "seed {seed}: net nudges");
+
+        for workers in [1, 4] {
+            let sharded = solver
+                .solve_sharded(&problem, &init, &ShardConfig::new(workers))
+                .expect("sharded");
+            assert_eq!(
+                sharded.outcome, virt.outcome,
+                "seed {seed}, {workers} workers"
+            );
+            assert_eq!(sharded.ticks, virt.ticks, "seed {seed}, {workers} workers");
+            assert_eq!(
+                sharded.activations, virt.activations,
+                "seed {seed}, {workers} workers"
+            );
+            assert_eq!(
+                sharded.nudges, virt.nudges,
+                "seed {seed}, {workers} workers"
+            );
+        }
+    }
+}
