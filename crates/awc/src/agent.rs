@@ -295,6 +295,22 @@ impl AwcAgent {
         }
     }
 
+    /// Ingests one batch of messages, then reviews once if any of them
+    /// calls for it.
+    fn absorb(
+        &mut self,
+        inbox: impl IntoIterator<Item = Envelope<AwcMessage>>,
+        out: &mut Outbox<AwcMessage>,
+    ) {
+        let mut need_review = false;
+        for env in inbox {
+            need_review |= self.ingest(env, out);
+        }
+        if need_review {
+            self.review(out);
+        }
+    }
+
     /// The AWC evaluation (§2.2): test higher nogoods, repair by value
     /// change when possible, otherwise learn and raise priority.
     fn review(&mut self, out: &mut Outbox<AwcMessage>) {
@@ -441,6 +457,14 @@ impl AwcAgent {
         self.eval.violated_among(indices, value)
     }
 
+    /// Metered count: how many of `indices` are violated with own
+    /// variable at `value`? Charges exactly what
+    /// [`AwcAgent::charged_violated_among`] charges.
+    fn charged_violation_count(&self, indices: &[NogoodIdx], value: Value) -> usize {
+        self.store.charge_checks(indices.len() as u64);
+        self.eval.violated_count_among(indices, value)
+    }
+
     /// Picks the candidate value minimizing violations among `indices`
     /// (metered). Ties break toward the cyclically-next value after the
     /// current one, so symmetric neighbors don't oscillate in lockstep.
@@ -458,7 +482,7 @@ impl AwcAgent {
         candidates
             .iter()
             .copied()
-            .map(|v| (self.charged_violated_among(indices, v).len(), distance(v), v))
+            .map(|v| (self.charged_violation_count(indices, v), distance(v), v))
             .min_by_key(|&(violations, dist, _)| (violations, dist))
             .map(|(_, _, v)| v)
             .unwrap_or(self.value)
@@ -491,13 +515,11 @@ impl DistributedAgent for AwcAgent {
     }
 
     fn on_batch(&mut self, inbox: Vec<Envelope<AwcMessage>>, out: &mut Outbox<AwcMessage>) {
-        let mut need_review = false;
-        for env in inbox {
-            need_review |= self.ingest(env, out);
-        }
-        if need_review {
-            self.review(out);
-        }
+        self.absorb(inbox, out);
+    }
+
+    fn on_inbox(&mut self, inbox: &mut Vec<Envelope<AwcMessage>>, out: &mut Outbox<AwcMessage>) {
+        self.absorb(inbox.drain(..), out);
     }
 
     fn on_nudge(&mut self, out: &mut Outbox<AwcMessage>) {
@@ -523,6 +545,10 @@ impl DistributedAgent for AwcAgent {
 
     fn assignments(&self) -> Vec<VarValue> {
         vec![VarValue::new(self.var, self.value)]
+    }
+
+    fn write_assignments(&self, out: &mut Vec<VarValue>) {
+        out.push(VarValue::new(self.var, self.value));
     }
 
     fn take_checks(&mut self) -> u64 {

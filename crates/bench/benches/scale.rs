@@ -9,14 +9,21 @@
 //! a bounded, size-tracked wave count (AWC's repair cost from the same
 //! init is wildly seed-dependent), and reports the two numbers the
 //! executor exists for: **agents per second** (activations retired per
-//! wall-clock second) and **bytes per agent** (resident-set growth
-//! across build + solve, divided by the population).
+//! wall-clock second) and **bytes per agent** (the peak live heap of
+//! build + solve, above what the cell started with, divided by the
+//! population; a counting global allocator measures it, so one cell
+//! cannot reuse pages an earlier cell freed).
+//!
+//! The worker count must not change a run, so the bench fails unless
+//! every row of one population reports the same ticks and activations.
 //!
 //! Writes `BENCH_scale.json` at the repo root. Set
 //! `DISCSP_BENCH_SMOKE=1` for the CI smoke matrix (10^4 agents, fewer
 //! worker counts) — the snapshot is then left untouched.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use discsp_core::{Assignment, Termination, Value};
@@ -37,13 +44,12 @@ fn smoke() -> bool {
 /// and runs a 3×10^5 headline row; smoke keeps CI under a minute.
 ///
 /// Why the headline is not 10^6: the executor's per-activation cost is
-/// nearly flat (≈70k activations/s at 10^5, ≈57k at 3×10^5 on the
-/// reference box), but the *workload's* breakout wave count grows with
+/// nearly flat (≈280k–390k activations/s at 10^5, ≈440k at 3×10^5 on a
+/// 2-vCPU host), but the *workload's* breakout wave count grows with
 /// the population (20 waves at 10^5, 100 at 3×10^5) and every wave
-/// activates all n agents — a 10^6 solve is hour-scale wall time on
-/// one machine. Capacity at 10^6 is real (the arena holds a million
-/// agents in ≈9.3 GB, bytes-per-agent flat); solve *time* at that size
-/// is an open workload/locality problem, not an executor ceiling.
+/// activates all n agents, so a 10^6 solve would outlast the rest of
+/// the matrix many times over. Peak heap stays flat at ≈7.3 KB per
+/// agent, so 10^6 agents would need ≈7.3 GB.
 fn matrix() -> Vec<(u32, usize)> {
     if smoke() {
         vec![(10_000, 1), (10_000, 4)]
@@ -52,32 +58,61 @@ fn matrix() -> Vec<(u32, usize)> {
     }
 }
 
-/// Resident set size in bytes, from `/proc/self/status` (`VmRSS`).
-/// Returns 0 where procfs is unavailable; the JSON then reports
-/// `bytes_per_agent: 0` rather than a guess.
-fn rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-            return 0;
-        };
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmRSS:") {
-                let kb: u64 = rest
-                    .trim()
-                    .trim_end_matches("kB")
-                    .trim()
-                    .parse()
-                    .unwrap_or(0);
-                return kb * 1024;
-            }
+/// Forwards to the system allocator, counting live heap bytes and their
+/// peak across every thread.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; the counters are statistics and never influence
+// what is allocated.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
+        // which `System.alloc` shares.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
         }
-        0
+        ptr
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator (hence by
+        // `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract,
+        // which `System.realloc` shares.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            grow(new_size);
+        }
+        new
+    }
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 struct Row {
@@ -92,7 +127,6 @@ struct Row {
 }
 
 fn run_cell(agents: u32, workers: usize) -> Row {
-    let rss_before = rss_bytes();
     let instance = paper_coloring(agents, 11);
     let problem = coloring_to_discsp(&instance).expect("encode");
 
@@ -115,12 +149,15 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         workers,
     );
     let solver = DbaSolver::new();
+    // Peak window: build + solve, above what the cell holds already.
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
     let start = Instant::now();
     let report = solver
         .solve_sharded(&problem, &init, &config)
         .expect("one variable per agent");
     let solve_secs = start.elapsed().as_secs_f64();
-    let rss_after = rss_bytes();
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
 
     assert_eq!(
         report.outcome.metrics.termination,
@@ -130,7 +167,6 @@ fn run_cell(agents: u32, workers: usize) -> Row {
     let solution = report.outcome.solution.expect("solved");
     assert!(problem.is_solution(&solution));
 
-    let grown = rss_after.saturating_sub(rss_before);
     Row {
         agents,
         workers,
@@ -139,7 +175,7 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         solve_secs,
         agents_per_sec: f64::from(agents) / solve_secs,
         activations_per_sec: report.activations as f64 / solve_secs,
-        bytes_per_agent: grown as f64 / f64::from(agents),
+        bytes_per_agent: peak as f64 / f64::from(agents),
     }
 }
 
@@ -185,6 +221,20 @@ fn main() {
             row.activations_per_sec,
             row.bytes_per_agent
         );
+        if let Some(first) = rows.iter().find(|r: &&Row| r.agents == row.agents) {
+            assert!(
+                (first.ticks, first.activations) == (row.ticks, row.activations),
+                "{} agents: {} workers ran {} ticks and {} activations, {} workers \
+                 ran {} and {}; the worker count must not change a run",
+                row.agents,
+                row.workers,
+                row.ticks,
+                row.activations,
+                first.workers,
+                first.ticks,
+                first.activations
+            );
+        }
         rows.push(row);
     }
     if smoke() {

@@ -1112,6 +1112,17 @@ impl IncrementalEval {
             .collect()
     }
 
+    /// How many of `indices` are violated with the own variable at
+    /// `own_value`: the length of [`IncrementalEval::violated_among`]
+    /// without building it. **Meters nothing**; callers charge one check
+    /// per candidate, as there.
+    pub fn violated_count_among(&self, indices: &[NogoodIdx], own_value: Value) -> usize {
+        indices
+            .iter()
+            .filter(|&&idx| self.is_violated(idx, own_value))
+            .count()
+    }
+
     /// All violated slot indices with the own variable at `own_value`
     /// (ascending). Word-wise bitset AND over the synced slots — no
     /// literal work, ~n/64 word operations plus one push per violated

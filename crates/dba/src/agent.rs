@@ -1,6 +1,6 @@
 //! The distributed breakout agent state machine (§4.3 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use discsp_core::{
     AgentId, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Value, VarValue, VariableId,
@@ -34,6 +34,24 @@ enum Phase {
     WaitImprove,
 }
 
+/// One neighbor variable: the agent's view of it and the value buffered
+/// for the next `ok?` wave.
+#[derive(Debug, Clone, Copy)]
+struct VarSlot {
+    var: VariableId,
+    view: Option<Value>,
+    pending: Option<Value>,
+}
+
+/// One neighbor agent and the improve it sent for the next `improve`
+/// wave, if it has sent one.
+#[derive(Debug, Clone, Copy)]
+struct PeerSlot {
+    agent: AgentId,
+    heard: bool,
+    improve: u64,
+}
+
 /// One distributed breakout agent owning a single variable.
 ///
 /// DB alternates two synchronized waves: an `ok?` wave announcing values,
@@ -56,12 +74,13 @@ pub struct DbaAgent {
     /// Weight of nogood `i` is `weights[weight_group[i]]`.
     weights: Vec<u64>,
     weight_group: Vec<usize>,
-    neighbor_vars: BTreeSet<VariableId>,
-    neighbor_agents: BTreeSet<AgentId>,
-    view: BTreeMap<VariableId, Value>,
+    /// The neighbor variables, ascending, each with the view and the
+    /// `ok?` buffer. Neighbors are fixed at construction, so the
+    /// per-wave state lives in these slots.
+    neighbor_vars: Vec<VarSlot>,
+    /// The neighbor agents, ascending, each with the `improve` buffer.
+    neighbor_agents: Vec<PeerSlot>,
     phase: Phase,
-    ok_pending: BTreeMap<VariableId, Value>,
-    improve_pending: BTreeMap<AgentId, u64>,
     /// Computed during the `ok?` wave for use in the `improve` wave.
     planned_value: Value,
     my_improve: u64,
@@ -117,12 +136,23 @@ impl DbaAgent {
             eval: IncrementalEval::new(var),
             weights,
             weight_group,
-            neighbor_vars: neighbors.iter().map(|&(v, _)| v).collect(),
-            neighbor_agents: neighbors.iter().map(|&(_, a)| a).collect(),
-            view: BTreeMap::new(),
+            neighbor_vars: slots(
+                neighbors.iter().map(|&(var, _)| VarSlot {
+                    var,
+                    view: None,
+                    pending: None,
+                }),
+                |slot| slot.var,
+            ),
+            neighbor_agents: slots(
+                neighbors.iter().map(|&(_, agent)| PeerSlot {
+                    agent,
+                    heard: false,
+                    improve: 0,
+                }),
+                |peer| peer.agent,
+            ),
             phase: Phase::WaitOk,
-            ok_pending: BTreeMap::new(),
-            improve_pending: BTreeMap::new(),
             planned_value: initial_value,
             my_improve: 0,
             my_eval: 0,
@@ -151,8 +181,11 @@ impl DbaAgent {
     /// work is proportional to the view size plus the nogoods touching
     /// actually-changed variables.
     fn sync_eval(&mut self) {
-        self.eval
-            .refresh(&self.store, self.view.iter().map(|(&k, &v)| (k, v)));
+        let view = self
+            .neighbor_vars
+            .iter()
+            .filter_map(|slot| slot.view.map(|value| (slot.var, value)));
+        self.eval.refresh(&self.store, view);
     }
 
     /// Metered weighted cost of taking `value` under the current view,
@@ -176,9 +209,9 @@ impl DbaAgent {
     }
 
     fn send_ok(&self, out: &mut Outbox<DbaMessage>) {
-        for &peer in &self.neighbor_agents {
+        for peer in &self.neighbor_agents {
             out.send(
-                peer,
+                peer.agent,
                 DbaMessage::Ok {
                     var: self.var,
                     value: self.value,
@@ -190,8 +223,10 @@ impl DbaAgent {
     /// Runs the `ok?` wave: absorb neighbor values, compute eval /
     /// improve / planned move, broadcast `improve`.
     fn process_ok_wave(&mut self, out: &mut Outbox<DbaMessage>) {
-        for (var, value) in std::mem::take(&mut self.ok_pending) {
-            self.view.insert(var, value);
+        for slot in &mut self.neighbor_vars {
+            if let Some(value) = slot.pending.take() {
+                slot.view = Some(value);
+            }
         }
         self.sync_eval();
         let (eval, violated) = self.eval_value(self.value);
@@ -212,9 +247,9 @@ impl DbaAgent {
         }
         self.planned_value = best_value;
         self.my_improve = eval - best_cost;
-        for &peer in &self.neighbor_agents {
+        for peer in &self.neighbor_agents {
             out.send(
-                peer,
+                peer.agent,
                 DbaMessage::Improve {
                     improve: self.my_improve,
                     eval: self.my_eval,
@@ -227,14 +262,19 @@ impl DbaAgent {
     /// Runs the `improve` wave: arbitrate the right to move, move or
     /// break out, broadcast `ok?`.
     fn process_improve_wave(&mut self, out: &mut Outbox<DbaMessage>) {
-        let improves = std::mem::take(&mut self.improve_pending);
         // The right to change: strictly larger improve than every
         // neighbor, ties broken toward the smaller agent id.
-        let wins = self.my_improve > 0
-            && improves.iter().all(|(&agent, &imp)| {
-                self.my_improve > imp || (self.my_improve == imp && self.id < agent)
-            });
-        let nobody_improves = self.my_improve == 0 && improves.values().all(|&imp| imp == 0);
+        let mine = self.my_improve;
+        let wins = mine > 0
+            && self
+                .neighbor_agents
+                .iter()
+                .all(|peer| mine > peer.improve || (mine == peer.improve && self.id < peer.agent));
+        let nobody_improves =
+            mine == 0 && self.neighbor_agents.iter().all(|peer| peer.improve == 0);
+        for peer in &mut self.neighbor_agents {
+            peer.heard = false;
+        }
         if wins {
             self.value = self.planned_value;
         } else if self.my_eval > 0 && nobody_improves {
@@ -250,16 +290,73 @@ impl DbaAgent {
 
     fn wave_ready(&self) -> bool {
         match self.phase {
-            Phase::WaitOk => self
-                .neighbor_vars
-                .iter()
-                .all(|v| self.ok_pending.contains_key(v)),
-            Phase::WaitImprove => self
-                .neighbor_agents
-                .iter()
-                .all(|a| self.improve_pending.contains_key(a)),
+            Phase::WaitOk => self.neighbor_vars.iter().all(|slot| slot.pending.is_some()),
+            Phase::WaitImprove => self.neighbor_agents.iter().all(|peer| peer.heard),
         }
     }
+
+    /// Takes one batch of messages and runs every wave it completes.
+    fn absorb(
+        &mut self,
+        inbox: impl IntoIterator<Item = Envelope<DbaMessage>>,
+        out: &mut Outbox<DbaMessage>,
+    ) {
+        if self.neighbor_agents.is_empty() {
+            // An isolated variable has no waves to run (and already
+            // settled at start); without this guard the vacuously-ready
+            // wave loop below would spin forever.
+            return;
+        }
+        for env in inbox {
+            self.buffer(env);
+        }
+        // A buffered backlog can complete several waves back to back
+        // (possible on the asynchronous runtime).
+        while self.wave_ready() {
+            match self.phase {
+                Phase::WaitOk => self.process_ok_wave(out),
+                Phase::WaitImprove => self.process_improve_wave(out),
+            }
+        }
+    }
+
+    /// Buffers one message for the wave it belongs to. A DB agent only
+    /// ever hears from its neighbors; a message from any other agent, or
+    /// about any other variable, is ignored.
+    fn buffer(&mut self, env: Envelope<DbaMessage>) {
+        match env.payload {
+            DbaMessage::Ok { var, value } => {
+                if let Ok(at) = self
+                    .neighbor_vars
+                    .binary_search_by_key(&var, |slot| slot.var)
+                {
+                    if let Some(slot) = self.neighbor_vars.get_mut(at) {
+                        slot.pending = Some(value);
+                    }
+                }
+            }
+            DbaMessage::Improve { improve, .. } => {
+                let from = env.from;
+                if let Ok(at) = self
+                    .neighbor_agents
+                    .binary_search_by_key(&from, |peer| peer.agent)
+                {
+                    if let Some(peer) = self.neighbor_agents.get_mut(at) {
+                        peer.heard = true;
+                        peer.improve = improve;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The neighbor slots in ascending key order, one per key.
+fn slots<T: Copy, K: Ord>(items: impl Iterator<Item = T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let mut slots: Vec<T> = items.collect();
+    slots.sort_unstable_by_key(&key);
+    slots.dedup_by_key(|slot| key(slot));
+    slots
 }
 
 impl DistributedAgent for DbaAgent {
@@ -289,34 +386,19 @@ impl DistributedAgent for DbaAgent {
     }
 
     fn on_batch(&mut self, inbox: Vec<Envelope<DbaMessage>>, out: &mut Outbox<DbaMessage>) {
-        if self.neighbor_agents.is_empty() {
-            // An isolated variable has no waves to run (and already
-            // settled at start); without this guard the vacuously-ready
-            // wave loop below would spin forever.
-            return;
-        }
-        for env in inbox {
-            match env.payload {
-                DbaMessage::Ok { var, value } => {
-                    self.ok_pending.insert(var, value);
-                }
-                DbaMessage::Improve { improve, .. } => {
-                    self.improve_pending.insert(env.from, improve);
-                }
-            }
-        }
-        // A buffered backlog can complete several waves back to back
-        // (possible on the asynchronous runtime).
-        while self.wave_ready() {
-            match self.phase {
-                Phase::WaitOk => self.process_ok_wave(out),
-                Phase::WaitImprove => self.process_improve_wave(out),
-            }
-        }
+        self.absorb(inbox, out);
+    }
+
+    fn on_inbox(&mut self, inbox: &mut Vec<Envelope<DbaMessage>>, out: &mut Outbox<DbaMessage>) {
+        self.absorb(inbox.drain(..), out);
     }
 
     fn assignments(&self) -> Vec<VarValue> {
         vec![VarValue::new(self.var, self.value)]
+    }
+
+    fn write_assignments(&self, out: &mut Vec<VarValue>) {
+        out.push(VarValue::new(self.var, self.value));
     }
 
     fn take_checks(&mut self) -> u64 {
@@ -332,15 +414,15 @@ impl DistributedAgent for DbaAgent {
             return;
         }
         // Resend the message of the wave this agent last completed — what
-        // a stalled neighbor must be waiting for. Wave buffers are keyed
-        // maps, so a peer that already has the message absorbs the copy
-        // idempotently.
+        // a stalled neighbor must be waiting for. Wave buffers hold one
+        // entry per neighbor, so a peer that already has the message
+        // absorbs the copy idempotently.
         match self.phase {
             Phase::WaitOk => self.send_ok(out),
             Phase::WaitImprove => {
-                for &peer in &self.neighbor_agents {
+                for peer in &self.neighbor_agents {
                     out.send(
-                        peer,
+                        peer.agent,
                         DbaMessage::Improve {
                             improve: self.my_improve,
                             eval: self.my_eval,
@@ -381,7 +463,9 @@ mod tests {
     #[test]
     fn eval_counts_weighted_violations() {
         let mut agent = two_agent_pair(WeightMode::PerNogood);
-        agent.view.insert(x(1), v(0));
+        if let Some(slot) = agent.neighbor_vars.iter_mut().find(|slot| slot.var == x(1)) {
+            slot.view = Some(v(0));
+        }
         agent.sync_eval();
         let (cost, violated) = agent.eval_value(v(0));
         assert_eq!(cost, 1);

@@ -561,6 +561,7 @@ const M1_TRIGGERS: &[&str] = &[
     "for_variable",
     "is_violated",
     "violated_among",
+    "violated_count_among",
     "violated_with",
     "violation_count_with",
 ];
@@ -910,7 +911,7 @@ mod tests {
             rules_for("crates/runtime/src/sync.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        // The sharded executor and its slab/shard-plan arena live on the
+        // The sharded executor and its shard plan live on the
         // determinism-critical replay path: same policing as the rest of
         // the runtime.
         assert_eq!(

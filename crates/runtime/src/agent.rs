@@ -47,6 +47,19 @@ impl<M: Classify> Outbox<M> {
         std::mem::take(&mut self.queued)
     }
 
+    /// Readies the outbox for an activation of `from`, keeping its
+    /// buffer, so a stepper can reuse one outbox for every activation.
+    pub(crate) fn reopen(&mut self, from: AgentId) {
+        self.from = from;
+        self.queued.clear();
+    }
+
+    /// Moves the queued messages out, keeping the buffer for the next
+    /// activation.
+    pub(crate) fn sent(&mut self) -> std::vec::Drain<'_, Envelope<M>> {
+        self.queued.drain(..)
+    }
+
     /// Counts queued messages per class (used by the runtimes' metering).
     pub fn count_by_class(&self) -> (u64, u64, u64) {
         let mut ok = 0;
@@ -163,9 +176,28 @@ pub trait DistributedAgent {
     /// Called with the messages received since the previous turn.
     fn on_batch(&mut self, inbox: Vec<Envelope<Self::Message>>, out: &mut Outbox<Self::Message>);
 
+    /// [`on_batch`](Self::on_batch) for a caller that keeps the inbox's
+    /// buffer: the agent drains `inbox` and leaves it empty, capacity
+    /// intact, for the caller to reuse or free. The default hands the
+    /// messages to `on_batch` in a fresh `Vec`.
+    fn on_inbox(
+        &mut self,
+        inbox: &mut Vec<Envelope<Self::Message>>,
+        out: &mut Outbox<Self::Message>,
+    ) {
+        self.on_batch(std::mem::take(inbox), out);
+    }
+
     /// The agent's current variable assignments (one entry per owned
     /// variable), used by the observer to detect solutions.
     fn assignments(&self) -> Vec<VarValue>;
+
+    /// Appends what [`assignments`](Self::assignments) returns to `out`,
+    /// so a stepper can gather every activation's assignments in one
+    /// reused buffer. The default extends `out` from `assignments()`.
+    fn write_assignments(&self, out: &mut Vec<VarValue>) {
+        out.extend(self.assignments());
+    }
 
     /// Returns and resets the nogood checks performed since the last call
     /// (feeds the `maxcck` metric).

@@ -485,11 +485,14 @@ impl Teardown<'_> {
 }
 
 /// The in-process stepper: the agents in one `Vec`, activated on the
-/// caller's thread in ascending id order.
+/// caller's thread in ascending id order. One outbox and one
+/// assignment buffer serve every activation.
 #[derive(Debug)]
-pub struct InProcess<A> {
+pub struct InProcess<A: DistributedAgent> {
     agents: Vec<A>,
     recorder: StepRecorder,
+    outbox: Outbox<A::Message>,
+    assignments: Vec<VarValue>,
 }
 
 impl<A: DistributedAgent> InProcess<A> {
@@ -503,28 +506,37 @@ impl<A: DistributedAgent> InProcess<A> {
         Ok(InProcess {
             agents,
             recorder: StepRecorder::new(),
+            outbox: Outbox::new(AgentId::new(0)),
+            assignments: Vec::new(),
         })
     }
-}
 
-/// Runs one activation and hands its output to `merge`.
-fn activate<A: DistributedAgent, G: Admission<A::Message>>(
-    recorder: &mut StepRecorder,
-    merge: &mut Merge<'_, A::Message, G>,
-    agent: &mut A,
-    act: impl FnOnce(&mut A, &mut Outbox<A::Message>),
-) -> Result<(), RuntimeError> {
-    let mut out = Outbox::new(agent.id());
-    act(agent, &mut out);
-    let checks = agent.take_checks();
-    let tick = merge.tick();
-    merge.activation(
-        checks,
-        agent.detected_insoluble(),
-        agent.assignments(),
-        |sink| recorder.record_step(agent, tick, checks, sink),
-        out.drain(),
-    )
+    /// Runs one activation of the agent at `index` and hands its output
+    /// to `merge`.
+    fn activate<G: Admission<A::Message>>(
+        &mut self,
+        merge: &mut Merge<'_, A::Message, G>,
+        index: usize,
+        act: impl FnOnce(&mut A, &mut Outbox<A::Message>),
+    ) -> Result<(), RuntimeError> {
+        let Some(agent) = self.agents.get_mut(index) else {
+            return Ok(());
+        };
+        self.outbox.reopen(agent.id());
+        act(agent, &mut self.outbox);
+        let checks = agent.take_checks();
+        self.assignments.clear();
+        agent.write_assignments(&mut self.assignments);
+        let tick = merge.tick();
+        let recorder = &mut self.recorder;
+        merge.activation(
+            checks,
+            agent.detected_insoluble(),
+            self.assignments.iter().copied(),
+            |sink| recorder.record_step(agent, tick, checks, sink),
+            self.outbox.sent(),
+        )
+    }
 }
 
 impl<A: DistributedAgent> Stepper<A::Message> for InProcess<A> {
@@ -535,21 +547,18 @@ impl<A: DistributedAgent> Stepper<A::Message> for InProcess<A> {
         wave: Wave<A::Message>,
         merge: &mut Merge<'_, A::Message, G>,
     ) -> Result<(), RuntimeError> {
-        let recorder = &mut self.recorder;
         let nudge = match wave {
             Wave::Start => false,
             Wave::Nudge => true,
             Wave::Deliver(inboxes) => {
-                for (recipient, inbox) in inboxes {
-                    if let Some(agent) = self.agents.get_mut(recipient) {
-                        activate(recorder, merge, agent, |a, out| a.on_batch(inbox, out))?;
-                    }
+                for (recipient, mut inbox) in inboxes {
+                    self.activate(merge, recipient, |a, out| a.on_inbox(&mut inbox, out))?;
                 }
                 return Ok(());
             }
         };
-        for agent in self.agents.iter_mut() {
-            activate(recorder, merge, agent, |a, out| {
+        for index in 0..self.agents.len() {
+            self.activate(merge, index, |a, out| {
                 if nudge {
                     a.on_nudge(out);
                 } else {

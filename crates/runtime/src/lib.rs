@@ -13,8 +13,8 @@
 //!   a failing `(seed, LinkPolicy)` pair replays bit-identically.
 //! * [`run_sharded`] — the M:N sharded executor: `run_virtual`'s
 //!   deterministic semantics with agent activations fanned out to a
-//!   fixed pool of worker threads owning slab-pooled per-shard arenas.
-//!   Bit-identical to `run_virtual` for any worker count.
+//!   fixed pool of worker threads, each owning an id-ordered shard of
+//!   the population. Bit-identical to `run_virtual` for any worker count.
 //!
 //! The deterministic executors share one control loop, the
 //! [`WaveEngine`]: it owns the [`Router`], the metrics, the snapshot and
@@ -72,7 +72,7 @@ pub use link::{
     VirtualConfig, VirtualReport, PPM,
 };
 pub use message::{Classify, Envelope, MessageClass};
-pub use pool::{ShardPlan, Slab};
+pub use pool::ShardPlan;
 pub use recorder::StepRecorder;
 pub use router::Router;
 pub use shard::{run_sharded, ShardConfig};

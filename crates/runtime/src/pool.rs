@@ -1,21 +1,19 @@
-//! Per-shard agent arenas for the M:N sharded executor.
+//! The seed-derived placement of an agent population onto the M:N
+//! sharded executor's shards.
 //!
-//! Two pieces live here. [`Slab`] is a std-only arena in the
-//! `sharded_slab::Pool` shape: values occupy dense slots, freed slots go
-//! on an intrusive free list and are reused LIFO, so a shard worker's
-//! agents sit contiguously in memory and slot keys stay small and dense.
-//! [`ShardPlan`] is the seed-derived placement of an agent population
-//! onto `workers` shards: a SplitMix64-shuffled permutation of the agent
-//! ids is dealt round-robin, which balances shard sizes to within one
-//! agent while making both the assignment *and* each shard's internal
-//! drain order a pure function of `(run_seed, n, workers)` — never of
-//! thread timing.
+//! [`ShardPlan`] deals a SplitMix64-shuffled permutation of the agent
+//! ids round-robin onto `workers` shards, which balances shard sizes to
+//! within one agent and makes *membership* a pure function of
+//! `(run_seed, n, workers)`, never of thread timing. Each shard then
+//! holds its members in ascending id order: a worker drains its agents
+//! in the order their heap data was built, and a shard's outputs come
+//! out id-ascending, ready for the coordinator's merge.
 //!
 //! Determinism survives M:N because the plan is only a partition: the
 //! coordinator merges every wave's per-agent outputs back in ascending
 //! agent-id order before they touch the router or the trace, so the
-//! within-shard drain order (and the worker count itself) is
-//! unobservable in any run artifact.
+//! partition (and the worker count itself) is unobservable in any run
+//! artifact.
 
 use crate::seed::SplitMix64;
 
@@ -24,136 +22,18 @@ use crate::seed::SplitMix64;
 /// the same run seed.
 const SHARD_STREAM: u64 = 0x243F_6A88_85A3_08D3;
 
-#[derive(Debug)]
-enum Entry<T> {
-    Occupied(T),
-    Vacant { next_free: Option<usize> },
-}
-
-/// A slot arena with LIFO slot reuse.
-///
-/// Keys are dense `usize` slots; removing a value frees its slot for the
-/// next insertion. Slot keys are stable for the lifetime of the value.
-#[derive(Debug)]
-pub struct Slab<T> {
-    entries: Vec<Entry<T>>,
-    free_head: Option<usize>,
-    len: usize,
-}
-
-impl<T> Slab<T> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Slab {
-            entries: Vec::new(),
-            free_head: None,
-            len: 0,
-        }
-    }
-
-    /// An empty arena with room for `capacity` values before reallocating.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Slab {
-            entries: Vec::with_capacity(capacity),
-            free_head: None,
-            len: 0,
-        }
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total slots ever allocated (occupied + free-listed).
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Stores `value`, reusing the most recently freed slot if one
-    /// exists, and returns its slot key.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        match self.free_head {
-            Some(slot) => {
-                self.free_head = match self.entries.get(slot) {
-                    Some(Entry::Vacant { next_free }) => *next_free,
-                    _ => None,
-                };
-                if let Some(entry) = self.entries.get_mut(slot) {
-                    *entry = Entry::Occupied(value);
-                }
-                slot
-            }
-            None => {
-                self.entries.push(Entry::Occupied(value));
-                self.entries.len().saturating_sub(1)
-            }
-        }
-    }
-
-    /// The value at `slot`, if occupied.
-    pub fn get(&self, slot: usize) -> Option<&T> {
-        match self.entries.get(slot) {
-            Some(Entry::Occupied(value)) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the value at `slot`, if occupied.
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
-        match self.entries.get_mut(slot) {
-            Some(Entry::Occupied(value)) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Removes and returns the value at `slot`, freeing the slot for
-    /// reuse. Returns `None` when the slot is vacant or out of range.
-    pub fn remove(&mut self, slot: usize) -> Option<T> {
-        let entry = self.entries.get_mut(slot)?;
-        if matches!(entry, Entry::Vacant { .. }) {
-            return None;
-        }
-        let freed = std::mem::replace(
-            entry,
-            Entry::Vacant {
-                next_free: self.free_head,
-            },
-        );
-        self.free_head = Some(slot);
-        self.len -= 1;
-        match freed {
-            Entry::Occupied(value) => Some(value),
-            Entry::Vacant { .. } => None,
-        }
-    }
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab::new()
-    }
-}
-
 /// The seed-derived placement of `n` agents onto `workers` shards.
 ///
-/// Placement is a pure function of `(run_seed, n, workers)`: a
+/// Membership is a pure function of `(run_seed, n, workers)`: a
 /// Fisher–Yates shuffle of the agent ids (domain-separated from the link
-/// streams) dealt round-robin. Shard sizes differ by at most one, and an
-/// agent's slot index within its shard doubles as the shard's drain
-/// position.
+/// streams) dealt round-robin, so shard sizes differ by at most one.
+/// Within a shard, slots follow ascending agent id.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     workers: usize,
     /// Agent id → `(shard, slot)`.
     placement: Vec<(u32, u32)>,
-    /// Per shard: agent ids in slot (= drain) order.
+    /// Per shard: agent ids in slot (= ascending id) order.
     members: Vec<Vec<usize>>,
 }
 
@@ -168,15 +48,21 @@ impl ShardPlan {
             let j = rng.next_below(i as u64 + 1) as usize;
             perm.swap(i, j);
         }
-        let mut members: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut placement = vec![(0u32, 0u32); n];
+        let mut members: Vec<Vec<usize>> = (0..workers)
+            .map(|_| Vec::with_capacity(n / workers + 1))
+            .collect();
         for (deal, &agent) in perm.iter().enumerate() {
-            let shard = deal % workers;
-            if let (Some(bucket), Some(place)) =
-                (members.get_mut(shard), placement.get_mut(agent))
-            {
-                *place = (shard as u32, bucket.len() as u32);
+            if let Some(bucket) = members.get_mut(deal % workers) {
                 bucket.push(agent);
+            }
+        }
+        let mut placement = vec![(0u32, 0u32); n];
+        for (shard, bucket) in members.iter_mut().enumerate() {
+            bucket.sort_unstable();
+            for (slot, &agent) in bucket.iter().enumerate() {
+                if let Some(place) = placement.get_mut(agent) {
+                    *place = (shard as u32, slot as u32);
+                }
             }
         }
         ShardPlan {
@@ -199,7 +85,7 @@ impl ShardPlan {
         }
     }
 
-    /// The agent ids of one shard, in slot (= drain) order.
+    /// The agent ids of one shard, ascending (= slot order).
     pub fn members(&self, shard: usize) -> &[usize] {
         match self.members.get(shard) {
             Some(ids) => ids,
@@ -213,31 +99,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slab_inserts_and_reuses_slots_lifo() {
-        let mut slab = Slab::new();
-        let a = slab.insert("a");
-        let b = slab.insert("b");
-        let c = slab.insert("c");
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(slab.len(), 3);
-        assert_eq!(slab.remove(b), Some("b"));
-        assert_eq!(slab.remove(a), Some("a"));
-        assert_eq!(slab.remove(a), None, "double-free is a no-op");
-        assert_eq!(slab.len(), 1);
-        // LIFO reuse: the most recently freed slot (a = 0) comes back
-        // first, then b = 1; capacity never grows past 3.
-        assert_eq!(slab.insert("d"), a);
-        assert_eq!(slab.insert("e"), b);
-        assert_eq!(slab.capacity(), 3);
-        assert_eq!(slab.get(c), Some(&"c"));
-        if let Some(v) = slab.get_mut(c) {
-            *v = "C";
-        }
-        assert_eq!(slab.get(c), Some(&"C"));
-        assert_eq!(slab.get(99), None);
-    }
-
-    #[test]
     fn shard_plan_is_a_balanced_partition() {
         let plan = ShardPlan::new(103, 8, 42);
         assert_eq!(plan.workers(), 8);
@@ -247,6 +108,10 @@ mod tests {
             assert!(
                 (103 / 8..=103 / 8 + 1).contains(&members.len()),
                 "shard sizes within one of each other"
+            );
+            assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "shard {shard} holds its members in ascending id order"
             );
             for (slot, &agent) in members.iter().enumerate() {
                 assert_eq!(plan.placement_of(agent), (shard, slot));

@@ -4,47 +4,77 @@
 //! `run_async` spawns one OS thread per agent, which caps realistic runs
 //! at a few thousand agents. [`run_sharded`] keeps the deterministic
 //! virtual-time semantics of [`run_virtual`](crate::run_virtual) but
-//! executes agent activations on a fixed pool of worker threads: agents
-//! live in slab-pooled per-shard arenas ([`Slab`]), each worker owns one
-//! shard and drains its agents' mailbox batches, and the coordinator
-//! thread runs the [`WaveEngine`], which owns the single [`Router`].
-//! This module is only the engine's shard-pool [`Stepper`].
+//! executes agent activations on a fixed pool of worker threads: each
+//! worker owns one shard of the population, its agents in ascending id
+//! order as the seed-derived [`ShardPlan`] places them, and drains their
+//! mailbox batches, while the coordinator thread runs the
+//! [`WaveEngine`], which owns the single [`Router`]. This module is only
+//! the engine's shard-pool [`Stepper`].
 //!
 //! **Why determinism survives M:N.** The coordinator runs the same
 //! engine as `run_virtual`, so the start wave, quiescence check, nudge
 //! recovery, tick bookkeeping, and cut-off rules are not copies but the
-//! same code. Each wave is partitioned across shards by the seed-derived
-//! [`ShardPlan`]; workers return one buffered [`StepOutput`] per
-//! activated agent (checks, assignments, trace events, outbound
-//! envelopes), and the pool hands those outputs to the engine in
-//! **ascending agent-id order**, the order every stepper owes it. So the
-//! router consumes every per-link fault stream in the same order, the
-//! trace interleaves identically, and the report is bit-identical to
-//! `run_virtual` for *any* worker count. The shard partition and each
-//! shard's internal drain order are themselves pure functions of the run
-//! seed, so even thread-interleaving-visible state (per-shard
-//! [`StepRecorder`] memories) is replayed exactly.
+//! same code. Each wave is partitioned across shards by the plan. A
+//! worker runs its shard's activations in ascending agent id and streams
+//! their outputs back in chunks of [`CHUNK`] activations: one small
+//! record per activation (agent, checks, insolubility, and where its
+//! assignments, envelopes and trace events end in the chunk's flat
+//! buffers). The coordinator merges the shards' chunks as they arrive,
+//! always taking the lowest agent id next, so the engine sees every
+//! activation in **ascending agent-id order**, the order every stepper
+//! owes it. So the router consumes every per-link fault stream in the
+//! same order, the trace interleaves identically, and the report is
+//! bit-identical to `run_virtual` for *any* worker count. Per-shard
+//! [`StepRecorder`] memories replay exactly too, because membership is a
+//! pure function of the run seed and fixed for the run.
 //!
-//! Trace recording under shard batching stays per-agent-correct: every
-//! worker records through its own scratch [`RingBuffer`] and tags each
-//! event with the wave's tick passed down in the job — a batch that
-//! drains just before a nudge wave can never smear its events into the
-//! nudge's tick, because ticks travel with jobs, not with threads.
+//! **Memory stays with the thread that allocated it.** No activation
+//! sends a heap object of its own across threads:
+//!
+//! * a worker allocates its chunks, at most [`CHUNKS_PER_WORKER`] of
+//!   them, and the coordinator hands each back once merged, which also
+//!   bounds the replies' memory;
+//! * the router's inboxes travel to the worker inside the job, each agent
+//!   drains its inbox through [`DistributedAgent::on_inbox`], and the
+//!   emptied `Vec`s ride home in the chunk, to be freed by the
+//!   coordinator before it merges the chunk;
+//! * every worker reuses one [`Outbox`];
+//! * at the end of the run, `Finish` sends each shard's agents home. The
+//!   engine's teardown reads their leftover checks and statistics there,
+//!   and `run_sharded` drops them on the caller's thread, which built
+//!   them.
+//!
+//! Only message payloads that own heap data (AWC's nogoods) still pass
+//! from sender to recipient, as messages must.
+//!
+//! Trace recording stays per-agent-correct: each worker's recorder writes
+//! into the chunk's event buffer and stamps each event with the wave's
+//! tick passed down in the job, so a batch that drains just before a
+//! nudge wave can never smear its events into the nudge's tick.
 //!
 //! [`Router`]: crate::Router
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use discsp_core::{AgentId, DistributedCsp, VarValue};
-use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
+use discsp_trace::{RuntimeKind, TraceEvent, TraceSink};
 
-use crate::agent::{check_dense_ids, AgentStats, DistributedAgent, Outbox};
+use crate::agent::{check_dense_ids, DistributedAgent, Outbox};
 use crate::engine::{Admission, Direct, Merge, Stepper, Teardown, Wave, WaveEngine};
 use crate::error::RuntimeError;
 use crate::link::{VirtualConfig, VirtualReport};
 use crate::message::{Classify, Envelope};
-use crate::pool::{ShardPlan, Slab};
+use crate::pool::ShardPlan;
 use crate::recorder::StepRecorder;
+
+/// Activations per reply chunk.
+const CHUNK: usize = 128;
+
+/// Chunks a worker keeps in circulation. A worker with all of them out
+/// waits until the coordinator hands one back, so a wave's replies never
+/// pile up in memory however far a worker runs ahead of the merge.
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// Configuration of a sharded run: [`VirtualConfig`] semantics plus a
 /// worker count. The worker count is a pure throughput knob — metrics,
@@ -78,7 +108,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// One shard's delivery batch for a wave: `(slot, messages)` pairs in
+/// One shard's delivery batch for a wave: `(slot, inbox)` pairs in
 /// ascending slot order.
 type SlotInboxes<M> = Vec<(usize, Vec<Envelope<M>>)>;
 
@@ -88,210 +118,433 @@ enum Job<M> {
     /// Run `on_start`, or `on_nudge` when `nudge` is set, for every agent
     /// in the shard.
     Everyone { tick: u64, nudge: bool },
-    /// Deliver inbox batches: `(slot, messages)` pairs.
+    /// Deliver inbox batches.
     Batch { tick: u64, inboxes: SlotInboxes<M> },
-    /// Report leftover checks and final stats; the shard empties.
+    /// End of the run: send the shard's agents home.
     Finish,
 }
 
-/// The buffered result of one agent activation, or of an agent's
-/// teardown (leftover `checks` and `stats`), merged id-sorted.
-struct StepOutput<M> {
+/// Where one activation's output ends in its chunk's buffers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ends {
+    assignments: usize,
+    envelopes: usize,
+    events: usize,
+}
+
+/// One activation's output, apart from what its chunk's buffers hold.
+#[derive(Debug, Clone, Copy)]
+struct Record {
     agent: u32,
     checks: u64,
     insoluble: bool,
-    assignments: Vec<VarValue>,
-    events: Vec<TraceEvent>,
-    outbox: Vec<Envelope<M>>,
-    stats: AgentStats,
+    ends: Ends,
 }
 
-/// A worker-owned shard: a slab arena of agents plus the shard's private
-/// recorder state. Slot order (0..len) is the seed-derived drain order
-/// fixed by the [`ShardPlan`].
+/// A chunk's trace events, written straight by the worker's recorder.
+struct Events {
+    queue: VecDeque<TraceEvent>,
+    on: bool,
+}
+
+impl TraceSink for Events {
+    fn record(&mut self, event: TraceEvent) {
+        if self.on {
+            self.queue.push_back(event);
+        }
+    }
+
+    fn enabled(&self) -> bool {
+        self.on
+    }
+}
+
+/// Up to [`CHUNK`] consecutive activations of one shard, in flat buffers
+/// that the worker allocates and the coordinator hands back once merged.
+struct Chunk<M> {
+    records: Vec<Record>,
+    assignments: Vec<VarValue>,
+    envelopes: VecDeque<Envelope<M>>,
+    events: Events,
+    /// The inboxes this chunk's activations drained, on their way back
+    /// to the coordinator, which allocated them.
+    spent: Vec<Vec<Envelope<M>>>,
+}
+
+impl<M> Chunk<M> {
+    fn new(trace: bool) -> Self {
+        Chunk {
+            records: Vec::with_capacity(CHUNK),
+            assignments: Vec::new(),
+            envelopes: VecDeque::new(),
+            events: Events {
+                queue: VecDeque::new(),
+                on: trace,
+            },
+            spent: Vec::new(),
+        }
+    }
+
+    fn ends(&self) -> Ends {
+        Ends {
+            assignments: self.assignments.len(),
+            envelopes: self.envelopes.len(),
+            events: self.events.queue.len(),
+        }
+    }
+
+    /// Empties every buffer, keeping its capacity.
+    fn clear(&mut self) {
+        self.records.clear();
+        self.assignments.clear();
+        self.envelopes.clear();
+        self.events.queue.clear();
+        self.spent.clear();
+    }
+}
+
+/// What a worker sends the coordinator.
+enum Reply<A: DistributedAgent> {
+    /// A full chunk; more of the wave follows.
+    Chunk(Chunk<A::Message>),
+    /// The shard's last chunk of the wave, with the delivery job's
+    /// emptied inbox list.
+    Last(Chunk<A::Message>, SlotInboxes<A::Message>),
+    /// The shard's agents, sent home at the end of the run.
+    Home(Vec<A>),
+}
+
+/// A worker-owned shard: its agents in slot (= ascending id) order,
+/// the shard's private recorder state, and its side of the channels.
 struct ShardWorker<A: DistributedAgent> {
-    agents: Slab<A>,
-    slots: usize,
+    agents: Vec<A>,
     recorder: StepRecorder,
-    scratch: RingBuffer,
+    outbox: Outbox<A::Message>,
+    trace: bool,
+    /// Chunks allocated so far, at most [`CHUNKS_PER_WORKER`].
+    made: usize,
+    replies: Sender<Reply<A>>,
+    returned: Receiver<Chunk<A::Message>>,
 }
 
 impl<A: DistributedAgent> ShardWorker<A> {
-    fn run(
-        mut self,
-        jobs: Receiver<Job<A::Message>>,
-        replies: Sender<Vec<StepOutput<A::Message>>>,
-    ) {
+    fn run(mut self, jobs: Receiver<Job<A::Message>>) {
         while let Ok(job) = jobs.recv() {
-            let reply = match job {
-                Job::Everyone { tick, nudge } => {
-                    let mut outputs = Vec::with_capacity(self.slots);
-                    for slot in 0..self.slots {
-                        outputs.extend(self.activate(slot, tick, |agent, out| {
-                            if nudge {
-                                agent.on_nudge(out);
-                            } else {
-                                agent.on_start(out);
-                            }
-                        }));
-                    }
-                    outputs
+            let replied = match job {
+                Job::Everyone { tick, nudge } => self.everyone(tick, nudge),
+                Job::Batch { tick, inboxes } => self.batch(tick, inboxes),
+                Job::Finish => {
+                    let agents = std::mem::take(&mut self.agents);
+                    let _ = self.replies.send(Reply::Home(agents));
+                    return;
                 }
-                Job::Batch { tick, mut inboxes } => {
-                    inboxes.sort_unstable_by_key(|&(slot, _)| slot);
-                    let mut outputs = Vec::with_capacity(inboxes.len());
-                    for (slot, inbox) in inboxes {
-                        outputs.extend(
-                            self.activate(slot, tick, |agent, out| agent.on_batch(inbox, out)),
-                        );
-                    }
-                    outputs
-                }
-                Job::Finish => self.finish(),
             };
-            if replies.send(reply).is_err() {
+            if replied.is_none() {
+                // The coordinator has gone.
                 return;
             }
         }
     }
 
-    /// Runs one activation of the agent in `slot` and packages its
-    /// output, its step events recorded through the shard's recorder.
+    /// Runs `on_start` (or `on_nudge`) for every agent, streaming the
+    /// outputs back.
+    fn everyone(&mut self, tick: u64, nudge: bool) -> Option<()> {
+        let mut chunk = self.chunk()?;
+        for index in 0..self.agents.len() {
+            chunk = self.room(chunk)?;
+            self.activate(index, tick, &mut chunk, |agent, out| {
+                if nudge {
+                    agent.on_nudge(out);
+                } else {
+                    agent.on_start(out);
+                }
+            });
+        }
+        self.replies.send(Reply::Last(chunk, Vec::new())).ok()
+    }
+
+    /// Delivers each inbox to its agent, streaming the outputs and the
+    /// emptied inboxes back.
+    fn batch(&mut self, tick: u64, mut inboxes: SlotInboxes<A::Message>) -> Option<()> {
+        let mut chunk = self.chunk()?;
+        for (slot, mut inbox) in inboxes.drain(..) {
+            chunk = self.room(chunk)?;
+            self.activate(slot, tick, &mut chunk, |agent, out| {
+                agent.on_inbox(&mut inbox, out);
+            });
+            chunk.spent.push(inbox);
+        }
+        self.replies.send(Reply::Last(chunk, inboxes)).ok()
+    }
+
+    /// `chunk` while it has room for another activation; a full one is
+    /// sent on and replaced.
+    fn room(&mut self, chunk: Chunk<A::Message>) -> Option<Chunk<A::Message>> {
+        if chunk.records.len() < CHUNK {
+            return Some(chunk);
+        }
+        self.replies.send(Reply::Chunk(chunk)).ok()?;
+        self.chunk()
+    }
+
+    /// A chunk to fill: one the coordinator handed back, else a new one
+    /// while fewer than [`CHUNKS_PER_WORKER`] exist, else the next one
+    /// handed back. `None` once the coordinator has gone.
+    fn chunk(&mut self) -> Option<Chunk<A::Message>> {
+        if let Ok(chunk) = self.returned.try_recv() {
+            return Some(chunk);
+        }
+        if self.made < CHUNKS_PER_WORKER {
+            self.made += 1;
+            return Some(Chunk::new(self.trace));
+        }
+        self.returned.recv().ok()
+    }
+
+    /// Runs one activation of the agent in `slot` and appends its output
+    /// to `chunk`, its step events recorded through the shard's recorder.
     fn activate(
         &mut self,
         slot: usize,
         tick: u64,
+        chunk: &mut Chunk<A::Message>,
         act: impl FnOnce(&mut A, &mut Outbox<A::Message>),
-    ) -> Option<StepOutput<A::Message>> {
-        let agent = self.agents.get_mut(slot)?;
-        let mut out = Outbox::new(agent.id());
-        act(agent, &mut out);
+    ) {
+        let Some(agent) = self.agents.get_mut(slot) else {
+            return;
+        };
+        self.outbox.reopen(agent.id());
+        act(agent, &mut self.outbox);
         let checks = agent.take_checks();
+        agent.write_assignments(&mut chunk.assignments);
         self.recorder
-            .record_step(agent, tick, checks, &mut self.scratch);
-        Some(StepOutput {
+            .record_step(agent, tick, checks, &mut chunk.events);
+        chunk.envelopes.extend(self.outbox.sent());
+        let ends = chunk.ends();
+        chunk.records.push(Record {
             agent: agent.id().raw(),
             checks,
             insoluble: agent.detected_insoluble(),
-            assignments: agent.assignments(),
-            events: self.scratch.take(),
-            outbox: out.drain(),
-            stats: AgentStats::default(),
-        })
-    }
-
-    /// Removes every agent from the arena, reporting its leftover checks
-    /// and final stats.
-    fn finish(&mut self) -> Vec<StepOutput<A::Message>> {
-        let mut outputs = Vec::with_capacity(self.agents.len());
-        for slot in 0..self.slots {
-            let Some(mut agent) = self.agents.remove(slot) else {
-                continue;
-            };
-            outputs.push(StepOutput {
-                agent: agent.id().raw(),
-                checks: agent.take_checks(),
-                insoluble: false,
-                assignments: Vec::new(),
-                events: Vec::new(),
-                outbox: Vec::new(),
-                stats: agent.stats(),
-            });
-        }
-        outputs
+            ends,
+        });
     }
 }
 
 /// One shard's coordinator-side handle.
-struct ShardHandle<M> {
-    jobs: Sender<Job<M>>,
-    replies: Receiver<Vec<StepOutput<M>>>,
+struct ShardHandle<A: DistributedAgent> {
+    jobs: Sender<Job<A::Message>>,
+    replies: Receiver<Reply<A>>,
+    returned: Sender<Chunk<A::Message>>,
+}
+
+/// A shard's chunk under merge.
+struct Cursor<M> {
+    chunk: Chunk<M>,
+    /// The next record to merge.
+    next: usize,
+    /// Where the merged records' output ends.
+    done: Ends,
+    /// Whether this is the shard's last chunk of the wave.
+    last: bool,
+}
+
+impl<M: Classify + Clone> Cursor<M> {
+    /// The agent whose output comes next, if any is left.
+    fn head(&self) -> Option<u32> {
+        self.chunk.records.get(self.next).map(|record| record.agent)
+    }
+
+    /// Hands the next activation's output to `merge`.
+    fn merge_next<G: Admission<M>>(
+        &mut self,
+        merge: &mut Merge<'_, M, G>,
+    ) -> Result<(), RuntimeError> {
+        let Some(&record) = self.chunk.records.get(self.next) else {
+            return Ok(());
+        };
+        self.next += 1;
+        let done = std::mem::replace(&mut self.done, record.ends);
+        let chunk = &mut self.chunk;
+        let assignments = chunk
+            .assignments
+            .get(done.assignments..record.ends.assignments)
+            .unwrap_or_default();
+        let events = &mut chunk.events.queue;
+        let event_count = record.ends.events.saturating_sub(done.events);
+        let envelope_count = record.ends.envelopes.saturating_sub(done.envelopes);
+        let envelopes = chunk
+            .envelopes
+            .drain(..envelope_count.min(chunk.envelopes.len()));
+        merge.activation(
+            record.checks,
+            record.insoluble,
+            assignments.iter().copied(),
+            |sink| {
+                for event in events.drain(..event_count.min(events.len())) {
+                    sink.record(event);
+                }
+            },
+            envelopes,
+        )
+    }
 }
 
 /// The engine's shard-pool stepper.
-struct ShardPool<M> {
-    shards: Vec<ShardHandle<M>>,
+struct ShardPool<A: DistributedAgent> {
+    shards: Vec<ShardHandle<A>>,
     plan: ShardPlan,
+    agents: usize,
+    /// Each shard's agents, once `Finish` has sent them home.
+    home: Vec<Vec<A>>,
 }
 
-impl<M> ShardPool<M> {
-    /// Sends one job per shard and collects the merged, id-sorted
-    /// outputs. `make` is called once per shard index; shards receiving
-    /// `None` are skipped (a delivery wave only wakes shards that got
-    /// mail).
-    fn run_wave(
-        &self,
-        mut make: impl FnMut(usize) -> Option<Job<M>>,
-    ) -> Result<Vec<StepOutput<M>>, RuntimeError> {
-        let died = |shard| RuntimeError::ShardWorkerDied { shard };
-        let mut involved = Vec::with_capacity(self.shards.len());
-        for (index, shard) in self.shards.iter().enumerate() {
-            if let Some(job) = make(index) {
-                shard.jobs.send(job).map_err(|_| died(index))?;
-                involved.push((index, shard));
-            }
-        }
-        let mut outputs = Vec::new();
-        for (index, shard) in involved {
-            outputs.extend(shard.replies.recv().map_err(|_| died(index))?);
-        }
-        outputs.sort_unstable_by_key(|o| o.agent);
-        Ok(outputs)
+impl<A: DistributedAgent> ShardPool<A> {
+    fn send(&self, shard: usize, job: Job<A::Message>) -> Result<(), RuntimeError> {
+        self.shards
+            .get(shard)
+            .and_then(|handle| handle.jobs.send(job).ok())
+            .ok_or(RuntimeError::ShardWorkerDied { shard })
     }
-}
 
-impl<M: Classify + Clone> Stepper<M> for ShardPool<M> {
-    type Error = RuntimeError;
-
-    fn step<G: Admission<M>>(
-        &mut self,
-        wave: Wave<M>,
-        merge: &mut Merge<'_, M, G>,
-    ) -> Result<(), RuntimeError> {
-        let tick = merge.tick();
-        let outputs = match wave {
-            Wave::Start => self.run_wave(|_| Some(Job::Everyone { tick, nudge: false }))?,
-            Wave::Nudge => self.run_wave(|_| Some(Job::Everyone { tick, nudge: true }))?,
-            Wave::Deliver(inboxes) => {
-                // Partition the inboxes to their shards; each shard
-                // drains its part in parallel.
-                let mut per_shard: Vec<SlotInboxes<M>> =
-                    (0..self.shards.len()).map(|_| Vec::new()).collect();
-                for (recipient, inbox) in inboxes {
-                    let (shard, slot) = self.plan.placement_of(recipient);
-                    if let Some(bucket) = per_shard.get_mut(shard) {
-                        bucket.push((slot, inbox));
-                    }
-                }
-                self.run_wave(|index| match per_shard.get_mut(index) {
-                    Some(bucket) if !bucket.is_empty() => Some(Job::Batch {
-                        tick,
-                        inboxes: std::mem::take(bucket),
-                    }),
-                    _ => None,
-                })?
-            }
+    /// Receives shard `shard`'s next chunk, freeing the inboxes it
+    /// brings home.
+    fn receive(&self, shard: usize) -> Result<Cursor<A::Message>, RuntimeError> {
+        let reply = self
+            .shards
+            .get(shard)
+            .and_then(|handle| handle.replies.recv().ok());
+        let (mut chunk, last) = match reply {
+            Some(Reply::Chunk(chunk)) => (chunk, false),
+            Some(Reply::Last(chunk, _emptied)) => (chunk, true),
+            Some(Reply::Home(_)) | None => return Err(RuntimeError::ShardWorkerDied { shard }),
         };
-        for output in outputs {
-            let events = output.events;
-            merge.activation(
-                output.checks,
-                output.insoluble,
-                output.assignments,
-                |sink| {
-                    for event in events {
-                        sink.record(event);
-                    }
-                },
-                output.outbox,
-            )?;
+        chunk.spent.clear();
+        Ok(Cursor {
+            chunk,
+            next: 0,
+            done: Ends::default(),
+            last,
+        })
+    }
+
+    /// Hands `cursor`'s chunk back once it is merged and receives the
+    /// shard's next one; `None` once the shard's part of the wave is
+    /// merged.
+    fn settle(
+        &self,
+        shard: usize,
+        mut cursor: Cursor<A::Message>,
+    ) -> Result<Option<Cursor<A::Message>>, RuntimeError> {
+        while cursor.head().is_none() {
+            let last = cursor.last;
+            let mut chunk = cursor.chunk;
+            chunk.clear();
+            if let Some(handle) = self.shards.get(shard) {
+                // A worker that has gone leaves its chunk to be dropped.
+                let _ = handle.returned.send(chunk);
+            }
+            if last {
+                return Ok(None);
+            }
+            cursor = self.receive(shard)?;
+        }
+        Ok(Some(cursor))
+    }
+
+    /// Merges the wave's outputs from the `involved` shards, lowest
+    /// agent id first.
+    fn merge_wave<G: Admission<A::Message>>(
+        &self,
+        involved: impl IntoIterator<Item = usize>,
+        merge: &mut Merge<'_, A::Message, G>,
+    ) -> Result<(), RuntimeError> {
+        let mut cursors = Vec::with_capacity(self.shards.len());
+        for shard in involved {
+            let first = self.receive(shard)?;
+            if let Some(cursor) = self.settle(shard, first)? {
+                cursors.push((shard, cursor));
+            }
+        }
+        while let Some(lowest) = cursors
+            .iter()
+            .enumerate()
+            .filter_map(|(at, (_, cursor))| cursor.head().map(|agent| (agent, at)))
+            .min()
+            .map(|(_, at)| at)
+        {
+            let Some((_, cursor)) = cursors.get_mut(lowest) else {
+                break;
+            };
+            cursor.merge_next(merge)?;
+            if cursor.head().is_none() {
+                let (shard, cursor) = cursors.swap_remove(lowest);
+                if let Some(cursor) = self.settle(shard, cursor)? {
+                    cursors.push((shard, cursor));
+                }
+            }
         }
         Ok(())
     }
+}
+
+impl<A: DistributedAgent> Stepper<A::Message> for ShardPool<A> {
+    type Error = RuntimeError;
+
+    fn step<G: Admission<A::Message>>(
+        &mut self,
+        wave: Wave<A::Message>,
+        merge: &mut Merge<'_, A::Message, G>,
+    ) -> Result<(), RuntimeError> {
+        let tick = merge.tick();
+        let inboxes = match wave {
+            Wave::Start | Wave::Nudge => {
+                let nudge = matches!(wave, Wave::Nudge);
+                for shard in 0..self.shards.len() {
+                    self.send(shard, Job::Everyone { tick, nudge })?;
+                }
+                return self.merge_wave(0..self.shards.len(), merge);
+            }
+            Wave::Deliver(inboxes) => inboxes,
+        };
+        // Partition the inboxes to their shards; recipients arrive in
+        // ascending id, so each shard's list is in slot order.
+        let mut per_shard: Vec<SlotInboxes<A::Message>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for (recipient, inbox) in inboxes {
+            let (shard, slot) = self.plan.placement_of(recipient);
+            if let Some(list) = per_shard.get_mut(shard) {
+                list.push((slot, inbox));
+            }
+        }
+        let mut involved = Vec::with_capacity(per_shard.len());
+        for (shard, inboxes) in per_shard.into_iter().enumerate() {
+            if !inboxes.is_empty() {
+                self.send(shard, Job::Batch { tick, inboxes })?;
+                involved.push(shard);
+            }
+        }
+        self.merge_wave(involved, merge)
+    }
 
     fn finish(&mut self, teardown: &mut Teardown<'_>) -> Result<(), RuntimeError> {
-        for output in self.run_wave(|_| Some(Job::Finish))? {
-            teardown.agent(AgentId::new(output.agent), output.checks, output.stats);
+        for shard in 0..self.shards.len() {
+            self.send(shard, Job::Finish)?;
+        }
+        for (shard, handle) in self.shards.iter().enumerate() {
+            match handle.replies.recv() {
+                Ok(Reply::Home(agents)) => self.home.push(agents),
+                _ => return Err(RuntimeError::ShardWorkerDied { shard }),
+            }
+        }
+        for id in 0..self.agents {
+            let (shard, slot) = self.plan.placement_of(id);
+            if let Some(agent) = self
+                .home
+                .get_mut(shard)
+                .and_then(|agents| agents.get_mut(slot))
+            {
+                teardown.agent(agent.id(), agent.take_checks(), agent.stats());
+            }
         }
         Ok(())
     }
@@ -303,7 +556,9 @@ impl<M: Classify + Clone> Stepper<M> for ShardPool<M> {
 /// semantics bit for bit. Metrics, fault counters, the fault log, and
 /// the trace (up to the `RunEnd` runtime stamp) are identical to a
 /// `run_virtual` of the same `(agents, problem, config.base)` — and
-/// therefore identical across any two worker counts.
+/// therefore identical across any two worker counts. When the run
+/// completes, its agents are dropped on the calling thread before this
+/// returns.
 ///
 /// # Errors
 ///
@@ -324,55 +579,65 @@ where
     let n = agents.len();
     let base = &config.base;
     let plan = ShardPlan::new(n, config.workers, base.seed);
-    // Deal the agents into per-shard slab arenas in plan (drain) order;
-    // sequential insertion into an empty slab makes slot == drain rank.
-    let mut by_id: Vec<Option<A>> = agents.into_iter().map(Some).collect();
-    let mut arenas = Vec::with_capacity(plan.workers());
-    for shard in 0..plan.workers() {
-        let members = plan.members(shard);
-        let mut arena = Slab::with_capacity(members.len());
-        for &agent_id in members {
-            if let Some(agent) = by_id.get_mut(agent_id).and_then(Option::take) {
-                arena.insert(agent);
-            }
+    // Agents arrive in id order, so pushing each onto its shard's arena
+    // fills every arena in slot order.
+    let mut arenas: Vec<Vec<A>> = (0..plan.workers())
+        .map(|shard| Vec::with_capacity(plan.members(shard).len()))
+        .collect();
+    for agent in agents {
+        let (shard, _) = plan.placement_of(agent.id().index());
+        if let Some(arena) = arenas.get_mut(shard) {
+            arena.push(agent);
         }
-        arenas.push(arena);
     }
-    drop(by_id);
     let engine = WaveEngine::new(n, problem, base, RuntimeKind::Sharded, Direct);
 
     std::thread::scope(|scope| {
         let mut shards = Vec::with_capacity(arenas.len());
-        for arena in arenas {
+        for agents in arenas {
             let (job_tx, job_rx) = channel();
             let (reply_tx, reply_rx) = channel();
+            let (returned_tx, returned_rx) = channel();
             let worker = ShardWorker {
-                slots: arena.len(),
-                agents: arena,
+                agents,
                 recorder: StepRecorder::new(),
-                scratch: if base.record_trace {
-                    RingBuffer::new()
-                } else {
-                    RingBuffer::disabled()
-                },
+                outbox: Outbox::new(AgentId::new(0)),
+                trace: base.record_trace,
+                made: 0,
+                replies: reply_tx,
+                returned: returned_rx,
             };
-            scope.spawn(move || worker.run(job_rx, reply_tx));
+            scope.spawn(move || worker.run(job_rx));
             shards.push(ShardHandle {
                 jobs: job_tx,
                 replies: reply_rx,
+                returned: returned_tx,
             });
         }
-        engine.run(problem, &mut ShardPool { shards, plan })
+        let mut pool = ShardPool {
+            shards,
+            plan,
+            agents: n,
+            home: Vec::new(),
+        };
+        let report = engine.run(problem, &mut pool);
+        // `Finish` sent every agent home; they are dropped here, on the
+        // thread that built them.
+        drop(pool);
+        report
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{all_true_problem, ring, Gossip};
+    use crate::agent::AgentStats;
+    use crate::fixtures::{all_true_problem, ring, Gossip, RingAgent};
     use crate::link::{run_virtual, LinkPolicy};
     use crate::PPM;
     use discsp_core::{Termination, Value};
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     fn strip_run_end(trace: &[TraceEvent]) -> Vec<TraceEvent> {
         trace
@@ -518,6 +783,70 @@ mod tests {
             let report = run_sharded(ring(3), &problem, &ShardConfig::new(workers))
                 .expect("runs on any worker count");
             assert_eq!(report.outcome.metrics.termination, Termination::Solved);
+        }
+    }
+
+    /// A ring agent that notes the thread it is dropped on.
+    struct Witness {
+        agent: RingAgent,
+        dropped_on: Arc<Mutex<Vec<ThreadId>>>,
+    }
+
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            if let Ok(mut threads) = self.dropped_on.lock() {
+                threads.push(std::thread::current().id());
+            }
+        }
+    }
+
+    impl DistributedAgent for Witness {
+        type Message = Gossip;
+        fn id(&self) -> AgentId {
+            self.agent.id()
+        }
+        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
+            self.agent.on_start(out);
+        }
+        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
+            self.agent.on_batch(inbox, out);
+        }
+        fn on_nudge(&mut self, out: &mut Outbox<Gossip>) {
+            self.agent.on_nudge(out);
+        }
+        fn assignments(&self) -> Vec<VarValue> {
+            self.agent.assignments()
+        }
+        fn take_checks(&mut self) -> u64 {
+            self.agent.take_checks()
+        }
+        fn stats(&self) -> AgentStats {
+            self.agent.stats()
+        }
+    }
+
+    #[test]
+    fn agents_are_dropped_on_the_calling_thread() {
+        let n = 3 * CHUNK + 7;
+        let problem = all_true_problem(n);
+        for workers in [1usize, 4] {
+            let dropped_on = Arc::new(Mutex::new(Vec::new()));
+            let agents = ring(n)
+                .into_iter()
+                .map(|agent| Witness {
+                    agent,
+                    dropped_on: Arc::clone(&dropped_on),
+                })
+                .collect();
+            let report = run_sharded(agents, &problem, &ShardConfig::new(workers)).expect("runs");
+            assert_eq!(report.outcome.metrics.termination, Termination::Solved);
+            let threads = dropped_on.lock().expect("no poisoning").clone();
+            assert_eq!(threads.len(), n, "workers {workers}: every agent dropped");
+            let here = std::thread::current().id();
+            assert!(
+                threads.iter().all(|&t| t == here),
+                "workers {workers}: an agent was dropped off the calling thread"
+            );
         }
     }
 }

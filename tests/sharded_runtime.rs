@@ -105,6 +105,78 @@ fn dba_and_abt_sharded_match_their_virtual_runs() {
 }
 
 #[test]
+fn many_chunk_waves_under_every_fault_match_virtual_on_every_worker_count() {
+    // Workers stream a wave's outputs back in chunks of 128 activations,
+    // and the coordinator merges the shards' chunks as they arrive. At
+    // 2,000 agents each of 4 shards holds 500, so every full wave crosses
+    // several chunk boundaries per shard; the 20-agent instances above
+    // never cross one.
+    const AGENTS: u32 = 2_000;
+    let coloring = paper_coloring(AGENTS, 17);
+    let problem = coloring_to_discsp(&coloring).expect("encode");
+    // One agent in 64 starts off its planted color, so the breakout has
+    // real repair work to do.
+    let mut rng = SplitMix64::new(0xC4_0C5);
+    let init = Assignment::total(coloring.planted.iter().map(|&c| {
+        if rng.next_below(64) == 0 {
+            Value::new((c + 1) % 3)
+        } else {
+            Value::new(c)
+        }
+    }));
+    let base = VirtualConfig {
+        seed: 2_024,
+        link: LinkPolicy::lossy(20_000)
+            .with_duplication(20_000)
+            .with_delay(0, 2)
+            .with_reordering(2),
+        record_trace: true,
+        ..VirtualConfig::default()
+    };
+    let solver = DbaSolver::new();
+    let reference = solver.solve_virtual(&problem, &init, &base).expect("fits");
+    let m = &reference.outcome.metrics;
+    assert_eq!(m.termination, Termination::Solved);
+    assert!(
+        m.messages_dropped > 0 && m.messages_duplicated > 0 && m.messages_reordered > 0,
+        "every fault kind must fire: {m:?}"
+    );
+    assert!(
+        reference.activations > 4 * u64::from(AGENTS),
+        "several full waves"
+    );
+    for workers in [1usize, 2, 3, 4] {
+        let config = ShardConfig::with_base(base.clone(), workers);
+        let run = solver
+            .solve_sharded(&problem, &init, &config)
+            .expect("fits");
+        assert_eq!(
+            run.outcome.metrics, reference.outcome.metrics,
+            "workers {workers}: metrics"
+        );
+        assert_eq!(
+            run.outcome.solution, reference.outcome.solution,
+            "workers {workers}: solution"
+        );
+        assert_eq!(run.ticks, reference.ticks, "workers {workers}: ticks");
+        assert_eq!(
+            run.activations, reference.activations,
+            "workers {workers}: activations"
+        );
+        assert_eq!(run.nudges, reference.nudges, "workers {workers}: nudges");
+        assert_eq!(
+            run.fault_log, reference.fault_log,
+            "workers {workers}: fault log"
+        );
+        assert_eq!(
+            strip_run_end(&run.trace),
+            strip_run_end(&reference.trace),
+            "workers {workers}: trace"
+        );
+    }
+}
+
+#[test]
 fn sharded_trace_audits_and_carries_the_sharded_stamp() {
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
