@@ -1,12 +1,11 @@
-//! Front-end: run the AWC against a [`DistributedCsp`] on either runtime.
+//! Front-end: run the AWC against a [`DistributedCsp`] on any runtime.
 
 use std::error::Error;
 use std::fmt;
 
 use discsp_core::{AgentId, Assignment, DistributedCsp, VariableId};
 use discsp_runtime::{
-    run_async, run_sharded, run_virtual, AsyncConfig, AsyncReport, ShardConfig, SyncRun,
-    SyncSimulator, VirtualConfig, VirtualReport,
+    run_sharded, run_virtual, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
 };
 
 use crate::agent::{AwcAgent, AwcConfig};
@@ -225,21 +224,6 @@ impl AwcSolver {
         sim.run(problem).map_err(AwcError::from)
     }
 
-    /// Runs on the asynchronous threads-and-channels runtime.
-    ///
-    /// # Errors
-    ///
-    /// See [`AwcSolver::build_agents`].
-    pub fn solve_async(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &AsyncConfig,
-    ) -> Result<AsyncReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_async(agents, problem, config).map_err(AwcError::from)
-    }
-
     /// Runs on the deterministic discrete-event runtime with link faults:
     /// identical `(seed, LinkPolicy)` pairs replay bit-identically, so any
     /// fault-induced failure is reproducible from the config alone.
@@ -362,14 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn solves_triangle_asynchronously() {
+    fn solves_triangle_on_the_deterministic_executors() {
         let problem = triangle();
         let init = Assignment::total([Value::new(0); 3]);
-        let report = AwcSolver::new(AwcConfig::resolvent())
-            .solve_async(&problem, &init, &AsyncConfig::default())
-            .unwrap();
+        let solver = AwcSolver::new(AwcConfig::resolvent());
+        let base = VirtualConfig::default();
+        let report = solver.solve_virtual(&problem, &init, &base).unwrap();
         assert_eq!(report.outcome.metrics.termination, Termination::Solved);
         assert!(problem.is_solution(report.outcome.solution.as_ref().unwrap()));
+        for workers in [1, 4] {
+            let config = ShardConfig::with_base(base.clone(), workers);
+            let sharded = solver.solve_sharded(&problem, &init, &config).unwrap();
+            assert_eq!(sharded.outcome, report.outcome, "workers {workers}");
+            assert_eq!(sharded.ticks, report.ticks, "workers {workers}");
+            assert_eq!(sharded.activations, report.activations, "workers {workers}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Measures single-nogood evaluation, full-store violation scans, the
 //! agent hot-path violation *query* (one view variable changed per
-//! query) across four implementations, and forgetting churn. Check
+//! query) across three implementations, and forgetting churn. Check
 //! *counts* are representation-independent; wall-time is what this
 //! measures.
 //!
@@ -10,18 +10,14 @@
 //!
 //! * `naive` — re-evaluate every stored nogood's literals (the
 //!   pre-index implementation);
-//! * `rescan` — bench-local replica of the pre-watched incremental
-//!   scheme: re-evaluate all nogoods mentioning the changed variable,
-//!   answer from O(1) counters;
-//! * `indexed` — the production [`IncrementalEval`] (per-variable
-//!   rescan below its small-store limit, two-watched-literals above),
-//!   reading the violated *set*;
+//! * `indexed` — the production [`IncrementalEval`] (re-evaluate the
+//!   nogoods mentioning the changed variable), reading the violated
+//!   *set*;
 //! * `indexed_count` — same, answering the violation *count* from the
-//!   O(1) counters (the apples-to-apples rival of `rescan`).
+//!   O(1) counters.
 //!
-//! Stored nogoods have 2–8 literals over distinct variables — learned
-//! resolvents are long, and the length distribution decides which
-//! scheme wins (watching 2 of k literals buys nothing at k = 2). Sizes
+//! Stored nogoods have 2–8 literals over distinct variables, like
+//! learned resolvents, which span much of the sender's view. Sizes
 //! reach 10^6 nogoods; the variable count scales with the size so the
 //! per-variable mention lists keep a realistic degree.
 //!
@@ -34,7 +30,7 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Measurement};
-use discsp_core::{IncrementalEval, Nogood, NogoodIdx, NogoodRef, NogoodStore, Value, VariableId};
+use discsp_core::{IncrementalEval, Nogood, NogoodStore, Value, VariableId};
 use discsp_runtime::SplitMix64;
 
 /// (store size, variable count) pairs for the query group.
@@ -121,67 +117,6 @@ fn bench_store_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bench-local replica of the pre-watched incremental scheme: a view
-/// change re-evaluates the full literal list of every nogood mentioning
-/// the changed variable, and violation counts come from O(1) counters.
-/// It is even slightly flattered here — the changed variable is handed
-/// to it directly, so it pays no shadow diff.
-struct RescanEval {
-    own: VariableId,
-    foreign_sat: Vec<bool>,
-    own_prohibited: Vec<Option<Value>>,
-    sat_unconditional: u64,
-    sat_by_value: Vec<u64>,
-}
-
-impl RescanEval {
-    fn new(own: VariableId, store: &NogoodStore, values: &[Value], domain: usize) -> Self {
-        let mut this = RescanEval {
-            own,
-            foreign_sat: vec![false; store.slot_count()],
-            own_prohibited: vec![None; store.slot_count()],
-            sat_unconditional: 0,
-            sat_by_value: vec![0; domain],
-        };
-        for (idx, ng) in store.entries() {
-            this.resync(idx, ng, values);
-        }
-        this
-    }
-
-    fn resync(&mut self, idx: NogoodIdx, ng: NogoodRef<'_>, values: &[Value]) {
-        if self.foreign_sat[idx] {
-            match self.own_prohibited[idx] {
-                None => self.sat_unconditional -= 1,
-                Some(pv) => self.sat_by_value[pv.index()] -= 1,
-            }
-        }
-        let sat = ng
-            .elems()
-            .iter()
-            .filter(|e| e.var != self.own)
-            .all(|e| values[e.var.index()] == e.value);
-        self.foreign_sat[idx] = sat;
-        self.own_prohibited[idx] = ng.value_of(self.own);
-        if sat {
-            match self.own_prohibited[idx] {
-                None => self.sat_unconditional += 1,
-                Some(pv) => self.sat_by_value[pv.index()] += 1,
-            }
-        }
-    }
-
-    fn on_change(&mut self, store: &NogoodStore, changed: VariableId, values: &[Value]) {
-        for (idx, ng) in store.for_variable(changed) {
-            self.resync(idx, ng, values);
-        }
-    }
-
-    fn violation_count(&self, own_value: Value) -> u64 {
-        self.sat_unconditional + self.sat_by_value[own_value.index()]
-    }
-}
-
 /// The agent hot path: the view changes in exactly one variable, then
 /// the violated set (or count) under the own value is recomputed.
 fn bench_incremental_query(c: &mut Criterion) {
@@ -221,19 +156,6 @@ fn bench_incremental_query(c: &mut Criterion) {
         // clear them so the next variant starts from a clean slate.
         store.take_checks();
 
-        let mut rescan_values: Vec<Value> =
-            (0..vars).map(|v| Value::new((v % 3) as u16)).collect();
-        let mut rescan = RescanEval::new(own, &store, &rescan_values, 3);
-        let mut flip = 0u16;
-        group.bench_with_input(BenchmarkId::new("rescan", size), &store, |bench, store| {
-            bench.iter(|| {
-                flip ^= 1;
-                rescan_values[changed.index()] = Value::new(flip);
-                rescan.on_change(store, changed, &rescan_values);
-                rescan.violation_count(Value::new(0))
-            })
-        });
-
         let mut view: Vec<(VariableId, Value)> = (1..vars)
             .map(|v| (VariableId::new(v), Value::new((v % 3) as u16)))
             .collect();
@@ -268,8 +190,8 @@ fn bench_incremental_query(c: &mut Criterion) {
 
 /// Forgetting churn at steady state: each iteration records one fresh
 /// learned nogood, runs a forget pass (evicting exactly one cold entry),
-/// and resyncs the incremental cache — insert, eviction sort, watcher
-/// teardown/reinstall, all included.
+/// and resyncs the incremental cache — insert, eviction sort and slot
+/// resync, all included.
 fn bench_forgetting(c: &mut Criterion) {
     const VARS: u32 = 256;
     let own = VariableId::new(0);
@@ -342,14 +264,6 @@ fn write_snapshot(c: &Criterion) {
     }
     json.push_str("  ],\n");
     push_speedups(&mut json, ms, "speedup_indexed_over_naive", "naive", "indexed");
-    json.push_str(",\n");
-    push_speedups(
-        &mut json,
-        ms,
-        "speedup_watched_over_rescan",
-        "rescan",
-        "indexed_count",
-    );
     json.push_str("\n}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");

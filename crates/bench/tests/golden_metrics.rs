@@ -10,11 +10,15 @@
 //! if any of these tests fails after a store or hot-loop change, the
 //! change altered the reproduction, not just its speed.
 
-use discsp_awc::AwcConfig;
+use discsp_awc::{AwcConfig, AwcSolver};
 use discsp_bench::trial::run_cell;
 use discsp_bench::{Algorithm, Family, Protocol};
-use discsp_core::RunMetrics;
+use discsp_core::{IncrementalEval, RunMetrics, Termination};
+use discsp_cspsolve::random_assignment;
 use discsp_dba::WeightMode;
+use discsp_runtime::{derive_seed, SyncSimulator};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One trial's pinned metrics:
 /// (cycles, maxcck, total_checks, ok, nogood, other, nogoods_generated).
@@ -181,4 +185,53 @@ fn sat_db() {
             (17, 272, 2496, 1080, 0, 960, 0),
         ],
     );
+}
+
+/// The n = 15 and n = 12 cells above never grow a store past
+/// `IncrementalEval::SMALL_STORE_LIMIT` slots, so they do not guard the
+/// large-store path. This trial does: `run_cell`'s instance 0, init 0 of
+/// 3SAT n = 60 under master seed 20 000 419, AWC Rslv, where three
+/// agents' stores pass the limit (the largest holds 421 slots).
+#[test]
+fn sat_awc_resolvent_large_store() {
+    let (family, n, master_seed) = (Family::Sat, 60, 20_000_419);
+    let problem = family.problem(n, 0, master_seed);
+    // The seed derivation `run_cell` uses for instance 0's inits.
+    let init_seed = derive_seed(
+        master_seed ^ 0xA5A5_5A5A,
+        family as u64 * 1000 + n as u64,
+        0,
+    );
+    let init = random_assignment(&problem, &mut StdRng::seed_from_u64(init_seed));
+    let agents = AwcSolver::new(AwcConfig::resolvent())
+        .build_agents(&problem, &init)
+        .expect("one variable per agent");
+    let mut sim = SyncSimulator::new(agents);
+    let run = sim.run(&problem).expect("runs");
+    let m = &run.outcome.metrics;
+    assert_eq!(m.termination, Termination::Solved);
+    assert_eq!(
+        (
+            m.cycles,
+            m.maxcck,
+            m.total_checks,
+            m.ok_messages,
+            m.nogood_messages,
+            m.other_messages,
+            m.nogoods_generated,
+        ),
+        (188, 73_029, 709_765, 142_790, 9_382, 2_274, 2_137),
+        "metric drift on a large-store trial: the reproduction changed"
+    );
+    let slots: Vec<usize> = sim
+        .agents()
+        .iter()
+        .map(|a| a.store().slot_count())
+        .collect();
+    let large = slots
+        .iter()
+        .filter(|&&s| s > IncrementalEval::SMALL_STORE_LIMIT)
+        .count();
+    assert_eq!(large, 3, "stores past the limit");
+    assert_eq!(slots.iter().max(), Some(&421));
 }

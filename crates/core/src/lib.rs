@@ -57,4 +57,4 @@ pub use problem::{DistributedCsp, DistributedCspBuilder};
 pub use store::{IncrementalEval, NogoodIdx, NogoodStore};
 pub use value::{Value, ValueLabels};
 pub use view::{AgentView, ViewEntry};
-pub use wire::{Wire, WireError, WireReader};
+pub use wire::{Wire, WireError, WireReader, VEC_RESERVE_BYTES};

@@ -8,18 +8,12 @@
 //! free list so forgetting a nogood recycles its slot without
 //! invalidating other [`NogoodIdx`] values. Dedup goes through hash
 //! buckets over slot ids, and a per-variable index
-//! ([`NogoodStore::for_variable`]) supports the small-store evaluation
-//! path.
+//! ([`NogoodStore::for_variable`]) supports incremental evaluation.
 //!
 //! [`IncrementalEval`] caches each nogood's violation status against a
-//! view. Small stores re-evaluate the nogoods mentioning changed
-//! variables; past [`IncrementalEval::SMALL_STORE_LIMIT`] slots it
-//! switches to *two watched literals* adapted to nogoods (conjunctions):
-//! a foreign literal is **blocking** when the view does *not* match it,
-//! an unsatisfied nogood always watches a blocking literal, and a view
-//! change only visits nogoods whose watch fires instead of every nogood
-//! mentioning the changed variable. See DESIGN.md §11 for the layout and
-//! the watch invariants.
+//! view: a view change re-evaluates exactly the nogoods mentioning the
+//! changed variables, at every store size. See DESIGN.md §11 for the
+//! layout and why this one strategy suffices.
 //!
 //! Learned nogoods carry an activity score ([`NogoodStore::bump_activity`])
 //! and can be evicted deterministically with [`NogoodStore::forget`];
@@ -398,9 +392,9 @@ impl NogoodStore {
     }
 
     /// Iterates (in recording order) over the live nogoods mentioning
-    /// `var`, with their store indices. This is the index the small-store
-    /// incremental path uses: when a view changes by one assignment, only
-    /// these nogoods can change violation status.
+    /// `var`, with their store indices. This is the index incremental
+    /// evaluation uses: when a view changes by one assignment, only these
+    /// nogoods can change violation status.
     pub fn for_variable(
         &self,
         var: VariableId,
@@ -485,9 +479,6 @@ impl Extend<Nogood> for NogoodStore {
     }
 }
 
-/// "No watch installed" sentinel for watch positions and watch variables.
-const NO_WATCH: u32 = u32::MAX;
-
 /// Incremental violation tracker for one agent's store and view.
 ///
 /// Decomposes each nogood's violation into two factors:
@@ -502,20 +493,10 @@ const NO_WATCH: u32 = u32::MAX;
 /// answers "is nogood `i` violated under the view with my variable at
 /// `value`?" without touching the nogood's literals.
 ///
-/// Two maintenance strategies, switched adaptively:
-///
-/// - **Small stores** (at most [`IncrementalEval::SMALL_STORE_LIMIT`]
-///   slots): a changed variable re-evaluates every nogood mentioning it
-///   via [`NogoodStore::for_variable`]. No watch bookkeeping — below the
-///   threshold the rescan is cheaper than maintaining watches.
-/// - **Large stores**: *two watched literals*. A foreign literal is
-///   *blocking* when the shadowed view does not match it; an unsatisfied
-///   nogood watches up to two blocking literals, so a view change visits
-///   only the nogoods whose watched variable fired, plus — for sat→unsat
-///   transitions, which watches cannot signal — the satisfied slots on
-///   the changed variable's mention list (a bit test each). The switch
-///   is one-way and happens during the first
-///   [`IncrementalEval::refresh`] that sees the store above the limit.
+/// Maintenance is a per-variable rescan: a changed variable
+/// re-evaluates every nogood mentioning it via
+/// [`NogoodStore::for_variable`], so a refresh costs the changed
+/// variables' mention lists, not the store size.
 ///
 /// **This type never meters checks.** Callers on the algorithm hot paths
 /// must charge the same number of checks the naive scan would have
@@ -542,12 +523,11 @@ const NO_WATCH: u32 = u32::MAX;
 pub struct IncrementalEval {
     own_var: VariableId,
     /// Sorted `(global variable index, local slot)` pairs mapping every
-    /// foreign variable this tracker has observed or watched to a dense
-    /// local slot. `shadow` and `watchers` are indexed by local slot, so
-    /// their size is proportional to the agent's *degree*, not to the
-    /// largest foreign variable id — indexing them by global id made
-    /// every agent carry an O(population) vector, which is quadratic
-    /// total memory at 10^5+ agents.
+    /// foreign variable this tracker has observed to a dense local slot.
+    /// `shadow` is indexed by local slot, so its size is proportional to
+    /// the agent's *degree*, not to the largest foreign variable id —
+    /// indexing it by global id made every agent carry an O(population)
+    /// vector, which is quadratic total memory at 10^5+ agents.
     local_index: Vec<(u32, u32)>,
     /// Mirror of the last refreshed view, indexed by local slot:
     /// value and the epoch at which the variable was last seen (stale
@@ -582,23 +562,8 @@ pub struct IncrementalEval {
     /// Count of foreign-satisfied nogoods prohibiting own value `v`,
     /// indexed by `v`.
     sat_by_value: Vec<usize>,
-    /// Whether the two-watched-literal machinery is active (one-way
-    /// switch once the store outgrows `SMALL_STORE_LIMIT`).
-    watched_mode: bool,
-    /// Per slot: up to two watched literal positions (indices into the
-    /// slot's literal slice), `NO_WATCH` when absent. Satisfied and dead
-    /// slots hold no watches.
-    watches: Vec<[u32; 2]>,
-    /// Per slot: the variable index each watch sits on (mirror of
-    /// `watches`, so watcher lists can be maintained without re-reading
-    /// possibly-overwritten literals).
-    watch_vars: Vec<[u32; 2]>,
-    /// `watchers[local slot of var]`: exactly the slots currently
-    /// holding a watch on `var` (eagerly maintained — no stale entries).
-    /// Always the same length as `shadow`.
-    watchers: Vec<Vec<u32>>,
-    /// Scratch buffers recycled across refreshes (per-refresh heap
-    /// allocation was the small-store regression).
+    /// Scratch buffers recycled across refreshes, so a refresh does not
+    /// allocate.
     changed_scratch: Vec<VariableId>,
     seen_scratch: Vec<VariableId>,
 }
@@ -620,10 +585,10 @@ fn bit_clear(bits: &mut [u64], idx: usize) {
 }
 
 impl IncrementalEval {
-    /// Store size (in slots) above which [`IncrementalEval`] switches
-    /// from per-variable rescanning to two watched literals. Below this,
-    /// rescan wins: watch maintenance costs more than it saves (the
-    /// store benches pin the crossover).
+    /// Store size (in slots) that marks a *large* store. Evaluation is
+    /// the same rescan at every size; the limit stays as the yardstick
+    /// the benchmark counts stores against (`store.agents_over_256`)
+    /// and the golden tests use to prove their trials reach large stores.
     pub const SMALL_STORE_LIMIT: usize = 256;
 
     /// Creates an empty tracker for the agent owning `own_var`.
@@ -643,10 +608,6 @@ impl IncrementalEval {
             synced_generation: None,
             sat_unconditional: 0,
             sat_by_value: Vec::new(),
-            watched_mode: false,
-            watches: Vec::new(),
-            watch_vars: Vec::new(),
-            watchers: Vec::new(),
             changed_scratch: Vec::new(),
             seen_scratch: Vec::new(),
         }
@@ -662,13 +623,8 @@ impl IncrementalEval {
         self.synced_slots
     }
 
-    /// Whether the two-watched-literal machinery is active.
-    pub fn is_watched_mode(&self) -> bool {
-        self.watched_mode
-    }
-
     /// The local slot of global variable index `g`, if it was ever
-    /// observed or watched.
+    /// observed.
     #[inline]
     fn local_of(&self, g: u32) -> Option<u32> {
         self.local_index
@@ -678,8 +634,8 @@ impl IncrementalEval {
     }
 
     /// The local slot of global variable index `g`, allocating the slot
-    /// (and its `shadow`/`watchers` cells) on first touch. Slots are
-    /// stable: once handed out, a slot never moves.
+    /// (and its `shadow` cell) on first touch. Slots are stable: once
+    /// handed out, a slot never moves.
     fn local_or_insert(&mut self, g: u32) -> u32 {
         match self.local_index.binary_search_by_key(&g, |&(gv, _)| gv) {
             Ok(p) => self.local_index[p].1,
@@ -687,7 +643,6 @@ impl IncrementalEval {
                 let local = self.shadow.len() as u32;
                 self.local_index.insert(p, (g, local));
                 self.shadow.push(None);
-                self.watchers.push(Vec::new());
                 local
             }
         }
@@ -698,9 +653,7 @@ impl IncrementalEval {
     /// `view` is the complete foreign assignment (it must never contain
     /// the own variable). Work done is proportional to the view size,
     /// the number of store mutations since the last refresh, and the
-    /// nogoods actually affected by changed variables (all mentions in
-    /// small-store mode; fired watches plus a bit test per mention in
-    /// watched mode) — not to the store size.
+    /// nogoods mentioning changed variables — not to the store size.
     pub fn refresh<I>(&mut self, store: &NogoodStore, view: I)
     where
         I: IntoIterator<Item = (VariableId, Value)>,
@@ -754,19 +707,13 @@ impl IncrementalEval {
         self.seen_scratch = mem::replace(&mut self.present, seen);
 
         // The shadow is fully up to date before any per-slot processing,
-        // so watch decisions below always see the final assignment.
+        // so every re-evaluation below sees the final assignment.
         self.sync_store(store);
 
-        if !changed.is_empty() {
-            if self.watched_mode {
-                self.process_changes_watched(store, &changed);
-            } else {
-                for &var in &changed {
-                    for (idx, ng) in store.for_variable(var) {
-                        let sat = self.compute_foreign_sat(ng);
-                        self.set_foreign_sat(idx, sat);
-                    }
-                }
+        for &var in &changed {
+            for (idx, ng) in store.for_variable(var) {
+                let sat = self.compute_foreign_sat(ng);
+                self.set_foreign_sat(idx, sat);
             }
         }
         self.changed_scratch = changed;
@@ -787,8 +734,7 @@ impl IncrementalEval {
         self.synced_generation = Some(view.generation());
     }
 
-    /// Grows per-slot caches, replays the store's mutation log, and
-    /// flips to watched mode once the store outgrows the threshold.
+    /// Grows per-slot caches and replays the store's mutation log.
     fn sync_store(&mut self, store: &NogoodStore) {
         let slot_count = store.slot_count();
         if slot_count > self.synced_slots {
@@ -799,8 +745,6 @@ impl IncrementalEval {
                 mask.resize(words, 0);
             }
             self.own_prohibited.resize(slot_count, None);
-            self.watches.resize(slot_count, [NO_WATCH; 2]);
-            self.watch_vars.resize(slot_count, [NO_WATCH; 2]);
             self.synced_slots = slot_count;
         }
         let log = store.mutation_log();
@@ -812,9 +756,6 @@ impl IncrementalEval {
             self.resync_slot(store, slot as usize);
         }
         self.synced_mutations = log.len();
-        if !self.watched_mode && slot_count > Self::SMALL_STORE_LIMIT {
-            self.enter_watched_mode(store);
-        }
     }
 
     /// Rebuilds all cached state of one slot from the store. Idempotent
@@ -825,16 +766,6 @@ impl IncrementalEval {
         // still describes the old content.
         if bit_get(&self.foreign_sat, idx) {
             self.set_foreign_sat(idx, false);
-        }
-        if self.watched_mode {
-            for wi in 0..2 {
-                if self.watches[idx][wi] != NO_WATCH {
-                    let wvar = self.watch_vars[idx][wi];
-                    self.remove_watcher(wvar, idx as u32);
-                }
-            }
-            self.watches[idx] = [NO_WATCH; 2];
-            self.watch_vars[idx] = [NO_WATCH; 2];
         }
         match self.own_prohibited[idx].take() {
             None => bit_clear(&mut self.applies_always, idx),
@@ -858,30 +789,13 @@ impl IncrementalEval {
                 bit_set(&mut self.applies_by_value[value.index()], idx);
             }
         }
-        if self.watched_mode {
-            self.install_watch_state(idx, ng);
-        } else {
-            let sat = self.compute_foreign_sat(ng);
-            self.set_foreign_sat(idx, sat);
-        }
-    }
-
-    /// One-way switch into watched mode: installs watch state for every
-    /// live slot. `install_watch_state`
-    /// recomputes each slot's foreign status against the current shadow,
-    /// so bits that were stale (changed variables not yet processed this
-    /// refresh) come out correct; the subsequent changed-variable pass
-    /// then finds nothing left to fix.
-    fn enter_watched_mode(&mut self, store: &NogoodStore) {
-        self.watched_mode = true;
-        for (idx, ng) in store.entries() {
-            self.install_watch_state(idx, ng);
-        }
+        let sat = self.compute_foreign_sat(ng);
+        self.set_foreign_sat(idx, sat);
     }
 
     /// Whether the shadowed view matches literal `e` (same value
     /// assigned). Unassigned never matches — an unassigned foreign
-    /// literal *blocks* the nogood.
+    /// literal keeps the nogood from being violated.
     #[inline]
     fn matches_shadow(&self, e: &VarValue) -> bool {
         self.local_of(e.var.index() as u32)
@@ -895,162 +809,6 @@ impl IncrementalEval {
             .lits()
             .iter()
             .all(|e| e.var == self.own_var || self.matches_shadow(e))
-    }
-
-    /// Classifies slot `idx` against the current shadow and installs the
-    /// matching watch state: satisfied (sat bit set, no watches) or
-    /// unsatisfied (watching up to two blocking literals). Requires any
-    /// previous watch state for the slot to have been torn down.
-    fn install_watch_state(&mut self, idx: usize, ng: NogoodRef<'_>) {
-        let mut nblock = 0usize;
-        let mut positions = [NO_WATCH; 2];
-        let mut vars = [NO_WATCH; 2];
-        for (pos, e) in ng.lits().iter().enumerate() {
-            if e.var == self.own_var {
-                continue;
-            }
-            if nblock < 2 && !self.matches_shadow(e) {
-                positions[nblock] = pos as u32;
-                vars[nblock] = e.var.index() as u32;
-                nblock += 1;
-            }
-        }
-        if nblock == 0 {
-            // Every foreign literal matches (vacuously so for own-only
-            // nogoods). No watches — sat→unsat transitions are caught by
-            // the per-variable pass of `process_changes_watched`.
-            self.set_foreign_sat(idx, true);
-        } else {
-            self.set_foreign_sat(idx, false);
-            self.watches[idx] = positions;
-            self.watch_vars[idx] = vars;
-            for &wvar in &vars[..nblock] {
-                self.add_watcher(wvar, idx as u32);
-            }
-        }
-    }
-
-    /// Watched-mode handling of a batch of changed variables. The shadow
-    /// already reflects the new view.
-    fn process_changes_watched(&mut self, store: &NogoodStore, changed: &[VariableId]) {
-        // Pass 1: sat → unsat. A satisfied nogood holds no watches
-        // (every literal matches — nothing blocks), so watches cannot
-        // signal its literals un-matching; instead each changed
-        // variable's mention list is walked and the satisfied slots on
-        // it (one bit test each) are re-checked directly. Work is
-        // O(deg(var)) per changed variable — never proportional to the
-        // total number of satisfied nogoods.
-        for &var in changed {
-            for (idx, ng) in store.for_variable(var) {
-                if !bit_get(&self.foreign_sat, idx) {
-                    continue; // unsatisfied: its watches cover it
-                }
-                if self.compute_foreign_sat(ng) {
-                    continue; // still satisfied
-                }
-                // `install_watch_state` clears the sat bit and installs
-                // watches on blocking literals of the new shadow.
-                self.install_watch_state(idx, ng);
-            }
-        }
-
-        // Pass 2: watch propagation. Only slots whose watched variable
-        // fired are visited.
-        for &var in changed {
-            let vi32 = var.index() as u32;
-            let Some(local) = self.local_of(vi32) else {
-                continue;
-            };
-            let li = local as usize;
-            let mut list = mem::take(&mut self.watchers[li]);
-            let mut kept = 0usize;
-            'entries: for e in 0..list.len() {
-                let slot = list[e];
-                let idx = slot as usize;
-                let Some(ng) = store.get(idx) else {
-                    continue 'entries; // dead slot: drop the entry
-                };
-                let mut fired = 2usize;
-                for wi in 0..2 {
-                    if self.watches[idx][wi] != NO_WATCH && self.watch_vars[idx][wi] == vi32 {
-                        fired = wi;
-                        break;
-                    }
-                }
-                if fired == 2 {
-                    // No current watch on this variable: stale entry.
-                    // Eager maintenance should make this unreachable,
-                    // but dropping it is always safe.
-                    debug_assert!(false, "stale watcher entry for slot {idx}");
-                    continue 'entries;
-                }
-                let lits = ng.lits();
-                let p = self.watches[idx][fired] as usize;
-                if !self.matches_shadow(&lits[p]) {
-                    // Still blocking: nothing to do, keep watching.
-                    list[kept] = slot;
-                    kept += 1;
-                    continue 'entries;
-                }
-                let other = self.watches[idx][1 - fired];
-                // The watched literal now matches: search a replacement
-                // blocking literal (any foreign literal except the two
-                // watched positions).
-                for (q, e2) in lits.iter().enumerate() {
-                    if e2.var == self.own_var || q == p || q as u32 == other {
-                        continue;
-                    }
-                    if !self.matches_shadow(e2) {
-                        let wvar = e2.var.index() as u32;
-                        self.watches[idx][fired] = q as u32;
-                        self.watch_vars[idx][fired] = wvar;
-                        // `e2.var != var` (one literal per variable), so
-                        // this never touches the list being compacted.
-                        self.add_watcher(wvar, slot);
-                        continue 'entries; // moved: entry dropped here
-                    }
-                }
-                if other != NO_WATCH && !self.matches_shadow(&lits[other as usize]) {
-                    // Parked: no replacement exists, but the other watch
-                    // still blocks. The fired watch stays on its (now
-                    // matching) literal so a later change of this
-                    // variable re-examines the slot.
-                    list[kept] = slot;
-                    kept += 1;
-                    continue 'entries;
-                }
-                // Both watched literals match and no other foreign
-                // literal blocks: the whole foreign part is satisfied.
-                let other_var = (other != NO_WATCH).then(|| self.watch_vars[idx][1 - fired]);
-                self.watches[idx] = [NO_WATCH; 2];
-                self.watch_vars[idx] = [NO_WATCH; 2];
-                if let Some(ov) = other_var {
-                    // A different variable's list — safe to edit here.
-                    self.remove_watcher(ov, slot);
-                }
-                self.set_foreign_sat(idx, true);
-                // Fired entry dropped (not copied to the kept region).
-            }
-            list.truncate(kept);
-            // Local slots are stable, so `li` still addresses `var`'s
-            // list even if `add_watcher` allocated new slots above.
-            self.watchers[li] = list;
-        }
-    }
-
-    fn add_watcher(&mut self, var_index: u32, slot: u32) {
-        let li = self.local_or_insert(var_index) as usize;
-        self.watchers[li].push(slot);
-    }
-
-    fn remove_watcher(&mut self, var_index: u32, slot: u32) {
-        let Some(local) = self.local_of(var_index) else {
-            return;
-        };
-        let list = &mut self.watchers[local as usize];
-        if let Some(pos) = list.iter().position(|&s| s == slot) {
-            list.swap_remove(pos);
-        }
     }
 
     fn set_foreign_sat(&mut self, idx: NogoodIdx, sat: bool) {
@@ -1519,7 +1277,7 @@ mod tests {
         assert!(!eval.is_violated(2, v(2)));
     }
 
-    /// Deterministic pseudo-random stream (SplitMix64) for the crossover
+    /// Deterministic pseudo-random stream (SplitMix64) for the large-store
     /// stress test below — no external crates.
     struct Rng(u64);
     impl Rng {
@@ -1535,10 +1293,10 @@ mod tests {
         }
     }
 
-    /// Drives a store across the small→watched crossover with random
-    /// view churn, inserts, and forgetting, comparing every query
-    /// against a naive literal scan. This is the in-crate counterpart of
-    /// the proptest in `tests/properties.rs`.
+    /// Drives a store past `SMALL_STORE_LIMIT` slots with random view
+    /// churn, inserts, and forgetting, comparing every query against a
+    /// naive literal scan. This is the in-crate counterpart of the
+    /// proptest in `tests/properties.rs`.
     #[test]
     fn watched_mode_matches_naive_under_churn() {
         const VARS: u32 = 24;
@@ -1562,13 +1320,12 @@ mod tests {
         };
 
         for step in 0..600 {
-            // Grow past the crossover, then keep churning.
+            // Grow past the limit, then keep churning.
             let inserts = if step < 40 { 12 } else { 1 };
             for _ in 0..inserts {
                 store.insert_learned(random_nogood(&mut rng));
             }
             if step == 200 {
-                assert!(eval.is_watched_mode(), "store should have crossed over");
                 store.forget(store.learned_len() / 2);
             }
             // Mutate the view: a few assignments plus occasional removal.

@@ -10,8 +10,10 @@
 //! Decoding is total: malformed input yields a typed [`WireError`], never
 //! a panic, so a corrupted or truncated frame cannot take down a
 //! coordinator or agent process. Collection length prefixes are checked
-//! against the bytes actually remaining before any allocation, so a
-//! corrupt length cannot trigger an oversized allocation either.
+//! against the bytes actually remaining before any allocation, and a
+//! `Vec` reserves at most [`VEC_RESERVE_BYTES`] before its elements
+//! decode, so a corrupt length cannot trigger an oversized allocation
+//! either.
 
 use std::fmt;
 
@@ -296,6 +298,16 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Bytes a decoding `Vec` reserves before any element has decoded.
+///
+/// A length prefix is bounded only by the bytes left in the frame, and
+/// an element may be far larger in memory than on the wire (a
+/// `TraceEvent` is 152 bytes in memory and may encode to one byte on
+/// the wire). Reserving the claimed length outright would let one
+/// malformed 16 MiB frame reserve gigabytes; past this budget the
+/// vector grows only as elements actually decode.
+pub const VEC_RESERVE_BYTES: usize = 64 * 1024;
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
@@ -306,7 +318,8 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.len_prefix("Vec")?;
-        let mut items = Vec::with_capacity(len);
+        let budget = VEC_RESERVE_BYTES / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(budget));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }

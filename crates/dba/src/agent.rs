@@ -311,7 +311,7 @@ impl DbaAgent {
             self.buffer(env);
         }
         // A buffered backlog can complete several waves back to back
-        // (possible on the asynchronous runtime).
+        // (possible under link delay and reordering).
         while self.wave_ready() {
             match self.phase {
                 Phase::WaitOk => self.process_ok_wave(out),

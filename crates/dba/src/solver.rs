@@ -5,8 +5,7 @@ use std::fmt;
 
 use discsp_core::{AgentId, Assignment, DistributedCsp, VariableId};
 use discsp_runtime::{
-    run_async, run_sharded, run_virtual, AsyncConfig, AsyncReport, ShardConfig, SyncRun,
-    SyncSimulator, VirtualConfig, VirtualReport,
+    run_sharded, run_virtual, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
 };
 
 use crate::agent::{DbaAgent, WeightMode};
@@ -216,30 +215,11 @@ impl DbaSolver {
         sim.run(problem).map_err(DbaError::from)
     }
 
-    /// Runs on the asynchronous threads-and-channels runtime.
+    /// Runs on the deterministic discrete-event runtime with link faults.
     ///
     /// DB's ok?/improve waves never go quiet, so the run always observes
     /// the first consistent snapshot (`stop_on_first_solution` is forced
     /// on), mirroring the paper's "until a solution is found" semantics.
-    ///
-    /// # Errors
-    ///
-    /// See [`DbaSolver::build_agents`].
-    pub fn solve_async(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &AsyncConfig,
-    ) -> Result<AsyncReport, DbaError> {
-        let agents = self.build_agents(problem, init)?;
-        let mut config = config.clone();
-        config.stop_on_first_solution = true;
-        run_async(agents, problem, &config).map_err(DbaError::from)
-    }
-
-    /// Runs on the deterministic discrete-event runtime with link faults.
-    /// As with [`DbaSolver::solve_async`], `stop_on_first_solution` is
-    /// forced on — the breakout's waves never quiesce.
     ///
     /// # Errors
     ///
@@ -338,13 +318,20 @@ mod tests {
     }
 
     #[test]
-    fn db_solves_triangle_asynchronously() {
+    fn db_solves_triangle_on_the_deterministic_executors() {
         let problem = triangle();
         let init = Assignment::total([Value::new(0); 3]);
-        let report = DbaSolver::new()
-            .solve_async(&problem, &init, &discsp_runtime::AsyncConfig::default())
-            .unwrap();
+        let solver = DbaSolver::new();
+        let base = VirtualConfig::default();
+        let report = solver.solve_virtual(&problem, &init, &base).unwrap();
         assert_eq!(report.outcome.metrics.termination, Termination::Solved);
+        for workers in [1, 4] {
+            let config = ShardConfig::with_base(base.clone(), workers);
+            let sharded = solver.solve_sharded(&problem, &init, &config).unwrap();
+            assert_eq!(sharded.outcome, report.outcome, "workers {workers}");
+            assert_eq!(sharded.ticks, report.ticks, "workers {workers}");
+            assert_eq!(sharded.activations, report.activations, "workers {workers}");
+        }
     }
 
     #[test]

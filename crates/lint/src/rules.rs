@@ -135,18 +135,6 @@ impl Rule {
     }
 }
 
-/// Maps a workspace-relative path to the rules that apply to it.
-///
-/// Test directories never reach this function (the walker skips them);
-/// `#[cfg(test)]` modules inside scoped files are skipped token-wise.
-/// Files exempt from D2 *by name*: the link layer owns the virtual-tick
-/// clock (`u64` ticks drawn from seeded streams) that is the sanctioned
-/// replacement for wall time, so a wall-clock identifier there would be
-/// caught in review, not by the linter. A named exemption keeps the scope
-/// auditable — unlike blanket `allow` annotations, which rule A0 would
-/// also have to police line by line.
-pub const D2_EXEMPT_VIRTUAL_CLOCK: &[&str] = &["crates/runtime/src/link.rs"];
-
 /// Files exempt from D2 by name in the network transport: socket
 /// plumbing legitimately needs wall-clock deadlines (handshake accept
 /// windows, connect backoff) — everything above it in `discsp-net`
@@ -194,8 +182,7 @@ pub fn rules_for(rel_path: &str) -> Vec<Rule> {
         "crates/service/src/",
         "crates/bench/src/",
         "crates/explore/src/",
-    ]) && !D2_EXEMPT_VIRTUAL_CLOCK.contains(&p.as_str())
-        && !D2_EXEMPT_NET_TRANSPORT.contains(&p.as_str())
+    ]) && !D2_EXEMPT_NET_TRANSPORT.contains(&p.as_str())
         && !D2_EXEMPT_SERVICE_REALTIME.contains(&p.as_str())
     {
         rules.push(Rule::D2);
@@ -980,14 +967,12 @@ mod tests {
     }
 
     #[test]
-    fn link_layer_is_exempt_from_d2_by_name_only() {
-        // The virtual-tick clock lives in link.rs: D2 is lifted there —
-        // and only there — while determinism and panic-safety still apply.
+    fn link_layer_gets_every_runtime_rule() {
+        // Virtual ticks need no wall clock, so link.rs has no exemption.
         assert_eq!(
             rules_for("crates/runtime/src/link.rs"),
-            vec![Rule::D1, Rule::P1]
+            vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert!(rules_for("crates/runtime/src/asynchronous.rs").contains(&Rule::D2));
     }
 
     #[test]

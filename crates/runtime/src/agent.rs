@@ -1,4 +1,4 @@
-//! The agent abstraction shared by both runtimes.
+//! The agent abstraction shared by every runtime.
 
 use discsp_core::{AgentId, RunMetrics, VarValue};
 use serde::{Deserialize, Serialize};
@@ -10,8 +10,8 @@ use crate::message::{Classify, Envelope, MessageClass};
 ///
 /// Agents queue messages here; the runtime takes them when the agent's
 /// turn ends and delivers them according to its own timing model (next
-/// cycle for the synchronous simulator, channel latency for the
-/// asynchronous runtime).
+/// cycle for the synchronous simulator, the link policy's delay on the
+/// deterministic executors).
 #[derive(Debug)]
 pub struct Outbox<M> {
     from: AgentId,
@@ -155,13 +155,13 @@ pub enum AgentNote {
     },
 }
 
-/// A message-driven DisCSP agent, executable on either runtime.
+/// A message-driven DisCSP agent, executable on every runtime.
 ///
 /// The contract mirrors the paper's synchronous cycle (§4): the runtime
 /// hands the agent *all* messages that arrived since its last turn, the
-/// agent updates its state and queues outgoing messages. The asynchronous
-/// runtime calls [`DistributedAgent::on_batch`] with whatever has drained
-/// from the agent's channel, which may be a single message.
+/// agent updates its state and queues outgoing messages. Under link
+/// delay and reordering a batch holds whatever came due this tick, which
+/// may be a single message or messages sent in different waves.
 pub trait DistributedAgent {
     /// The algorithm's message type.
     type Message: Classify + Clone + Send + 'static;

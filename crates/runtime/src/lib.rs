@@ -1,16 +1,15 @@
 //! Distributed-system substrates for DisCSP algorithms.
 //!
-//! Four runtimes execute the same [`DistributedAgent`] implementations:
+//! Three runtimes execute the same [`DistributedAgent`] implementations:
 //!
 //! * [`SyncSimulator`] — the synchronous cycle simulator the paper uses
 //!   for all measurements (§4): per cycle, every agent reads its inbox,
 //!   computes, and sends; `cycle` and `maxcck` metrics are collected here.
-//! * [`run_async`] — one OS thread per agent with crossbeam channels,
-//!   demonstrating the algorithms on a *fully asynchronous* system, with
-//!   quiescence-based solution detection via in-flight message counting.
 //! * [`run_virtual`] — a single-threaded discrete-event executor over the
-//!   same agents and the same [`Link`] fault layer, fully deterministic:
-//!   a failing `(seed, LinkPolicy)` pair replays bit-identically.
+//!   same agents and the [`Link`] fault layer, fully deterministic: a
+//!   failing `(seed, LinkPolicy)` pair replays bit-identically. Seeded
+//!   delay, reordering, drop and duplication give the agents the
+//!   arbitrary message timing of a fully asynchronous system (§5).
 //! * [`run_sharded`] — the M:N sharded executor: `run_virtual`'s
 //!   deterministic semantics with agent activations fanned out to a
 //!   fixed pool of worker threads, each owning an id-ordered shard of
@@ -25,9 +24,9 @@
 //! `discsp-net` coordinator.
 //!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
-//! delay, and reordering faults into either runtime's traffic, with
-//! per-link [`SplitMix64`] streams derived from the run seed
-//! ([`derive_link_seed`]).
+//! delay, and reordering faults into the deterministic executors'
+//! traffic, with per-link [`SplitMix64`] streams derived from the run
+//! seed ([`derive_link_seed`]).
 //!
 //! Plus deterministic seed derivation ([`SplitMix64`], [`derive_seed`])
 //! shared by the experiment harnesses.
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod agent;
-mod asynchronous;
 mod engine;
 mod error;
 #[cfg(test)]
@@ -58,7 +56,6 @@ mod sync;
 mod wire;
 
 pub use agent::{AgentNote, AgentStats, DistributedAgent, Outbox};
-pub use asynchronous::{run_async, AsyncConfig, AsyncReport};
 pub use discsp_trace::{
     canonical_sort, render_trace, FaultKind, NullSink, RingBuffer, RuntimeKind, TraceEvent,
     TraceSink,

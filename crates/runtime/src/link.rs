@@ -11,13 +11,10 @@
 //! ([`derive_link_seed`]), so any observed failure is replayable from
 //! `(seed, policy)` — no wall clock, no OS entropy.
 //!
-//! Time here is a `u64` **virtual tick**, never `std::time::Instant`: the
+//! Time here is a `u64` **virtual tick**, never wall time: the
 //! deterministic executors ([`run_virtual`] and the others on the
 //! [`WaveEngine`](crate::WaveEngine)) advance ticks as the event queue
-//! drains, and the threaded runtime advances a shared atomic tick from
-//! its observer loop. That is why this file is exempted from
-//! `discsp-lint` rule D2 *by name* in `crates/lint/src/rules.rs` — the
-//! tick arithmetic below is the sanctioned replacement for wall time.
+//! drains, so a run's timing is as replayable as its faults.
 //!
 //! Dropped messages are not lost forever: real DisCSP correctness proofs
 //! assume eventual delivery (finite but arbitrary delay), so the link

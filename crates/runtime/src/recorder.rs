@@ -1,11 +1,8 @@
 //! The shared agent-step recorder: one emission path for the per-step
-//! trace events, used by all four executors.
+//! trace events, used by every executor.
 //!
-//! Before this existed, `ValueChanged` was emitted only by the
-//! synchronous simulator (by diffing a global assignment snapshot), so
-//! virtual/async/net traces of the *same* seeded problem carried no
-//! value changes and traces were not schema-comparable across runtimes.
-//! The recorder centralizes the diffing: every executor calls
+//! The recorder centralizes the diffing, so traces of the *same* seeded
+//! problem are schema-comparable across runtimes: every executor calls
 //! [`StepRecorder::record_step`] right after an agent activation and
 //! gets identical `AgentStep` / `ValueChanged` / `PriorityChanged` /
 //! `NogoodLearned` events.

@@ -1,10 +1,10 @@
 //! The M:N sharded event-loop executor: `run_virtual`'s semantics on
 //! worker threads.
 //!
-//! `run_async` spawns one OS thread per agent, which caps realistic runs
-//! at a few thousand agents. [`run_sharded`] keeps the deterministic
-//! virtual-time semantics of [`run_virtual`](crate::run_virtual) but
-//! executes agent activations on a fixed pool of worker threads: each
+//! [`run_sharded`] keeps the deterministic virtual-time semantics of
+//! [`run_virtual`](crate::run_virtual) but executes agent activations on
+//! a fixed pool of worker threads, so a population of 10^5 agents
+//! shares a handful of cores instead of one thread per agent: each
 //! worker owns one shard of the population, its agents in ascending id
 //! order as the seed-derived [`ShardPlan`] places them, and drains their
 //! mailbox batches, while the coordinator thread runs the
@@ -635,7 +635,7 @@ mod tests {
     use crate::fixtures::{all_true_problem, ring, Gossip, RingAgent};
     use crate::link::{run_virtual, LinkPolicy};
     use crate::PPM;
-    use discsp_core::{Termination, Value};
+    use discsp_core::{Termination, Value, VariableId};
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
 
@@ -847,6 +847,260 @@ mod tests {
                 threads.iter().all(|&t| t == here),
                 "workers {workers}: an agent was dropped off the calling thread"
             );
+        }
+    }
+
+    /// Runs the population `make` builds on `run_virtual` and on
+    /// `run_sharded` at 1 and 4 workers, asserts the reports agree field
+    /// by field (the trace up to its `RunEnd` stamp), and returns the
+    /// virtual one.
+    fn on_every_executor<A: DistributedAgent + Send>(
+        make: impl Fn() -> Vec<A>,
+        problem: &DistributedCsp,
+        base: &VirtualConfig,
+    ) -> VirtualReport {
+        let reference = run_virtual(make(), problem, base).expect("virtual runs");
+        for workers in [1usize, 4] {
+            let config = ShardConfig::with_base(base.clone(), workers);
+            let run = run_sharded(make(), problem, &config).expect("sharded runs");
+            assert_eq!(run.outcome, reference.outcome, "workers {workers}");
+            assert_eq!(run.ticks, reference.ticks, "workers {workers}");
+            assert_eq!(run.activations, reference.activations, "workers {workers}");
+            assert_eq!(run.nudges, reference.nudges, "workers {workers}");
+            assert_eq!(run.fault_log, reference.fault_log, "workers {workers}");
+            assert_eq!(
+                strip_run_end(&run.trace),
+                strip_run_end(&reference.trace),
+                "workers {workers}: trace"
+            );
+        }
+        reference
+    }
+
+    fn assert_conserved(m: &discsp_core::RunMetrics, label: &str) {
+        assert_eq!(
+            m.total_messages(),
+            m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
+            "{label}: class counters must count exactly the enqueued copies"
+        );
+    }
+
+    #[test]
+    fn ring_converges_to_a_quiescent_solution_on_every_executor() {
+        // Without `stop_on_first_solution`, `Solved` means the event
+        // queue drained: the solution is stable.
+        let problem = all_true_problem(5);
+        let report = on_every_executor(|| ring(5), &problem, &VirtualConfig::default());
+        let m = &report.outcome.metrics;
+        assert_eq!(m.termination, Termination::Solved);
+        let sol = report.outcome.solution.as_ref().expect("solved");
+        for i in 0..5 {
+            assert_eq!(sol.get(VariableId::new(i)), Some(Value::TRUE));
+        }
+        // 5 start messages + 4 propagation messages (agent 0 never flips).
+        assert_eq!(m.ok_messages, 9);
+        assert_eq!(m.messages_sent, 9);
+        assert_eq!(m.messages_dropped, 0);
+        assert!(report.activations >= 5);
+    }
+
+    #[test]
+    fn ring_solves_under_delay_and_reordering_on_every_executor() {
+        // Uniform delay plays the role of activation jitter; the
+        // reordering window lets later messages overtake earlier ones.
+        let cases = [
+            (4, LinkPolicy::delayed(0, 3), 7..8u64),
+            (5, LinkPolicy::delayed(0, 3).with_reordering(2), 0..3u64),
+        ];
+        for (n, link, seeds) in cases {
+            let problem = all_true_problem(n);
+            for seed in seeds {
+                let base = VirtualConfig {
+                    seed,
+                    link,
+                    ..VirtualConfig::default()
+                };
+                let report = on_every_executor(|| ring(n), &problem, &base);
+                assert_eq!(
+                    report.outcome.metrics.termination,
+                    Termination::Solved,
+                    "n {n} seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stall_exhausts_the_nudge_budget_then_cuts_off_on_every_executor() {
+        // Nobody holds `true`, so gossip quiesces at all-false, which is
+        // not a solution; each nudge re-announces without changing state.
+        let problem = all_true_problem(3);
+        let all_false = || {
+            let mut agents = ring(3);
+            agents[0].value = Value::FALSE;
+            agents
+        };
+        let config = VirtualConfig::default();
+        let report = on_every_executor(all_false, &problem, &config);
+        assert_eq!(report.outcome.metrics.termination, Termination::CutOff);
+        assert!(report.outcome.solution.is_none());
+        assert_eq!(
+            report.nudges, config.max_nudges,
+            "a perfect-link stall must exhaust recovery before cutoff"
+        );
+        assert!(
+            report.ticks < config.max_ticks,
+            "the stall must beat the tick budget"
+        );
+    }
+
+    #[test]
+    fn lossy_traces_audit_and_conserve_on_every_executor() {
+        let problem = all_true_problem(4);
+        let base = VirtualConfig {
+            seed: 9,
+            link: LinkPolicy::lossy(300_000).with_delay(0, 2),
+            record_trace: true,
+            ..VirtualConfig::default()
+        };
+        let report = on_every_executor(|| ring(4), &problem, &base);
+        assert!(report
+            .trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Sent { .. })));
+        assert!(report
+            .trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Delivered { .. })));
+        let audit = discsp_trace::audit(&report.trace).expect("trace is sealed by RunEnd");
+        assert!(audit.passed(), "audit failures: {:?}", audit.failures);
+        assert_eq!(audit.metrics, report.outcome.metrics);
+
+        // Drops, duplicates and delay on the same links at once.
+        let problem = all_true_problem(5);
+        let (mut dropped, mut duplicated, mut delayed) = (0u64, 0u64, 0u64);
+        for seed in 0..4u64 {
+            let base = VirtualConfig {
+                seed,
+                link: LinkPolicy::lossy(250_000)
+                    .with_duplication(250_000)
+                    .with_delay(0, 3),
+                record_trace: true,
+                ..VirtualConfig::default()
+            };
+            let report = on_every_executor(|| ring(5), &problem, &base);
+            let m = &report.outcome.metrics;
+            assert_eq!(m.termination, Termination::Solved, "seed {seed}");
+            dropped += m.messages_dropped;
+            duplicated += m.messages_duplicated;
+            delayed += m.max_delivery_delay;
+            assert_conserved(m, &format!("seed {seed}"));
+            let audit = discsp_trace::audit(&report.trace).expect("trace is sealed by RunEnd");
+            assert!(audit.passed(), "seed {seed}: {:?}", audit.failures);
+        }
+        assert!(
+            dropped > 0 && duplicated > 0 && delayed > 0,
+            "the seeds must exercise all three fault kinds \
+             (dropped {dropped}, duplicated {duplicated}, max delay {delayed})"
+        );
+    }
+
+    /// Agents that flood every peer; agent 0 declares the problem
+    /// insoluble as soon as it has heard anything, while its peers are
+    /// still mid-storm.
+    struct StormAgent {
+        id: AgentId,
+        n: usize,
+        budget: u32,
+        heard: u32,
+        insoluble_after: Option<u32>,
+    }
+
+    impl StormAgent {
+        fn flood(&self, out: &mut Outbox<Gossip>) {
+            for j in 0..self.n {
+                if j != self.id.index() {
+                    out.send(AgentId::new(j as u32), Gossip(Value::TRUE));
+                }
+            }
+        }
+    }
+
+    impl DistributedAgent for StormAgent {
+        type Message = Gossip;
+
+        fn id(&self) -> AgentId {
+            self.id
+        }
+
+        fn on_start(&mut self, out: &mut Outbox<Gossip>) {
+            self.flood(out);
+        }
+
+        fn on_batch(&mut self, inbox: Vec<Envelope<Gossip>>, out: &mut Outbox<Gossip>) {
+            self.heard += inbox.len() as u32;
+            for _ in 0..inbox.len() {
+                if self.budget == 0 {
+                    break;
+                }
+                self.budget -= 1;
+                self.flood(out);
+            }
+        }
+
+        fn on_nudge(&mut self, out: &mut Outbox<Gossip>) {
+            if self.budget > 0 {
+                self.budget -= 1;
+                self.flood(out);
+            }
+        }
+
+        fn detected_insoluble(&self) -> bool {
+            matches!(self.insoluble_after, Some(k) if self.heard >= k)
+        }
+
+        fn assignments(&self) -> Vec<VarValue> {
+            Vec::new()
+        }
+
+        fn take_checks(&mut self) -> u64 {
+            0
+        }
+
+        fn stats(&self) -> AgentStats {
+            AgentStats::default()
+        }
+    }
+
+    #[test]
+    fn insoluble_mid_storm_keeps_conservation_on_every_executor() {
+        let problem = all_true_problem(3);
+        let storm = || -> Vec<StormAgent> {
+            (0..3)
+                .map(|i| StormAgent {
+                    id: AgentId::new(i as u32),
+                    n: 3,
+                    budget: 200,
+                    heard: 0,
+                    insoluble_after: (i == 0).then_some(1),
+                })
+                .collect()
+        };
+        for seed in 0..4u64 {
+            let base = VirtualConfig {
+                seed,
+                link: LinkPolicy::lossy(200_000)
+                    .with_duplication(200_000)
+                    .with_delay(0, 2),
+                record_trace: true,
+                ..VirtualConfig::default()
+            };
+            let report = on_every_executor(storm, &problem, &base);
+            let m = &report.outcome.metrics;
+            assert_eq!(m.termination, Termination::Insoluble, "seed {seed}");
+            assert_conserved(m, &format!("seed {seed}"));
+            let audit = discsp_trace::audit(&report.trace).expect("trace is sealed by RunEnd");
+            assert!(audit.passed(), "seed {seed}: {:?}", audit.failures);
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Integration tests driving both runtimes with a purpose-built
+//! Integration tests driving the runtimes with a purpose-built
 //! protocol: distributed maximum agreement over a line graph.
 
 use discsp_core::{
-    AgentId, DistributedCsp, Domain, Nogood, Value, VarValue, VariableId,
+    AgentId, Assignment, DistributedCsp, Domain, Nogood, Value, VarValue, VariableId,
 };
 use discsp_runtime::{
-    run_async, run_virtual, AgentStats, AsyncConfig, Classify, DistributedAgent, Envelope,
-    LinkPolicy, MessageClass, Outbox, RuntimeError, SyncSimulator, VirtualConfig, PPM,
+    run_sharded, run_virtual, AgentStats, Classify, DistributedAgent, Envelope, LinkPolicy,
+    MessageClass, Outbox, RuntimeError, ShardConfig, SyncSimulator, VirtualConfig, VirtualReport,
+    PPM,
 };
 
 /// Protocol: every agent must end up holding the maximum of all initial
@@ -153,10 +154,31 @@ fn sync_history_shows_monotone_violation_decline() {
     assert_eq!(*violations.last().unwrap(), 0);
 }
 
+/// Runs the population `make` builds on `run_virtual` and on
+/// `run_sharded` at 1 and 4 workers, asserts the reports agree field by
+/// field, and returns the virtual one.
+fn on_every_executor(
+    make: impl Fn() -> Vec<MaxAgent>,
+    problem: &DistributedCsp,
+    base: &VirtualConfig,
+) -> VirtualReport {
+    let reference = run_virtual(make(), problem, base).expect("virtual runs");
+    for workers in [1usize, 4] {
+        let config = ShardConfig::with_base(base.clone(), workers);
+        let run = run_sharded(make(), problem, &config).expect("sharded runs");
+        assert_eq!(run.outcome, reference.outcome, "workers {workers}");
+        assert_eq!(run.ticks, reference.ticks, "workers {workers}");
+        assert_eq!(run.activations, reference.activations, "workers {workers}");
+        assert_eq!(run.nudges, reference.nudges, "workers {workers}");
+        assert_eq!(run.fault_log, reference.fault_log, "workers {workers}");
+    }
+    reference
+}
+
 #[test]
-fn async_reaches_same_fixed_point() {
+fn deterministic_executors_reach_the_same_fixed_point() {
     let problem = all_hold(8, 7, 8);
-    let report = run_async(agents(8, 3, 7), &problem, &AsyncConfig::default()).expect("runs");
+    let report = on_every_executor(|| agents(8, 3, 7), &problem, &VirtualConfig::default());
     assert!(report.outcome.metrics.termination.is_solved());
     let solution = report.outcome.solution.unwrap();
     for i in 0..8 {
@@ -165,17 +187,22 @@ fn async_reaches_same_fixed_point() {
 }
 
 #[test]
-fn async_jitter_does_not_change_the_fixed_point() {
+fn link_delay_does_not_change_the_fixed_point() {
     let problem = all_hold(5, 3, 4);
     for seed in 0..3 {
-        let config = AsyncConfig {
-            jitter_micros: 400,
+        let config = VirtualConfig {
             seed,
-            ..AsyncConfig::default()
+            link: LinkPolicy::delayed(0, 3),
+            ..VirtualConfig::default()
         };
-        let report = run_async(agents(5, 4, 3), &problem, &config).expect("runs");
+        let report = on_every_executor(|| agents(5, 4, 3), &problem, &config);
         assert!(
             report.outcome.metrics.termination.is_solved(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            report.outcome.solution,
+            Some(Assignment::total(vec![Value::new(3); 5])),
             "seed {seed}"
         );
     }
@@ -235,75 +262,33 @@ impl DistributedAgent for Misrouter {
     }
 }
 
-/// An agent that panics as soon as its first message arrives.
-struct Bomb(MaxAgent);
-
-impl DistributedAgent for Bomb {
-    type Message = Announce;
-
-    fn id(&self) -> AgentId {
-        self.0.id()
-    }
-
-    fn on_start(&mut self, out: &mut Outbox<Announce>) {
-        self.0.on_start(out);
-    }
-
-    fn on_batch(&mut self, _inbox: Vec<Envelope<Announce>>, _out: &mut Outbox<Announce>) {
-        panic!("agent dies mid-run");
-    }
-
-    fn assignments(&self) -> Vec<VarValue> {
-        self.0.assignments()
-    }
-
-    fn take_checks(&mut self) -> u64 {
-        self.0.take_checks()
-    }
-
-    fn stats(&self) -> AgentStats {
-        self.0.stats()
-    }
-}
-
 #[test]
-fn async_run_reports_unknown_recipient() {
+fn deterministic_runs_report_unknown_recipient() {
     let problem = all_hold(3, 2, 3);
-    let population: Vec<Misrouter> = agents(3, 1, 2).into_iter().map(Misrouter).collect();
-    let result = run_async(population, &problem, &AsyncConfig::default());
-    match result {
-        Err(RuntimeError::UnknownRecipient { agent }) => {
-            assert_eq!(agent, AgentId::new(999));
-        }
-        other => panic!("expected UnknownRecipient, got {other:?}"),
+    let population = || -> Vec<Misrouter> { agents(3, 1, 2).into_iter().map(Misrouter).collect() };
+    let expected = Err(RuntimeError::UnknownRecipient {
+        agent: AgentId::new(999),
+    });
+    let result = run_virtual(population(), &problem, &VirtualConfig::default());
+    assert_eq!(result.map(|r| r.outcome), expected);
+    for workers in [1usize, 4] {
+        let result = run_sharded(population(), &problem, &ShardConfig::new(workers));
+        assert_eq!(result.map(|r| r.outcome), expected, "workers {workers}");
     }
 }
 
 #[test]
-fn async_run_reports_panicked_agent() {
-    let problem = all_hold(3, 2, 3);
-    let mut population: Vec<Bomb> = agents(3, 1, 2).into_iter().map(Bomb).collect();
-    // Keep one sane sender so the bomb actually receives a message.
-    population[0].0.value = Value::new(2);
-    let result = run_async(population, &problem, &AsyncConfig::default());
-    match result {
-        Err(RuntimeError::AgentPanicked { .. }) => {}
-        other => panic!("expected AgentPanicked, got {other:?}"),
-    }
-}
-
-#[test]
-fn async_class_counters_equal_enqueued_copies_under_duplication() {
+fn class_counters_equal_enqueued_copies_under_duplication() {
     // Every message is duplicated: the ok? counter must equal the
     // enqueued copies (sent + duplicated), not the emission count —
     // the historical bug counted classes before routing.
     let problem = all_hold(4, 3, 4);
-    let config = AsyncConfig {
+    let config = VirtualConfig {
         link: LinkPolicy::perfect().with_duplication(PPM),
         seed: 11,
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
-    let report = run_async(agents(4, 0, 3), &problem, &config).expect("runs");
+    let report = on_every_executor(|| agents(4, 0, 3), &problem, &config);
     let m = &report.outcome.metrics;
     assert!(m.termination.is_solved());
     assert_eq!(m.messages_duplicated, m.messages_sent);
@@ -312,19 +297,6 @@ fn async_class_counters_equal_enqueued_copies_under_duplication() {
         m.messages_sent + m.messages_duplicated,
         "classes must be counted per successfully enqueued copy"
     );
-}
-
-#[test]
-fn virtual_run_reports_unknown_recipient() {
-    let problem = all_hold(3, 2, 3);
-    let population: Vec<Misrouter> = agents(3, 1, 2).into_iter().map(Misrouter).collect();
-    let result = run_virtual(population, &problem, &VirtualConfig::default());
-    match result {
-        Err(RuntimeError::UnknownRecipient { agent }) => {
-            assert_eq!(agent, AgentId::new(999));
-        }
-        other => panic!("expected UnknownRecipient, got {other:?}"),
-    }
 }
 
 #[test]

@@ -8,16 +8,13 @@
 //! * `total_checks` — the sum of every [`TraceEvent::AgentStep`]'s
 //!   check count;
 //! * `maxcck` — the sum over [`TraceEvent::CycleBarrier`]-delimited
-//!   waves of the maximum per-step check count inside each wave (the
-//!   threaded runtime emits no barriers, so its recomputed `maxcck` is
-//!   0 — matching its reported 0: concurrent checks have no wave
-//!   maximum);
+//!   waves of the maximum per-step check count inside each wave;
 //! * every message counter (`Sent` events, `Fault` events by kind) and
 //!   the PR-3 conservation identity
 //!   `total == sent − dropped + duplicated + retransmitted`;
-//! * delivery coverage: on the deterministic runtimes every enqueued
-//!   copy is either delivered in the trace or still in flight at
-//!   `RunEnd`, so one missing `Delivered` event is detected exactly;
+//! * delivery coverage: every enqueued copy is either delivered in the
+//!   trace or still in flight at `RunEnd`, so one missing `Delivered`
+//!   event is detected exactly;
 //! * the learning counters (`nogoods_generated`, `largest_nogood`).
 //!
 //! Structural problems (no `RunEnd`, several of them, an empty trace)
@@ -341,26 +338,10 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
         });
     }
 
-    // Delivery coverage. On the deterministic runtimes every enqueued
-    // copy is either delivered in the trace or still queued at RunEnd;
-    // the threaded runtime tears workers down with copies in channels,
-    // so only the upper bound holds there.
-    let expected_deliveries =
-        i128::from(metrics.total_messages()) - i128::from(in_flight);
-    if runtime == RuntimeKind::Async {
-        if i128::from(delivered) > i128::from(metrics.total_messages()) {
-            failures.push(AuditFailure {
-                field: AuditField::DeliveryCoverage,
-                recomputed: i128::from(delivered),
-                reported: i128::from(metrics.total_messages()),
-                message: format!(
-                    "delivered events ({delivered}) exceed the {} messages the link \
-                     layer ever enqueued",
-                    metrics.total_messages(),
-                ),
-            });
-        }
-    } else if i128::from(delivered) != expected_deliveries {
+    // Delivery coverage: every enqueued copy is either delivered in the
+    // trace or still queued at RunEnd.
+    let expected_deliveries = i128::from(metrics.total_messages()) - i128::from(in_flight);
+    if i128::from(delivered) != expected_deliveries {
         failures.push(AuditFailure {
             field: AuditField::DeliveryCoverage,
             recomputed: i128::from(delivered),
@@ -388,9 +369,8 @@ pub fn audit(events: &[TraceEvent]) -> Result<Audit, AuditError> {
         metrics.largest_nogood,
     );
 
-    // No event may claim a cycle after the run ended (coarse async
-    // stamps excepted).
-    if runtime != RuntimeKind::Async && max_event_cycle > end_cycle {
+    // No event may claim a cycle after the run ended.
+    if max_event_cycle > end_cycle {
         failures.push(AuditFailure {
             field: AuditField::EventAfterEnd,
             recomputed: i128::from(max_event_cycle),
@@ -616,40 +596,53 @@ mod tests {
     }
 
     #[test]
-    fn async_traces_audit_without_barriers() {
-        let a0 = AgentId::new(0);
-        let mut metrics = RunMetrics::new(Termination::Solved);
-        metrics.cycles = 4;
-        metrics.total_checks = 6;
-        metrics.messages_sent = 1;
-        metrics.ok_messages = 1;
-        let events = vec![
-            TraceEvent::AgentStep {
-                cycle: 0,
-                agent: a0,
-                checks: 6,
-            },
-            TraceEvent::Sent {
-                cycle: 0,
-                from: a0,
-                to: a0,
-                class: MessageClass::Ok,
-            },
-            TraceEvent::Delivered {
-                cycle: 1,
-                from: a0,
-                to: a0,
-                class: MessageClass::Ok,
-            },
-            TraceEvent::RunEnd {
-                cycle: 4,
-                runtime: RuntimeKind::Async,
-                in_flight: 0,
-                metrics,
-            },
+    fn every_runtime_is_held_to_exact_delivery_and_the_end_cycle() {
+        let kinds = [
+            RuntimeKind::Sync,
+            RuntimeKind::Virtual,
+            RuntimeKind::Net,
+            RuntimeKind::Service,
+            RuntimeKind::Sharded,
         ];
-        let report = audit(&events).expect("auditable");
-        assert!(report.passed(), "failures: {:?}", report.failures);
-        assert_eq!(report.maxcck, 0, "no barriers, no wave maxima");
+        for kind in kinds {
+            let mut trace = consistent_trace();
+            for event in &mut trace {
+                if let TraceEvent::RunEnd { runtime, .. } = event {
+                    *runtime = kind;
+                }
+            }
+            let mut late = trace.clone();
+            late.insert(
+                0,
+                TraceEvent::AgentStep {
+                    cycle: 4,
+                    agent: AgentId::new(0),
+                    checks: 0,
+                },
+            );
+            let report = audit(&late).expect("auditable");
+            assert!(
+                report.failed(AuditField::EventAfterEnd),
+                "{kind}: {:?}",
+                report.failures
+            );
+
+            let mut extra = trace;
+            extra.insert(
+                0,
+                TraceEvent::Delivered {
+                    cycle: 2,
+                    from: AgentId::new(1),
+                    to: AgentId::new(0),
+                    class: MessageClass::Ok,
+                },
+            );
+            let report = audit(&extra).expect("auditable");
+            assert!(
+                report.failed(AuditField::DeliveryCoverage),
+                "{kind}: {:?}",
+                report.failures
+            );
+        }
     }
 }

@@ -507,7 +507,6 @@ fn event_from_object(obj: &BTreeMap<String, Json>) -> Result<TraceEvent, String>
             let runtime = match str_field(obj, "runtime")? {
                 "sync" => RuntimeKind::Sync,
                 "virtual" => RuntimeKind::Virtual,
-                "async" => RuntimeKind::Async,
                 "net" => RuntimeKind::Net,
                 "service" => RuntimeKind::Service,
                 "sharded" => RuntimeKind::Sharded,
@@ -689,6 +688,21 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn retired_runtime_names_are_rejected() {
+        let run_end = sample_events().pop().expect("ends with RunEnd");
+        let line = event_to_json(&run_end);
+        assert!(line.contains("\"runtime\":\"virtual\""), "{line}");
+        let retired = line.replace("\"runtime\":\"virtual\"", "\"runtime\":\"async\"");
+        assert_eq!(
+            parse_line(&retired),
+            Err(JsonlError {
+                line: 1,
+                message: "unknown runtime \"async\"".to_string(),
+            })
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Unified execution-trace pipeline for the DisCSP runtimes.
 //!
 //! The paper's claims rest on two counters — `cycle` and `maxcck` — so
-//! any accounting drift between the four runtimes (synchronous cycle
-//! simulator, deterministic discrete-event executor, threaded runtime,
-//! multi-process TCP coordinator) silently invalidates the
+//! any accounting drift between the runtimes (synchronous cycle
+//! simulator, deterministic discrete-event and sharded executors, solve
+//! service, multi-process TCP coordinator) silently invalidates the
 //! reproduction. This crate turns trace cross-validation into a
 //! standing accounting-bug detector:
 //!

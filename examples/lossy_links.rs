@@ -6,8 +6,8 @@
 //! and agents re-announce idempotently. On the deterministic runtime a
 //! `(seed, LinkPolicy)` pair fully determines the run: this example
 //! executes every configuration twice and checks the replays are
-//! bit-identical, then repeats one run on the threaded runtime where
-//! only the outcome (not the interleaving) is reproducible.
+//! bit-identical, so the traces it writes repeat byte for byte from one
+//! invocation to the next.
 //!
 //! Every run records its event trace, and every trace is audited
 //! in-process: the `discsp-trace` analyzer recomputes `cycle`,
@@ -24,7 +24,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use discsp::prelude::*;
 use discsp::trace::event_to_json;
@@ -194,26 +193,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             first.ticks, m.nogoods_generated, forgotten,
         );
     }
-
-    // The threaded runtime under the hostile policy: real concurrency, so
-    // the interleaving differs run to run, but the outcome must not.
-    let (_, link) = policies().pop().expect("nonempty");
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(60),
-        seed: 1,
-        link,
-        record_trace: true,
-        ..AsyncConfig::default()
-    };
-    let report = awc.solve_async(&problem, &init, &config)?;
-    let m = &report.outcome.metrics;
-    audit_and_dump(&report.trace, m, "awc_async_hostile", trace_dir.as_deref())?;
-    println!(
-        "\nthreaded hostile run: {} in {:?} — {} dropped, {} retransmitted, {} nudges",
-        m.termination, report.wall_time, m.messages_dropped, m.messages_retransmitted,
-        report.nudges,
-    );
-    assert!(m.termination.is_solved());
 
     println!(
         "\nall faulty-link runs solved, every deterministic replay was bit-identical, \

@@ -21,9 +21,16 @@ cargo run --release --offline -q -p discsp-lint -- --timing --max-millis 1000
 
 echo "==> fault-injection soak (seed sweep over lossy/delayed/reordering links)"
 soak_traces="target/fault-soak-traces"
-rm -rf "$soak_traces"
+soak_replay="target/fault-soak-replay"
+rm -rf "$soak_traces" "$soak_replay"
 TRACE_DIR="$soak_traces" \
   cargo run --release --offline -q --example lossy_links -- "${FAULT_SWEEP_SEEDS:-10}"
+
+echo "==> soak determinism (a second sweep must write byte-identical traces)"
+TRACE_DIR="$soak_replay" \
+  cargo run --release --offline -q --example lossy_links -- "${FAULT_SWEEP_SEEDS:-10}" > /dev/null
+diff -r "$soak_traces" "$soak_replay" \
+  || { echo "soak determinism: traces differ between two identical sweeps"; exit 1; }
 
 echo "==> discsp-trace audit (independently recompute metrics from every soak trace)"
 cargo run --release --offline -q -p discsp-trace -- audit "$soak_traces"/*.jsonl

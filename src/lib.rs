@@ -10,8 +10,10 @@
 //! * **asynchronous backtracking** (ABT) and the **distributed
 //!   breakout** algorithm (DB) as baselines;
 //! * a **synchronous cycle simulator** (the paper's measurement
-//!   substrate, producing the `cycle` and `maxcck` metrics) and a real
-//!   **threads-and-channels asynchronous runtime**;
+//!   substrate, producing the `cycle` and `maxcck` metrics) and
+//!   **deterministic executors** whose seeded link delay, reordering,
+//!   drop and duplication give the agents fully asynchronous message
+//!   timing that replays bit for bit;
 //! * benchmark generators for **distributed 3-coloring** (planted,
 //!   m = 2.7n), **3SAT** (deceptively planted, m = 4.3n), and
 //!   **unique-solution 3SAT** (forced chain, m = 3.4n), plus DIMACS
@@ -78,8 +80,7 @@ pub mod prelude {
         read_dimacs, write_col, write_dimacs,
     };
     pub use discsp_runtime::{
-        AsyncConfig, LinkPolicy, ShardConfig, SplitMix64, SyncRun, SyncSimulator, VirtualConfig,
-        PPM,
+        LinkPolicy, ShardConfig, SplitMix64, SyncRun, SyncSimulator, VirtualConfig, PPM,
     };
     pub use discsp_trace::{audit, parse_trace, summarize, TraceEvent};
 }

@@ -1,27 +1,79 @@
-//! Integration: the asynchronous runtime solves the same problems as the
-//! synchronous simulator, under varied interleavings.
-
-use std::time::Duration;
+//! Integration: the solvers under asynchronous message timing.
+//!
+//! The paper's algorithms are designed for a fully asynchronous system
+//! (§5). Here the arbitrary interleavings come from the link layer:
+//! seeded delay and reordering split and reorder every inbox, drops and
+//! duplicates perturb it further, and every run replays bit for bit.
+//! Each `async` test runs its configuration on `run_virtual` and on
+//! `run_sharded` with 1 and 4 workers, and the three reports must agree
+//! field by field.
 
 use discsp::prelude::*;
+use discsp::runtime::VirtualReport;
 
 fn small_coloring() -> DistributedCsp {
     coloring_to_discsp(&paper_coloring(20, 13)).expect("encode")
 }
 
+/// Runs one configuration on `run_virtual` and on `run_sharded` at 1 and
+/// 4 workers, asserts that the reports agree field by field (the trace up
+/// to its `RunEnd` runtime stamp), and returns the virtual report.
+fn on_every_executor(
+    base: &VirtualConfig,
+    virtual_run: impl Fn(&VirtualConfig) -> VirtualReport,
+    sharded_run: impl Fn(&ShardConfig) -> VirtualReport,
+) -> VirtualReport {
+    let reference = virtual_run(base);
+    let stripped = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
+        trace
+            .iter()
+            .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
+            .cloned()
+            .collect()
+    };
+    for workers in [1usize, 4] {
+        let run = sharded_run(&ShardConfig::with_base(base.clone(), workers));
+        assert_eq!(run.outcome, reference.outcome, "workers {workers}: outcome");
+        assert_eq!(run.ticks, reference.ticks, "workers {workers}: ticks");
+        assert_eq!(run.activations, reference.activations, "workers {workers}");
+        assert_eq!(run.nudges, reference.nudges, "workers {workers}: nudges");
+        assert_eq!(run.fault_log, reference.fault_log, "workers {workers}");
+        assert_eq!(
+            stripped(&run.trace),
+            stripped(&reference.trace),
+            "workers {workers}: trace"
+        );
+    }
+    reference
+}
+
+/// AWC Rslv on every deterministic executor.
+fn awc_everywhere(
+    problem: &DistributedCsp,
+    init: &Assignment,
+    base: &VirtualConfig,
+) -> VirtualReport {
+    let solver = AwcSolver::new(AwcConfig::resolvent());
+    on_every_executor(
+        base,
+        |c| solver.solve_virtual(problem, init, c).expect("fits"),
+        |c| solver.solve_sharded(problem, init, c).expect("fits"),
+    )
+}
+
 #[test]
 fn awc_async_solves_coloring_under_jitter() {
+    // Uniform link delay plays the role of per-activation jitter: each
+    // message waits 0–3 extra ticks, so agents act on stale views.
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let solver = AwcSolver::new(AwcConfig::resolvent());
     for seed in 0..3u64 {
-        let config = AsyncConfig {
-            max_wall_time: Duration::from_secs(120),
-            jitter_micros: 300,
+        let base = VirtualConfig {
             seed,
-            ..AsyncConfig::default()
+            link: LinkPolicy::delayed(0, 3),
+            ..VirtualConfig::default()
         };
-        let report = solver.solve_async(&problem, &init, &config).expect("fits");
+        let report = awc_everywhere(&problem, &init, &base);
         assert_eq!(
             report.outcome.metrics.termination,
             Termination::Solved,
@@ -38,17 +90,10 @@ fn awc_async_solves_unique_sat() {
     let instance = paper_one_sat3(12, 4);
     let problem = cnf_to_discsp(&instance.cnf).expect("encode");
     let init = Assignment::total(vec![Value::FALSE; 12]);
-    // Generous wall limit (one shared core under `cargo test`), and the
-    // *unrestricted* resolvent configuration: size-bounded recording is
-    // incomplete, so under adversarial asynchronous interleavings it can
+    // The *unrestricted* resolvent configuration: size-bounded recording
+    // is incomplete, so under adversarial interleavings it can
     // legitimately fail to terminate — not a property to assert against.
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
-    };
-    let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
-        .expect("fits");
+    let report = awc_everywhere(&problem, &init, &VirtualConfig::default());
     assert_eq!(report.outcome.metrics.termination, Termination::Solved);
     assert_eq!(
         report.outcome.solution,
@@ -60,13 +105,12 @@ fn awc_async_solves_unique_sat() {
 fn db_async_solves_coloring() {
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
-    };
-    let report = DbaSolver::new()
-        .solve_async(&problem, &init, &config)
-        .expect("fits");
+    let solver = DbaSolver::new();
+    let report = on_every_executor(
+        &VirtualConfig::default(),
+        |c| solver.solve_virtual(&problem, &init, c).expect("fits"),
+        |c| solver.solve_sharded(&problem, &init, c).expect("fits"),
+    );
     assert_eq!(report.outcome.metrics.termination, Termination::Solved);
     assert!(problem.is_solution(&report.outcome.solution.expect("solved")));
 }
@@ -75,13 +119,7 @@ fn db_async_solves_coloring() {
 fn async_message_counts_are_plausible() {
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
-        ..AsyncConfig::default()
-    };
-    let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
-        .expect("fits");
+    let report = awc_everywhere(&problem, &init, &VirtualConfig::default());
     let m = &report.outcome.metrics;
     // Every agent announces to each neighbor at start; the coloring
     // instance has 54 arcs → at least 108 initial ok? messages.
@@ -167,29 +205,20 @@ fn virtual_faulty_runs_replay_bit_identically() {
 
 #[test]
 fn awc_async_solves_coloring_over_faulty_links() {
-    // Robustness of the *threaded* runtime under the same policy: the
-    // interleaving is not reproducible, but the outcome and the counter
-    // inequalities must hold on every run.
     let problem = small_coloring();
     let init = Assignment::total(vec![Value::new(0); 20]);
-    let config = AsyncConfig {
-        max_wall_time: Duration::from_secs(120),
+    let base = VirtualConfig {
         seed: 7,
         link: faulty(),
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
-    let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
-        .expect("fits");
+    let report = awc_everywhere(&problem, &init, &base);
     let m = &report.outcome.metrics;
     assert_eq!(m.termination, Termination::Solved);
     assert!(problem.is_solution(&report.outcome.solution.clone().expect("solved")));
-    // Sends racing shutdown are discarded uncounted, hence ≤ rather
-    // than the deterministic runtime's equality.
-    assert!(
-        m.total_messages()
-            <= m.messages_sent - m.messages_dropped + m.messages_duplicated
-                + m.messages_retransmitted,
-        "class counters may only undercount enqueued copies"
+    assert_eq!(
+        m.total_messages(),
+        m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
+        "class counters count exactly the enqueued copies"
     );
 }

@@ -5,12 +5,11 @@
 //! metrics (`cycle`, `maxcck`, `total_checks`) plus the message
 //! accounting, then compares them against the `RunMetrics` the runtime
 //! itself reported. These tests pin that agreement on seeded AWC and
-//! DBA runs across all four runtimes (including lossy link policies),
+//! DBA runs across the runtimes (including lossy link policies),
 //! check the JSONL format roundtrips losslessly, and prove the audit
 //! actually catches corruption by deleting a single `Delivered` event.
 
 use discsp::prelude::*;
-use discsp_runtime::AsyncConfig;
 use discsp_trace::{audit, event_to_json, parse_trace, summarize, TraceEvent};
 
 fn ring(n: usize) -> DistributedCsp {
@@ -144,21 +143,25 @@ fn virtual_lossy_sweep_audits_exactly_for_both_algorithms() {
 
 #[test]
 fn async_lossy_trace_is_auditable() {
+    // Asynchronous message timing on worker threads: 30% drops and
+    // 0–2 ticks of delay, with the population spread over 4 shards.
     let n = 5;
     let problem = ring(n);
     let init = all_zero(n);
-    let config = AsyncConfig {
+    let base = VirtualConfig {
         seed: 9,
         link: LinkPolicy::lossy(300_000).with_delay(0, 2),
         record_trace: true,
-        max_wall_time: std::time::Duration::from_secs(60),
-        ..AsyncConfig::default()
+        ..VirtualConfig::default()
     };
     let report = AwcSolver::new(AwcConfig::resolvent())
-        .solve_async(&problem, &init, &config)
-        .expect("async lossy run");
-    assert!(!report.trace.is_empty(), "async run must surface its trace");
-    assert_audit_exact(&report.trace, &report.outcome.metrics, "async awc");
+        .solve_sharded(&problem, &init, &ShardConfig::with_base(base, 4))
+        .expect("sharded lossy run");
+    assert!(
+        report.outcome.metrics.messages_dropped > 0,
+        "the lottery must fire"
+    );
+    assert_audit_exact(&report.trace, &report.outcome.metrics, "sharded awc");
 }
 
 #[test]
