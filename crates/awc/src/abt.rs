@@ -363,7 +363,7 @@ impl AbtSolver {
     ///
     /// Fails when an agent owns a number of variables other than one, or
     /// an initial value is missing or out of domain.
-    fn build_agents(
+    pub fn build_agents(
         &self,
         problem: &discsp_core::DistributedCsp,
         init: &discsp_core::Assignment,

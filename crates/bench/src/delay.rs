@@ -3,11 +3,13 @@
 //! types of distributed systems."
 //!
 //! The synchronous simulator's delay model delivers each message after
-//! `1 + U(0..=d)` cycles. Sweeping `d` shows how gracefully each
-//! algorithm degrades as the system drifts away from lockstep: the AWC
-//! tolerates stale views by design (it re-evaluates on every update),
-//! while DB's wave synchronization stretches proportionally to the
-//! slowest link.
+//! `1 + U(0..=d)` cycles: `SyncSimulator::message_delay` puts every link
+//! under `LinkPolicy::delayed(0, d)`, and each link draws its delays from
+//! its own stream, derived from the delay seed and the link's ends.
+//! Sweeping `d` shows how gracefully each algorithm degrades as the
+//! system drifts away from lockstep: the AWC tolerates stale views by
+//! design (it re-evaluates on every update), while DB's wave
+//! synchronization stretches proportionally to the slowest link.
 
 use discsp_awc::{AwcConfig, AwcSolver};
 use discsp_core::{Aggregate, DistributedCsp};

@@ -37,6 +37,17 @@
 //! 4. the next delivery falls past `max_ticks`: `CutOff`.
 //!
 //! Otherwise the messages due next are delivered as one wave.
+//!
+//! `WaveEngine::lockstep` builds the paper's synchronous system (§4) on
+//! the same loop: the waves are the paper's cycles. The start wave is
+//! cycle 1, and every later wave is the next tick. Its send-order
+//! [`Router`] fills each inbox in global send order and hands back an
+//! inbox for every agent, so every agent runs every wave (a
+//! non-recipient on an empty inbox) and an agent that carries work over
+//! to its next turn always gets one. The run ends on
+//! rules 1 and 2 (a solved snapshot always ends it) or after the cycle
+//! limit; there is no quiescence decision and no nudge, so a silent
+//! stall runs to the limit.
 
 use discsp_core::{
     AgentId, Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome, VarValue,
@@ -45,7 +56,7 @@ use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
 
 use crate::agent::{check_dense_ids, AgentStats, DistributedAgent, Outbox};
 use crate::error::RuntimeError;
-use crate::link::{VirtualConfig, VirtualReport};
+use crate::link::{LinkPolicy, VirtualConfig, VirtualReport};
 use crate::message::{Classify, Envelope};
 use crate::recorder::StepRecorder;
 use crate::router::Router;
@@ -58,7 +69,8 @@ pub enum Wave<M> {
     /// A stall-recovery pass: every agent runs `on_nudge`.
     Nudge,
     /// The messages due this tick, one inbox per recipient in ascending
-    /// recipient order; each recipient runs `on_batch`.
+    /// recipient order (in lockstep, one per agent, empty or not); each
+    /// listed agent runs `on_batch`.
     Deliver(Vec<(usize, Vec<Envelope<M>>)>),
 }
 
@@ -170,6 +182,8 @@ pub struct WaveEngine<M, G = Direct> {
     max_ticks: u64,
     max_nudges: u64,
     stop_on_first_solution: bool,
+    /// The paper's synchronous system; see [`WaveEngine::lockstep`].
+    lockstep: bool,
     metrics: RunMetrics,
     snapshot: Assignment,
     tick: u64,
@@ -202,6 +216,7 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
             max_ticks: config.max_ticks,
             max_nudges: config.max_nudges,
             stop_on_first_solution: config.stop_on_first_solution,
+            lockstep: false,
             metrics: RunMetrics::new(Termination::CutOff),
             snapshot: Assignment::empty(problem.num_vars()),
             tick: 0,
@@ -249,11 +264,28 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
     ///
     /// The stepper's error.
     pub fn run<S: Stepper<M>>(
-        mut self,
+        self,
         problem: &DistributedCsp,
         stepper: &mut S,
     ) -> Result<VirtualReport, S::Error> {
-        while self.poll(problem, stepper)? == WavePoll::Running {}
+        self.run_observed(problem, stepper, |_| {})
+    }
+
+    /// [`run`](Self::run), handing the engine to `observe` after every
+    /// wave.
+    ///
+    /// # Errors
+    ///
+    /// The stepper's error.
+    pub(crate) fn run_observed<S: Stepper<M>>(
+        mut self,
+        problem: &DistributedCsp,
+        stepper: &mut S,
+        mut observe: impl FnMut(&Self),
+    ) -> Result<VirtualReport, S::Error> {
+        while self.poll(problem, stepper)? == WavePoll::Running {
+            observe(&self);
+        }
         Ok(self.report())
     }
 
@@ -277,6 +309,24 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
         &self.gate
     }
 
+    /// The router: the in-flight set and the message counters so far.
+    pub(crate) fn router(&self) -> &Router<M> {
+        &self.net
+    }
+
+    /// The metrics so far. `maxcck` and `total_checks` grow wave by
+    /// wave; the message counts, the agents' statistics, `cycles` and
+    /// the termination are filled in when the run ends.
+    pub(crate) fn metrics(&self) -> &RunMetrics {
+        &self.metrics
+    }
+
+    /// The assignment snapshot: every variable's value as its agent last
+    /// reported it.
+    pub(crate) fn snapshot(&self) -> &Assignment {
+        &self.snapshot
+    }
+
     /// The trace recorded so far (disabled unless `record_trace`).
     pub fn sink(&mut self) -> &mut RingBuffer {
         self.net.sink()
@@ -295,7 +345,13 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
         if self.stop_on_first_solution && problem.is_solution(&self.snapshot) {
             return Ok(Some(Termination::Solved));
         }
-        let Some(due) = self.net.next_due() else {
+        // In lockstep every tick is a wave, whatever is due.
+        let next = if self.lockstep {
+            Some(self.tick + 1)
+        } else {
+            self.net.next_due()
+        };
+        let Some(due) = next else {
             // Quiescent: the queue is the in-flight set (the admission
             // gate holds nothing once the router is empty), so the
             // snapshot is stable unless the recovery pass injects traffic.
@@ -399,6 +455,38 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
             nudges: self.nudges,
             fault_log: self.net.fault_log(),
             trace: self.net.take_trace(),
+        }
+    }
+}
+
+impl<M: Classify + Clone> WaveEngine<M> {
+    /// The paper's synchronous system (§4) for `agents` agents solving
+    /// `problem`: the lockstep configuration of the module docs. The run
+    /// stops at the first solved snapshot, a proof of insolubility, or
+    /// after `cycle_limit` waves. Every link follows `link` with its
+    /// stream derived from `seed`, so `LinkPolicy::delayed(0, d)` lets a
+    /// message arrive `1 + U(0..=d)` cycles after it was sent. The trace,
+    /// when recorded, ends with a `Sync` `RunEnd`.
+    pub(crate) fn lockstep(
+        agents: usize,
+        problem: &DistributedCsp,
+        cycle_limit: u64,
+        link: LinkPolicy,
+        seed: u64,
+        record_trace: bool,
+    ) -> Self {
+        let config = VirtualConfig {
+            max_ticks: cycle_limit,
+            stop_on_first_solution: true,
+            ..VirtualConfig::default()
+        };
+        // `new` builds a perfect, untraced router, which allocates nothing;
+        // the send-order router replaces it.
+        WaveEngine {
+            net: Router::send_order(agents, link, seed, record_trace),
+            lockstep: true,
+            tick: 1,
+            ..WaveEngine::new(agents, problem, &config, RuntimeKind::Sync, Direct)
         }
     }
 }
@@ -509,6 +597,11 @@ impl<A: DistributedAgent> InProcess<A> {
             outbox: Outbox::new(AgentId::new(0)),
             assignments: Vec::new(),
         })
+    }
+
+    /// Hands the agents back.
+    pub(crate) fn into_agents(self) -> Vec<A> {
+        self.agents
     }
 
     /// Runs one activation of the agent at `index` and hands its output

@@ -5,6 +5,7 @@
 //! * [`SyncSimulator`] — the synchronous cycle simulator the paper uses
 //!   for all measurements (§4): per cycle, every agent reads its inbox,
 //!   computes, and sends; `cycle` and `maxcck` metrics are collected here.
+//!   It is the wave engine's lockstep configuration.
 //! * [`run_virtual`] — a single-threaded discrete-event executor over the
 //!   same agents and the [`Link`] fault layer, fully deterministic: a
 //!   failing `(seed, LinkPolicy)` pair replays bit-identically. Seeded
@@ -15,13 +16,12 @@
 //!   fixed pool of worker threads, each owning an id-ordered shard of
 //!   the population. Bit-identical to `run_virtual` for any worker count.
 //!
-//! The deterministic executors share one control loop, the
-//! [`WaveEngine`]: it owns the [`Router`], the metrics, the snapshot and
-//! every termination decision, and advances one wave per poll. What
-//! differs is the [`Stepper`] that runs each wave's activations:
-//! [`InProcess`] for `run_virtual` (and the `discsp-service` sessions),
-//! a worker pool for `run_sharded`, and a socket fan-out in the
-//! `discsp-net` coordinator.
+//! All of them share one control loop, the [`WaveEngine`]: it owns the
+//! [`Router`], the metrics, the snapshot and every termination decision,
+//! and advances one wave per poll. What differs is the [`Stepper`] that
+//! runs each wave's activations: [`InProcess`] for `SyncSimulator` and
+//! `run_virtual` (and the `discsp-service` sessions), a worker pool for
+//! `run_sharded`, and a socket fan-out in the `discsp-net` coordinator.
 //!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
 //! delay, and reordering faults into the deterministic executors'

@@ -127,8 +127,8 @@ impl LinkPolicy {
         self
     }
 
-    /// Whether this policy can never inject a fault (fast path: the
-    /// runtimes skip the per-message lottery entirely).
+    /// Whether this policy can never inject a fault. A router keeps no
+    /// state for perfect links: it counts their sends itself.
     pub const fn is_perfect(&self) -> bool {
         self.delay_min == 0
             && self.delay_max == 0
@@ -321,15 +321,8 @@ impl Link {
             let action = script.get(&call).copied();
             return self.route_scripted(now, call, action);
         }
-        if self.policy.is_perfect() {
-            // No lottery draws: the stream stays untouched, so enabling a
-            // fault on *another* link never perturbs this one.
-            self.max_due = self.max_due.max(now + 1);
-            return RouteDecision {
-                deliveries: Deliveries::Once(now + 1),
-                faults: Vec::new(),
-            };
-        }
+        // Each draw is gated on its fault being possible, so a perfect
+        // policy never touches the stream.
         let mut faults = Vec::new();
         if self.policy.drop_ppm > 0
             && self.rng.next_below(u64::from(PPM)) < u64::from(self.policy.drop_ppm)
@@ -423,8 +416,6 @@ impl Link {
                 Some(FaultAction::Duplicate { first, .. }) => *first,
                 Some(FaultAction::Drop) | None => 0,
             }
-        } else if self.policy.is_perfect() {
-            0
         } else {
             self.base_delay()
         };

@@ -16,7 +16,10 @@
 //! the queue is one `Vec` bucket per due tick, each link lives in a
 //! short row per sender, and [`Router::take_due`] hands back a `Vec` of
 //! exactly sized per-recipient inboxes. Routing a message is a row
-//! lookup and a push; delivering a tick is one sort of its bucket.
+//! lookup and a push; delivering a tick is one sort of its bucket (none
+//! in send order, where the bucket already is in delivery order). When
+//! every link is perfect there is no link state at all: the router
+//! counts the sends itself, and a message costs one push.
 //!
 //! The router also owns the link-layer half of the trace: it records
 //! `Sent` at the moment a message enters its link (mirroring the
@@ -32,7 +35,7 @@ use discsp_core::AgentId;
 use discsp_trace::{FaultKind, RingBuffer, TraceEvent, TraceSink};
 
 use crate::error::RuntimeError;
-use crate::link::{derive_link_seed, Link, LinkPolicy, LinkStats};
+use crate::link::{derive_link_seed, Deliveries, Link, LinkPolicy, LinkStats, RouteDecision};
 use crate::message::{Classify, Envelope, MessageClass};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use crate::seed::SplitMix64;
@@ -53,7 +56,7 @@ fn derive_order_rank(run_seed: u64, index: u64) -> u64 {
 #[derive(Debug)]
 enum LinkMode {
     /// Every link follows one policy; its stream seed is a pure function
-    /// of `(run_seed, from, to)`.
+    /// of `(run_seed, from, to)`. Perfect links are never built.
     Lottery(LinkPolicy),
     /// Links replay an explicit schedule; unscripted calls deliver
     /// perfectly.
@@ -74,8 +77,6 @@ struct Queued<M> {
 #[derive(Debug)]
 struct LinkSlot {
     to: AgentId,
-    /// The link's same-tick delivery rank, derived once at creation.
-    rank: u64,
     link: Link,
 }
 
@@ -89,34 +90,45 @@ struct LinkSlot {
 /// reruns and independent of the order in which links happened to
 /// enqueue them — while two same-tick messages on the *same* link keep
 /// their send order (per-link FIFO; the explicit reordering window is the
-/// only way a link reorders its own traffic).
+/// only way a link reorders its own traffic). A `Router::send_order`
+/// router ranks every link alike, so same-tick messages drain in global
+/// send order instead, the way the paper's synchronous system fills its
+/// inboxes.
 ///
 /// The queue holds one bucket per due tick, in enqueue order; each entry
 /// carries its link's rank and its enqueue seq. [`Router::take_due`]
 /// sorts the one due bucket by `(recipient, link_rank, enqueue_seq)` and
-/// cuts it into per-recipient inboxes.
+/// cuts it into per-recipient inboxes; in send order the bucket is
+/// already in delivery order, so it deals the copies out unsorted.
 ///
-/// Links are created on first use rather than as an n×n matrix, in a row
-/// per sender sorted by recipient: a link's fault stream
-/// ([`derive_link_seed`]) and its same-tick rank (`derive_order_rank`)
-/// are pure functions of `(run_seed, from, to)`, so lazy creation is
-/// replay-transparent while keeping memory proportional to the links
-/// actually exercised — for a degree-bounded constraint graph that is
-/// O(agents), not O(agents²).
+/// Faulty and scripted links are created on first use rather than as an
+/// n×n matrix, in a row per sender sorted by recipient: a link's fault
+/// stream ([`derive_link_seed`]) and its same-tick rank
+/// (`derive_order_rank`, derived on each send) are pure functions of
+/// `(run_seed, from, to)`, so lazy creation is replay-transparent while
+/// keeping memory proportional to the links actually exercised — for a
+/// degree-bounded constraint graph that is O(agents), not O(agents²).
+/// Perfect links are never created: a perfect link's only state is its
+/// `sent` counter, which the router keeps for all of them at once.
 #[derive(Debug)]
 pub struct Router<M> {
     /// In-flight copies: one bucket per due tick, each in enqueue order.
     /// No bucket is ever empty, so the first key is the next due tick.
     queue: BTreeMap<u64, Vec<Queued<M>>>,
     /// Links touched so far: row `from` holds its links sorted by
-    /// recipient.
+    /// recipient. No rows at all when every link is perfect.
     links: Vec<Vec<LinkSlot>>,
     mode: LinkMode,
     /// Dropped messages parked per sending agent, in drop order.
     parked: BTreeMap<usize, Vec<Envelope<M>>>,
     n: usize,
     run_seed: u64,
+    /// Every link ranks alike, so same-tick copies drain in enqueue
+    /// order, and `take_due` hands back an inbox for every agent.
+    send_order: bool,
     seq: u64,
+    /// Sends over perfect links, which keep no counters of their own.
+    perfect_sent: u64,
     ok_messages: u64,
     nogood_messages: u64,
     other_messages: u64,
@@ -128,7 +140,22 @@ impl<M: Classify + Clone> Router<M> {
     /// `policy` with its stream derived from `run_seed` via
     /// [`derive_link_seed`].
     pub fn new(n: usize, policy: LinkPolicy, run_seed: u64, record_trace: bool) -> Self {
-        Router::build(n, run_seed, record_trace, LinkMode::Lottery(policy))
+        Router::build(n, run_seed, record_trace, LinkMode::Lottery(policy), false)
+    }
+
+    /// [`Router::new`], except that messages due the same tick drain in
+    /// the order they were sent, whatever their links (every link gets
+    /// the same same-tick rank), and that [`Router::take_due`] hands
+    /// back an inbox for every agent. That is how the paper's
+    /// synchronous system fills its inboxes and runs its agents, so the
+    /// engine's lockstep configuration routes through it.
+    pub(crate) fn send_order(
+        n: usize,
+        policy: LinkPolicy,
+        run_seed: u64,
+        record_trace: bool,
+    ) -> Self {
+        Router::build(n, run_seed, record_trace, LinkMode::Lottery(policy), true)
     }
 
     /// Creates a router whose links replay `schedule` exactly: the k-th
@@ -143,18 +170,31 @@ impl<M: Classify + Clone> Router<M> {
         run_seed: u64,
         record_trace: bool,
     ) -> Self {
-        Router::build(n, run_seed, record_trace, LinkMode::Scripted(schedule.clone()))
+        let mode = LinkMode::Scripted(schedule.clone());
+        Router::build(n, run_seed, record_trace, mode, false)
     }
 
-    fn build(n: usize, run_seed: u64, record_trace: bool, mode: LinkMode) -> Self {
+    fn build(
+        n: usize,
+        run_seed: u64,
+        record_trace: bool,
+        mode: LinkMode,
+        send_order: bool,
+    ) -> Self {
+        let rows = match mode {
+            LinkMode::Lottery(policy) if policy.is_perfect() => 0,
+            _ => n,
+        };
         Router {
             queue: BTreeMap::new(),
-            links: (0..n).map(|_| Vec::new()).collect(),
+            links: (0..rows).map(|_| Vec::new()).collect(),
             mode,
             parked: BTreeMap::new(),
             n,
             run_seed,
+            send_order,
             seq: 0,
+            perfect_sent: 0,
             ok_messages: 0,
             nogood_messages: 0,
             other_messages: 0,
@@ -167,10 +207,11 @@ impl<M: Classify + Clone> Router<M> {
     }
 
     /// The link `from → to`, materialized on first touch; `from` must be
-    /// a member of the population. Creation order cannot perturb replay:
-    /// the link's stream seed and rank are pure functions of
-    /// `(run_seed, from, to)`, not of when the link first saw traffic.
-    fn link_mut(&mut self, from: AgentId, to: AgentId) -> &mut LinkSlot {
+    /// a member of the population, and the links must not be perfect.
+    /// Creation order cannot perturb replay: the link's stream seed is a
+    /// pure function of `(run_seed, from, to)`, not of when the link
+    /// first saw traffic.
+    fn link_mut(&mut self, from: AgentId, to: AgentId) -> &mut Link {
         let row = &mut self.links[from.index()];
         let at = match row.binary_search_by_key(&to, |slot| slot.to) {
             Ok(at) => at,
@@ -181,13 +222,19 @@ impl<M: Classify + Clone> Router<M> {
                     }
                     LinkMode::Scripted(schedule) => Link::scripted(schedule.actions_for(from, to)),
                 };
-                let index = from.index() * self.n + to.index();
-                let rank = derive_order_rank(self.run_seed, index as u64);
-                row.insert(at, LinkSlot { to, rank, link });
+                row.insert(at, LinkSlot { to, link });
                 at
             }
         };
-        &mut row[at]
+        &mut row[at].link
+    }
+
+    /// The same-tick delivery rank of the link `from → to`.
+    fn rank(&self, from: AgentId, to: AgentId) -> u64 {
+        if self.send_order {
+            return 0;
+        }
+        derive_order_rank(self.run_seed, (from.index() * self.n + to.index()) as u64)
     }
 
     fn enqueue(&mut self, due: u64, rank: u64, env: Envelope<M>) {
@@ -216,9 +263,17 @@ impl<M: Classify + Clone> Router<M> {
         if env.to.index() >= self.n || env.from.index() >= self.n {
             return Err(RuntimeError::UnknownRecipient { agent: env.to });
         }
-        let slot = self.link_mut(env.from, env.to);
-        let rank = slot.rank;
-        let decision = slot.link.route(now);
+        let rank = self.rank(env.from, env.to);
+        // No rows: every link is perfect and keeps no state.
+        let decision = if self.links.is_empty() {
+            self.perfect_sent += 1;
+            RouteDecision {
+                deliveries: Deliveries::Once(now + 1),
+                faults: Vec::new(),
+            }
+        } else {
+            self.link_mut(env.from, env.to).route(now)
+        };
         if self.sink.enabled() {
             self.sink.record(TraceEvent::Sent {
                 cycle: now,
@@ -258,9 +313,8 @@ impl<M: Classify + Clone> Router<M> {
         // dense per-sender buckets used to flush in.
         for (_, bucket) in std::mem::take(&mut self.parked) {
             for env in bucket {
-                let slot = self.link_mut(env.from, env.to);
-                let rank = slot.rank;
-                let (due, faults) = slot.link.redeliver(now);
+                let rank = self.rank(env.from, env.to);
+                let (due, faults) = self.link_mut(env.from, env.to).redeliver(now);
                 if self.sink.enabled() {
                     self.sink.record(TraceEvent::Fault {
                         cycle: now,
@@ -303,11 +357,11 @@ impl<M: Classify + Clone> Router<M> {
     /// `(link_rank, enqueue_seq)` order. Returns one inbox per recipient
     /// in ascending recipient order, each allocated at its exact size
     /// and holding its copies in that same `(link_rank, enqueue_seq)`
-    /// order.
+    /// order. A send-order router returns an inbox for every agent
+    /// instead, in agent order, empty where nothing is due: the paper's
+    /// synchronous system runs every agent every cycle.
     pub fn take_due(&mut self, due: u64, tick: u64) -> Vec<(usize, Vec<Envelope<M>>)> {
-        let Some(mut bucket) = self.queue.remove(&due) else {
-            return Vec::new();
-        };
+        let mut bucket = self.queue.remove(&due).unwrap_or_default();
         if self.sink.enabled() {
             let mut order: Vec<&Queued<M>> = bucket.iter().collect();
             order.sort_unstable_by_key(|q| (q.rank, q.seq));
@@ -319,6 +373,15 @@ impl<M: Classify + Clone> Router<M> {
                     class: q.env.payload.class(),
                 });
             }
+        }
+        if self.send_order {
+            // Every link ranks alike, so enqueue order is delivery order:
+            // deal the copies out to their recipients' inboxes.
+            let mut inboxes: Vec<_> = (0..self.n).map(|agent| (agent, Vec::new())).collect();
+            for q in bucket {
+                inboxes[q.env.to.index()].1.push(q.env);
+            }
+            return inboxes;
         }
         bucket.sort_unstable_by_key(|q| (q.env.to, q.rank, q.seq));
         let recipients = bucket.chunk_by(|a, b| a.env.to == b.env.to).count();
@@ -354,7 +417,10 @@ impl<M: Classify + Clone> Router<M> {
     /// Fault counters summed over every link touched so far (untouched
     /// links have all-zero counters by definition).
     pub fn link_totals(&self) -> LinkStats {
-        let mut totals = LinkStats::default();
+        let mut totals = LinkStats {
+            sent: self.perfect_sent,
+            ..LinkStats::default()
+        };
         for slot in self.links.iter().flatten() {
             totals.absorb(slot.link.stats);
         }
@@ -642,7 +708,9 @@ mod tests {
 
     /// Reference model: the router as it was before due-tick buckets,
     /// with one `BTreeMap` queue keyed by `(due, link_rank, enqueue_seq)`
-    /// and links keyed by `from * n + to`, rank derived per enqueue.
+    /// and links keyed by `from * n + to`, rank derived per enqueue
+    /// (zero for every link in send order). Every link, perfect or not,
+    /// is a `Link` of its own.
     struct Reference {
         queue: BTreeMap<(u64, u64, u64), Envelope<Tagged>>,
         links: BTreeMap<usize, Link>,
@@ -650,13 +718,20 @@ mod tests {
         parked: BTreeMap<usize, Vec<Envelope<Tagged>>>,
         n: usize,
         run_seed: u64,
+        send_order: bool,
         seq: u64,
         counts: (u64, u64, u64),
         sink: RingBuffer,
     }
 
     impl Reference {
-        fn new(n: usize, mode: LinkMode, run_seed: u64, record_trace: bool) -> Self {
+        fn new(
+            n: usize,
+            mode: LinkMode,
+            run_seed: u64,
+            record_trace: bool,
+            send_order: bool,
+        ) -> Self {
             Reference {
                 queue: BTreeMap::new(),
                 links: BTreeMap::new(),
@@ -664,6 +739,7 @@ mod tests {
                 parked: BTreeMap::new(),
                 n,
                 run_seed,
+                send_order,
                 seq: 0,
                 counts: (0, 0, 0),
                 sink: if record_trace {
@@ -694,7 +770,11 @@ mod tests {
                 MessageClass::Nogood => self.counts.1 += 1,
                 MessageClass::Other => self.counts.2 += 1,
             }
-            let rank = derive_order_rank(self.run_seed, index as u64);
+            let rank = if self.send_order {
+                0
+            } else {
+                derive_order_rank(self.run_seed, index as u64)
+            };
             self.queue.insert((due, rank, self.seq), env);
             self.seq += 1;
         }
@@ -775,6 +855,12 @@ mod tests {
                 }
                 inboxes.entry(env.to.index()).or_default().push(env);
             }
+            if self.send_order {
+                // Every agent gets an inbox, empty or not.
+                return (0..self.n)
+                    .map(|agent| (agent, inboxes.remove(&agent).unwrap_or_default()))
+                    .collect();
+            }
             inboxes.into_iter().collect()
         }
 
@@ -815,11 +901,12 @@ mod tests {
         n: usize,
         run_seed: u64,
         mode: impl Fn() -> LinkMode,
-        record_trace: bool,
+        (record_trace, send_order): (bool, bool),
         ops_seed: u64,
     ) -> FaultSchedule {
-        let mut router: Router<Tagged> = Router::build(n, run_seed, record_trace, mode());
-        let mut reference = Reference::new(n, mode(), run_seed, record_trace);
+        let mut router: Router<Tagged> =
+            Router::build(n, run_seed, record_trace, mode(), send_order);
+        let mut reference = Reference::new(n, mode(), run_seed, record_trace, send_order);
         let mut ops = SplitMix64::new(ops_seed);
         let mut tick = 0u64;
         let mut tag = 0u64;
@@ -899,20 +986,78 @@ mod tests {
         for (name, policy) in policies {
             for seed in 0..6u64 {
                 let n = 2 + seed as usize;
-                for record_trace in [false, true] {
-                    let label = format!("{name} seed {seed} trace {record_trace}");
+                for flags @ (record_trace, send_order) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let label =
+                        format!("{name} seed {seed} trace {record_trace} send order {send_order}");
                     let lottery = || LinkMode::Lottery(policy);
                     let ops_seed = seed ^ 0xD1FF;
-                    let log = differential_run(&label, n, seed, lottery, record_trace, ops_seed);
+                    let log = differential_run(&label, n, seed, lottery, flags, ops_seed);
                     assert_eq!(log.is_empty(), policy.is_perfect(), "{label}");
                     // The lottery run's log, replayed as a script over the
                     // same operation sequence, must match the reference
                     // too.
                     let scripted = || LinkMode::Scripted(log.clone());
                     let label = format!("scripted {label}");
-                    differential_run(&label, n, seed, scripted, record_trace, ops_seed);
+                    differential_run(&label, n, seed, scripted, flags, ops_seed);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn perfect_links_keep_no_link_state() {
+        for send_order in [false, true] {
+            let perfect = LinkMode::Lottery(LinkPolicy::perfect());
+            let mut router: Router<Tagged> = Router::build(4, 9, false, perfect, send_order);
+            for tag in 0..12u64 {
+                let from = AgentId::new((tag % 4) as u32);
+                let to = AgentId::new(((tag + 1) % 4) as u32);
+                let env = Envelope::new(from, to, Tagged(tag));
+                router.route(tag / 4, env).expect("routes");
+            }
+            assert!(router.links.is_empty(), "send order {send_order}");
+            assert_eq!(router.link_totals().sent, 12, "send order {send_order}");
+            assert!(router.fault_log().is_empty(), "send order {send_order}");
+        }
+    }
+
+    #[test]
+    fn send_order_drains_same_tick_copies_in_enqueue_order() {
+        // Every ordered pair sends once at tick 0, in a seeded shuffle;
+        // a send-order router delivers them in exactly that order.
+        let n = 4u32;
+        let mut sends: Vec<(u32, u32)> = (0..n)
+            .flat_map(|f| (0..n).filter(move |&t| t != f).map(move |t| (f, t)))
+            .collect();
+        let mut rng = SplitMix64::new(5);
+        for i in (1..sends.len()).rev() {
+            sends.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for seed in 0..4u64 {
+            let mut router: Router<Tagged> =
+                Router::send_order(n as usize, LinkPolicy::perfect(), seed, true);
+            for (tag, &(f, t)) in sends.iter().enumerate() {
+                let env = Envelope::new(AgentId::new(f), AgentId::new(t), Tagged(tag as u64));
+                router.route(0, env).expect("routes");
+            }
+            let inboxes = router.take_due(1, 1);
+            for (to, inbox) in &inboxes {
+                let tags: Vec<u64> = inbox.iter().map(|e| e.payload.0).collect();
+                let mut sorted = tags.clone();
+                sorted.sort_unstable();
+                assert_eq!(tags, sorted, "seed {seed}: inbox {to} in send order");
+            }
+            let delivered: Vec<(u32, u32)> = router
+                .take_trace()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Delivered { from, to, .. } => Some((from.raw(), to.raw())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(delivered, sends, "seed {seed}: delivered in send order");
         }
     }
 }

@@ -5,21 +5,26 @@
 //! synchronously. One cycle consists of activities so that all agents read
 //! incoming messages, do their local computation, and send messages to
 //! relevant agents." Messages sent during cycle *k* are readable in cycle
-//! *k + 1*. An omniscient observer (the simulator itself) detects the first
-//! cycle whose global assignment solves the problem.
+//! *k + 1*. An omniscient observer detects the first cycle whose global
+//! assignment solves the problem.
+//!
+//! [`SyncSimulator`] is the front end of that system: it runs the
+//! [`WaveEngine`]'s lockstep configuration (see the engine's docs) with
+//! the [`InProcess`] stepper, so every cycle is one engine wave and
+//! the paper's numbers come from the same loop, router, termination rules
+//! and trace emitter as every other deterministic executor. What it adds
+//! is the per-cycle [`CycleRecord`] history, read off the engine between
+//! waves.
 
-use discsp_core::{
-    Assignment, DistributedCsp, RunMetrics, Termination, TrialOutcome, PAPER_CYCLE_LIMIT,
-};
+use discsp_core::{DistributedCsp, TrialOutcome, PAPER_CYCLE_LIMIT};
 use serde::{Deserialize, Serialize};
 
-use discsp_trace::{RingBuffer, RuntimeKind, TraceEvent, TraceSink};
+use discsp_trace::TraceEvent;
 
-use crate::agent::{AgentStats, DistributedAgent, Outbox};
+use crate::agent::{check_dense_ids, DistributedAgent};
+use crate::engine::{InProcess, WaveEngine};
 use crate::error::RuntimeError;
-use crate::message::{Classify, Envelope};
-use crate::recorder::StepRecorder;
-use crate::seed::SplitMix64;
+use crate::link::LinkPolicy;
 
 /// One cycle's bookkeeping, collected when history recording is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,9 +116,10 @@ impl<A: DistributedAgent> SyncSimulator<A> {
 
     /// Makes message delivery take `1 + U(0..=max_extra)` cycles instead
     /// of exactly one — the paper's §5 "other types of distributed
-    /// systems". Delays are drawn deterministically from `seed`, per
-    /// message. The algorithms are designed for full asynchrony, so they
-    /// must still terminate correctly (tests assert this).
+    /// systems". Every link draws its delays from its own stream, derived
+    /// from `seed` ([`LinkPolicy::delayed`]`(0, max_extra)`). The
+    /// algorithms are designed for full asynchrony, so they must still
+    /// terminate correctly (tests assert this).
     pub fn message_delay(&mut self, max_extra: u64, seed: u64) -> &mut Self {
         self.max_extra_delay = max_extra;
         self.delay_seed = seed;
@@ -137,169 +143,44 @@ impl<A: DistributedAgent> SyncSimulator<A> {
     /// densely indexed, [`RuntimeError::UnknownRecipient`] when an agent
     /// addresses a message outside the population.
     pub fn run(&mut self, problem: &DistributedCsp) -> Result<SyncRun, RuntimeError> {
-        let n = self.agents.len();
-        for (position, agent) in self.agents.iter().enumerate() {
-            if agent.id().index() != position {
-                return Err(RuntimeError::NonDenseAgentIds {
-                    position,
-                    found: agent.id(),
-                });
-            }
-        }
-        // Messages tagged with their delivery cycle (normally the next
-        // one; later under a message-delay model).
-        let mut pending: Vec<(u64, Envelope<A::Message>)> = Vec::new();
-        let mut delay_rng = SplitMix64::new(self.delay_seed);
-        let mut metrics = RunMetrics::new(Termination::CutOff);
+        // Checked before the agents move, so a rejected population stays
+        // with the simulator.
+        check_dense_ids(&self.agents)?;
+        let engine = WaveEngine::lockstep(
+            self.agents.len(),
+            problem,
+            self.cycle_limit,
+            LinkPolicy::delayed(0, self.max_extra_delay),
+            self.delay_seed,
+            self.record_trace,
+        );
+        let mut stepper = InProcess::new(std::mem::take(&mut self.agents))?;
+        let record = self.record_history;
         let mut history = Vec::new();
-
-        let mut cycle: u64 = 0;
-        let mut solution: Option<Assignment> = None;
-        let mut sink = if self.record_trace {
-            RingBuffer::new()
-        } else {
-            RingBuffer::disabled()
-        };
-        let mut recorder = StepRecorder::new();
-
-        loop {
-            cycle += 1;
-            let mut cycle_messages = 0u64;
-
-            // Distribute the messages due this cycle into per-agent
-            // inboxes.
-            let mut inboxes: Vec<Vec<Envelope<A::Message>>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routing_error = None;
-            pending.retain(|(deliver_at, env)| {
-                if *deliver_at <= cycle {
-                    let to = env.to.index();
-                    if to >= n {
-                        routing_error = Some(env.to);
-                        return false;
-                    }
-                    if sink.enabled() {
-                        sink.record(TraceEvent::Delivered {
-                            cycle,
-                            from: env.from,
-                            to: env.to,
-                            class: env.payload.class(),
-                        });
-                    }
-                    inboxes[to].push(env.clone());
-                    false
-                } else {
-                    true
-                }
+        // Running (maxcck, total_checks, messages) after the last cycle.
+        let mut last = (0, 0, 0);
+        let report = engine.run_observed(problem, &mut stepper, |engine| {
+            if !record {
+                return;
+            }
+            let metrics = engine.metrics();
+            let (ok, nogood, other) = engine.router().class_counts();
+            let now = (metrics.maxcck, metrics.total_checks, ok + nogood + other);
+            history.push(CycleRecord {
+                cycle: engine.waves(),
+                max_checks: now.0 - last.0,
+                total_checks: now.1 - last.1,
+                messages: now.2 - last.2,
+                violations: problem.violation_count(engine.snapshot().lookup()) as u64,
             });
-            if let Some(agent) = routing_error {
-                return Err(RuntimeError::UnknownRecipient { agent });
-            }
-
-            // All agents act "simultaneously": each reads its inbox and
-            // queues sends, which are delivered next cycle (or later
-            // under a delay model). Checks are drained per step — each
-            // agent's counter is only touched by its own activation, so
-            // draining inside the loop is equivalent to the old post-loop
-            // sweep and lets the shared recorder stamp the step's count.
-            let mut max_checks = 0u64;
-            let mut total_checks = 0u64;
-            for (i, agent) in self.agents.iter_mut().enumerate() {
-                let mut out = Outbox::new(agent.id());
-                if cycle == 1 {
-                    agent.on_start(&mut out);
-                } else {
-                    let inbox = std::mem::take(&mut inboxes[i]);
-                    agent.on_batch(inbox, &mut out);
-                }
-                let checks = agent.take_checks();
-                max_checks = max_checks.max(checks);
-                total_checks += checks;
-                recorder.record_step(agent, cycle, checks, &mut sink);
-                let (ok, nogood, other) = out.count_by_class();
-                metrics.ok_messages += ok;
-                metrics.nogood_messages += nogood;
-                metrics.other_messages += other;
-                cycle_messages += ok + nogood + other;
-                for env in out.drain() {
-                    if sink.enabled() {
-                        sink.record(TraceEvent::Sent {
-                            cycle,
-                            from: env.from,
-                            to: env.to,
-                            class: env.payload.class(),
-                        });
-                    }
-                    let extra = if self.max_extra_delay > 0 {
-                        delay_rng.next_below(self.max_extra_delay + 1)
-                    } else {
-                        0
-                    };
-                    pending.push((cycle + 1 + extra, env));
-                }
-            }
-            metrics.maxcck += max_checks;
-            metrics.total_checks += total_checks;
-            sink.record(TraceEvent::CycleBarrier { cycle });
-
-            // Omniscient observation: does the global state solve the
-            // problem?
-            let mut assignment = Assignment::empty(problem.num_vars());
-            for agent in &self.agents {
-                for vv in agent.assignments() {
-                    assignment.set(vv.var, vv.value);
-                }
-            }
-            let solved = problem.is_solution(&assignment);
-            if self.record_history {
-                history.push(CycleRecord {
-                    cycle,
-                    max_checks,
-                    total_checks,
-                    messages: cycle_messages,
-                    violations: problem.violation_count(assignment.lookup()) as u64,
-                });
-            }
-            if solved {
-                metrics.termination = Termination::Solved;
-                solution = Some(assignment);
-                break;
-            }
-            if self.agents.iter().any(|a| a.detected_insoluble()) {
-                metrics.termination = Termination::Insoluble;
-                break;
-            }
-            if cycle >= self.cycle_limit {
-                metrics.termination = Termination::CutOff;
-                break;
-            }
-        }
-
-        metrics.cycles = cycle;
-        let mut stats = AgentStats::default();
-        for agent in &self.agents {
-            stats.absorb(agent.stats());
-        }
-        metrics.nogoods_generated = stats.nogoods_generated;
-        metrics.redundant_nogoods = stats.redundant_nogoods;
-        metrics.largest_nogood = stats.largest_nogood;
-        // The simulator's links are perfect: every emitted message is
-        // delivered, so sent equals the class totals exactly.
-        metrics.messages_sent = metrics.total_messages();
-
-        // Messages still pending when the run ends (sent in the final
-        // cycle, or scheduled further out by a delay model) are the
-        // in-flight set the audit subtracts from the delivery count.
-        sink.record(TraceEvent::RunEnd {
-            cycle: metrics.cycles,
-            runtime: RuntimeKind::Sync,
-            in_flight: pending.len() as u64,
-            metrics: metrics.clone(),
+            last = now;
         });
-
+        self.agents = stepper.into_agents();
+        let report = report?;
         Ok(SyncRun {
-            outcome: TrialOutcome { metrics, solution },
+            outcome: report.outcome,
             history,
-            trace: sink.take(),
+            trace: report.trace,
         })
     }
 }
@@ -307,8 +188,9 @@ impl<A: DistributedAgent> SyncSimulator<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Classify, MessageClass};
-    use discsp_core::{AgentId, Domain, Value, VarValue, VariableId};
+    use crate::agent::{AgentStats, Outbox};
+    use crate::message::{Classify, Envelope, MessageClass};
+    use discsp_core::{AgentId, Domain, Termination, Value, VarValue, VariableId};
 
     /// A toy protocol: each agent owns one Boolean variable and copies the
     /// value announced by agent 0, so everyone converges to agreement —

@@ -19,6 +19,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> discsp-lint (workspace invariants: determinism, metrics, panic safety, schema sync)"
 cargo run --release --offline -q -p discsp-lint -- --timing --max-millis 1000
 
+echo "==> paper smoke (every table, figure and extension at scale 0.02 must match results/smoke/)"
+paper_smoke="target/paper-smoke"
+rm -rf "$paper_smoke"
+cargo run --release --offline -q -p discsp-bench --bin repro -- \
+  all --scale 0.02 --jobs 2 --out "$paper_smoke" > /dev/null
+cargo run --release --offline -q -p discsp-bench --bin repro -- \
+  db-weights abt delay-sweep partition-sweep --scale 0.02 --jobs 2 --out "$paper_smoke" > /dev/null
+diff -r results/smoke "$paper_smoke" \
+  || { echo "paper smoke: the reproduction's numbers changed"; exit 1; }
+
 echo "==> fault-injection soak (seed sweep over lossy/delayed/reordering links)"
 soak_traces="target/fault-soak-traces"
 soak_replay="target/fault-soak-replay"
