@@ -13,7 +13,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use discsp_core::{
-    AgentId, AgentView, Domain, Nogood, NogoodStore, Priority, Rank, Value, VarValue, VariableId,
+    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodStore, Priority, Value, VarValue,
+    VariableId,
 };
 use discsp_runtime::{
     run_sharded, run_virtual, AgentNote, AgentStats, Classify, DistributedAgent, Envelope,
@@ -79,6 +80,13 @@ pub struct AbtAgent {
     value: Value,
     view: AgentView,
     store: NogoodStore,
+    /// Incremental violation and higher/lower cache over `store` ×
+    /// `view`, refreshed at the top of every check; never meters checks
+    /// itself.
+    eval: IncrementalEval,
+    /// View variables whose entry changed since the last refresh of
+    /// `eval`.
+    changed: Vec<VariableId>,
     /// Lower-priority agents that receive this agent's `ok?` messages.
     lower_links: BTreeSet<AgentId>,
     stats: AgentStats,
@@ -122,6 +130,8 @@ impl AbtAgent {
             value: initial_value,
             view: AgentView::new(),
             store: NogoodStore::with_nogoods(nogoods),
+            eval: IncrementalEval::new(var),
+            changed: Vec::new(),
             lower_links,
             stats: AgentStats::default(),
             generated_before: BTreeSet::new(),
@@ -145,10 +155,6 @@ impl AbtAgent {
         &self.store
     }
 
-    fn own_rank(&self) -> Rank {
-        Rank::new(self.var, Priority::ZERO)
-    }
-
     fn announce(&self, out: &mut Outbox<AbtMessage>) {
         for &peer in &self.lower_links {
             out.send(
@@ -162,26 +168,22 @@ impl AbtAgent {
     }
 
     /// Metered: is `value` consistent with every *higher* nogood under
-    /// the current view?
+    /// the current view? Charges one check per higher nogood, as the
+    /// full scan of the relevant set would, whatever the answer.
     fn is_consistent(&self, value: Value) -> bool {
-        let own_rank = self.own_rank();
-        let lookup = self.view.lookup_with(self.var, value);
-        let mut consistent = true;
-        for ng in self.store.iter() {
-            if self.view.is_higher_nogood(ng, own_rank) && self.store.eval(ng, &lookup) {
-                consistent = false;
-                // Keep scanning: ABT implementations typically evaluate
-                // the full relevant set; this also keeps check counts
-                // comparable across values.
-            }
-        }
-        consistent
+        self.store.charge_checks(self.eval.higher_len() as u64);
+        self.eval.violated_higher(value).next().is_none()
     }
 
     fn check_agent_view(&mut self, out: &mut Outbox<AbtMessage>) {
         if self.insoluble {
             return;
         }
+        // ABT's priorities are static: every rank is the variable id at
+        // priority zero, the owner's included.
+        self.eval
+            .refresh_changed(&self.store, &self.view, Priority::ZERO, &self.changed);
+        self.changed.clear();
         if self.is_consistent(self.value) {
             return;
         }
@@ -230,7 +232,9 @@ impl AbtAgent {
             .collect();
         out.send(target, AbtMessage::Nogood { nogood, owners });
         // Assume the recipient changes: forget its value and re-check.
-        self.view.remove(lowest_var);
+        if self.view.remove(lowest_var).is_some() {
+            self.changed.push(lowest_var);
+        }
         self.check_agent_view(out);
     }
 }
@@ -256,7 +260,10 @@ impl DistributedAgent for AbtAgent {
                 AbtMessage::Ok { var, value } => {
                     // ABT's priorities are static: store at ZERO so the
                     // Rank id-order gives smaller ids higher priority.
-                    need_check |= self.view.update(var, env.from, value, Priority::ZERO);
+                    if self.view.update(var, env.from, value, Priority::ZERO) {
+                        self.changed.push(var);
+                        need_check = true;
+                    }
                 }
                 AbtMessage::Nogood { nogood, owners } => {
                     if nogood.is_empty() {

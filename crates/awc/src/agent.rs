@@ -3,8 +3,8 @@
 use std::collections::BTreeSet;
 
 use discsp_core::{
-    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Priority, Rank,
-    Value, VarValue, VariableId,
+    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Priority, Value,
+    VarValue, VariableId,
 };
 use discsp_runtime::{AgentNote, AgentStats, DistributedAgent, Envelope, Outbox};
 use serde::{Deserialize, Serialize};
@@ -138,6 +138,15 @@ fn ordinal(k: usize) -> String {
     format!("{k}{suffix}")
 }
 
+/// Which stored nogoods a min-conflict choice counts violations among.
+#[derive(Debug, Clone, Copy)]
+enum Among {
+    /// The lower nogoods (the repair after a consistent value exists).
+    Lower,
+    /// Every stored nogood (the move after a deadend).
+    All,
+}
+
 /// One AWC agent owning a single variable.
 ///
 /// Implements [`DistributedAgent`], so it runs unchanged on the
@@ -152,10 +161,13 @@ pub struct AwcAgent {
     priority: Priority,
     view: AgentView,
     store: NogoodStore,
-    /// Incremental violation cache over `store` × `view`. Refreshed at
-    /// the top of every review; never meters checks itself (the review
-    /// charges what the naive scan would cost).
+    /// Incremental violation and higher/lower cache over `store` ×
+    /// `view`. Refreshed at the top of every review; never meters checks
+    /// itself (the review charges what the naive scan would cost).
     eval: IncrementalEval,
+    /// View variables whose entry changed since the last refresh of
+    /// `eval`.
+    changed: Vec<VariableId>,
     outlinks: BTreeSet<AgentId>,
     config: AwcConfig,
     last_generated: Option<Nogood>,
@@ -200,6 +212,7 @@ impl AwcAgent {
             view: AgentView::new(),
             store: NogoodStore::with_nogoods(nogoods),
             eval: IncrementalEval::new(var),
+            changed: Vec::new(),
             outlinks,
             config,
             last_generated: None,
@@ -255,7 +268,13 @@ impl AwcAgent {
                 var,
                 value,
                 priority,
-            } => self.view.update(var, env.from, value, priority),
+            } => {
+                let changed = self.view.update(var, env.from, value, priority);
+                if changed {
+                    self.changed.push(var);
+                }
+                changed
+            }
             AwcMessage::Nogood { nogood, owners } => {
                 if nogood.is_empty() {
                     self.insoluble = true;
@@ -331,27 +350,16 @@ impl AwcAgent {
         // Sync the incremental cache once per review; the store and view
         // are stable for the rest of the evaluation (learning only
         // *reads* the store, and generated nogoods are sent, not
-        // self-recorded). The generation fast path makes this free when
-        // nothing changed.
-        self.eval.refresh_view(&self.store, &self.view);
-        let own_rank = Rank::new(self.var, self.priority);
-
-        // Partition the store into higher and lower nogoods. This is
-        // priority bookkeeping, not nogood checking, so it is unmetered.
-        // `entries` yields stable slot indices, which stay valid across
-        // forgetting (unlike positions in an enumeration).
-        let mut higher = Vec::new();
-        let mut lower = Vec::new();
-        for (i, ng) in self.store.entries() {
-            if self.view.is_higher_nogood(ng, own_rank) {
-                higher.push(i);
-            } else {
-                lower.push(i);
-            }
-        }
+        // self-recorded). The cache also keeps the store's higher/lower
+        // partition, so the refresh costs what changed since the last
+        // review: the new and forgotten nogoods, the changed view
+        // variables' mentions, and a re-partition after a priority raise.
+        self.eval
+            .refresh_changed(&self.store, &self.view, self.priority, &self.changed);
+        self.changed.clear();
 
         // Is the current value consistent with all higher nogoods?
-        let current_violated = self.charged_violated_among(&higher, self.value);
+        let current_violated = self.charged_violated_higher(self.value);
         // Violation hits make a nogood hot: forgetting keeps the nogoods
         // that actually prune the current search region.
         for &i in &current_violated {
@@ -367,7 +375,7 @@ impl AwcAgent {
             violated_per_value[d.index()] = if d == self.value {
                 current_violated.clone()
             } else {
-                self.charged_violated_among(&higher, d)
+                self.charged_violated_higher(d)
             };
         }
 
@@ -379,7 +387,7 @@ impl AwcAgent {
 
         if !consistent.is_empty() {
             // Repairable: min-conflict over *lower* nogoods.
-            self.value = self.pick_min_conflict(&consistent, &lower);
+            self.value = self.pick_min_conflict(&consistent, Among::Lower);
             self.send_ok_to_all(out);
             return;
         }
@@ -440,35 +448,42 @@ impl AwcAgent {
         // nogoods, announce.
         self.raise_priority();
         let all_values: Vec<Value> = self.domain.iter().collect();
-        let everything: Vec<NogoodIdx> = self.store.indices().collect();
-        self.value = self.pick_min_conflict(&all_values, &everything);
+        self.value = self.pick_min_conflict(&all_values, Among::All);
         self.send_ok_to_all(out);
     }
 
-    /// Metered query: which of `indices` are violated with own variable
-    /// at `value`?
+    /// Metered query: which higher nogoods are violated with own variable
+    /// at `value`? Ascending by store index.
     ///
     /// Answers from the [`IncrementalEval`] cache (no literal scans),
-    /// but charges exactly one check per index — the cost of the naive
-    /// scan this replaces. `cycle`/`maxcck` stay bit-identical to the
+    /// but charges exactly one check per higher nogood — the cost of the
+    /// naive scan this replaces. `cycle`/`maxcck` stay bit-identical to the
     /// pre-index implementation (pinned by the golden metric tests).
-    fn charged_violated_among(&self, indices: &[NogoodIdx], value: Value) -> Vec<NogoodIdx> {
-        self.store.charge_checks(indices.len() as u64);
-        self.eval.violated_among(indices, value)
+    fn charged_violated_higher(&self, value: Value) -> Vec<NogoodIdx> {
+        self.store.charge_checks(self.eval.higher_len() as u64);
+        self.eval.violated_higher(value).collect()
     }
 
-    /// Metered count: how many of `indices` are violated with own
-    /// variable at `value`? Charges exactly what
-    /// [`AwcAgent::charged_violated_among`] charges.
-    fn charged_violation_count(&self, indices: &[NogoodIdx], value: Value) -> usize {
-        self.store.charge_checks(indices.len() as u64);
-        self.eval.violated_count_among(indices, value)
+    /// Metered count: how many nogoods of `among` are violated with own
+    /// variable at `value`? Charges one check per nogood of `among`.
+    fn charged_violation_count(&self, among: Among, value: Value) -> usize {
+        match among {
+            Among::Lower => {
+                let lower = self.store.len() - self.eval.higher_len();
+                self.store.charge_checks(lower as u64);
+                self.eval.lower_violation_count(value)
+            }
+            Among::All => {
+                self.store.charge_checks(self.store.len() as u64);
+                self.eval.violation_count_with(value)
+            }
+        }
     }
 
-    /// Picks the candidate value minimizing violations among `indices`
+    /// Picks the candidate value minimizing violations among `among`
     /// (metered). Ties break toward the cyclically-next value after the
     /// current one, so symmetric neighbors don't oscillate in lockstep.
-    fn pick_min_conflict(&self, candidates: &[Value], indices: &[NogoodIdx]) -> Value {
+    fn pick_min_conflict(&self, candidates: &[Value], among: Among) -> Value {
         debug_assert!(!candidates.is_empty());
         let d = self.domain.size();
         let distance = |v: Value| -> usize {
@@ -482,7 +497,7 @@ impl AwcAgent {
         candidates
             .iter()
             .copied()
-            .map(|v| (self.charged_violation_count(indices, v), distance(v), v))
+            .map(|v| (self.charged_violation_count(among, v), distance(v), v))
             .min_by_key(|&(violations, dist, _)| (violations, dist))
             .map(|(_, _, v)| v)
             .unwrap_or(self.value)

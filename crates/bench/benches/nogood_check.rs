@@ -2,19 +2,37 @@
 //!
 //! Measures single-nogood evaluation, full-store violation scans, the
 //! agent hot-path violation *query* (one view variable changed per
-//! query) across three implementations, and forgetting churn. Check
-//! *counts* are representation-independent; wall-time is what this
-//! measures.
+//! query) across four implementations, the AWC *review* (higher/lower
+//! partition plus the violated higher nogoods, one view variable
+//! changed per review), and forgetting churn. Check *counts* are
+//! representation-independent; wall-time is what this measures.
 //!
 //! Query variants, per store size:
 //!
 //! * `naive` — re-evaluate every stored nogood's literals (the
 //!   pre-index implementation);
-//! * `indexed` — the production [`IncrementalEval`] (re-evaluate the
-//!   nogoods mentioning the changed variable), reading the violated
-//!   *set*;
-//! * `indexed_count` — same, answering the violation *count* from the
-//!   O(1) counters.
+//! * `indexed` — the production [`IncrementalEval`] handed the whole
+//!   view ([`IncrementalEval::refresh`], DB's path: it diffs the view
+//!   and moves the tallies of the nogoods mentioning the changed
+//!   variable), reading the violated *set* slot by slot as DB does;
+//! * `indexed_count` — same refresh, answering the violation *count* (a
+//!   popcount over the slot bitsets);
+//! * `changed` — the evaluator told which view variable changed
+//!   ([`IncrementalEval::refresh_changed`], the AWC's path), reading the
+//!   violated higher *set*. Every view variable outranks the owner
+//!   here, so that set is the whole violated set the naive scan
+//!   computes.
+//!
+//! `indexed` and `changed` do different work per query (a view diff
+//! against none), so `speedup_indexed_over_naive` and
+//! `speedup_changed_over_naive` in the snapshot are two series, not one
+//! operation before and after.
+//!
+//! The review group mixes the sides: each iteration moves one
+//! variable's value and priority, and the `naive` review re-partitions
+//! the store with `AgentView::is_higher_nogood` before testing the
+//! higher nogoods, as the AWC review did before the evaluator kept the
+//! partition.
 //!
 //! Stored nogoods have 2–8 literals over distinct variables, like
 //! learned resolvents, which span much of the sender's view. Sizes
@@ -30,8 +48,13 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Measurement};
-use discsp_core::{IncrementalEval, Nogood, NogoodStore, Value, VariableId};
+use discsp_core::{
+    AgentId, AgentView, IncrementalEval, Nogood, NogoodStore, Priority, Rank, Value, VariableId,
+};
 use discsp_runtime::SplitMix64;
+
+/// (store size, variable count) pairs for the review group.
+const REVIEW_SIZES: [(usize, u32); 2] = [(100, 64), (1_000, 64)];
 
 /// (store size, variable count) pairs for the query group.
 const QUERY_SIZES: [(usize, u32); 5] = [
@@ -167,7 +190,11 @@ fn bench_incremental_query(c: &mut Criterion) {
                 flip ^= 1;
                 view[0].1 = Value::new(flip);
                 eval.refresh(store, view.iter().copied());
-                eval.violated_with(Value::new(0)).len()
+                store
+                    .indices()
+                    .filter(|&i| eval.is_violated(i, Value::new(0)))
+                    .collect::<Vec<_>>()
+                    .len()
             })
         });
 
@@ -184,6 +211,98 @@ fn bench_incremental_query(c: &mut Criterion) {
                 })
             },
         );
+
+        // Every view variable at priority 1 outranks the owner at 0.
+        let mut view = AgentView::new();
+        for var in 1..vars {
+            let value = Value::new((var % 3) as u16);
+            view.update(
+                VariableId::new(var),
+                AgentId::new(var),
+                value,
+                Priority::new(1),
+            );
+        }
+        let mut eval = IncrementalEval::new(own);
+        eval.refresh_view(&store, &view);
+        assert_eq!(eval.higher_len(), store.len());
+        let mut flip = 0u16;
+        group.bench_with_input(BenchmarkId::new("changed", size), &store, |bench, store| {
+            bench.iter(|| {
+                flip ^= 1;
+                view.update(changed, AgentId::new(1), Value::new(flip), Priority::new(1));
+                eval.refresh_changed(store, &view, Priority::ZERO, &[changed]);
+                eval.violated_higher(Value::new(0))
+                    .collect::<Vec<_>>()
+                    .len()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The AWC review after one view variable moved its value and its
+/// priority: the higher/lower partition plus the violated higher
+/// nogoods under the own value. `naive` partitions with
+/// `AgentView::is_higher_nogood` and evaluates the higher nogoods'
+/// literals; `indexed` asks the evaluator.
+fn bench_review(c: &mut Criterion) {
+    let own = VariableId::new(0);
+    let own_rank = Rank::new(own, Priority::new(1));
+    let mut group = c.benchmark_group("review_one_var_changed");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_millis(500));
+    for &(size, vars) in &REVIEW_SIZES {
+        let store = random_store(size, vars, 42, false);
+        let changed = VariableId::new(1);
+        // Priorities 0..3 put about a third of the variables above the
+        // owner at priority 1.
+        let mut view = AgentView::new();
+        for var in 1..vars {
+            let value = Value::new((var % 3) as u16);
+            let priority = Priority::new(u64::from(var % 3));
+            view.update(VariableId::new(var), AgentId::new(var), value, priority);
+        }
+        let mut flip = 0u16;
+        let mut step = |view: &mut AgentView| {
+            flip ^= 1;
+            let priority = Priority::new(2 * u64::from(flip));
+            view.update(changed, AgentId::new(1), Value::new(flip), priority);
+        };
+
+        let mut naive_view = view.clone();
+        group.bench_with_input(BenchmarkId::new("naive", size), &store, |bench, store| {
+            bench.iter(|| {
+                step(&mut naive_view);
+                let (mut higher, mut lower) = (Vec::new(), Vec::new());
+                for (i, ng) in store.entries() {
+                    if naive_view.is_higher_nogood(ng, own_rank) {
+                        higher.push(i);
+                    } else {
+                        lower.push(i);
+                    }
+                }
+                let lookup = naive_view.lookup_with(own, Value::new(0));
+                let violated = higher
+                    .iter()
+                    .filter(|&&i| store.get(i).is_some_and(|ng| ng.is_violated_by(&lookup)))
+                    .count();
+                (higher.len(), lower.len(), violated)
+            })
+        });
+
+        let all: Vec<VariableId> = view.iter().map(|(var, _)| var).collect();
+        let mut eval = IncrementalEval::new(own);
+        eval.refresh_changed(&store, &view, own_rank.priority(), &all);
+        group.bench_with_input(BenchmarkId::new("indexed", size), &store, |bench, store| {
+            bench.iter(|| {
+                step(&mut view);
+                eval.refresh_changed(store, &view, own_rank.priority(), &[changed]);
+                let violated = eval.violated_higher(Value::new(0)).count();
+                (eval.higher_len(), store.len() - eval.higher_len(), violated)
+            })
+        });
     }
     group.finish();
 }
@@ -228,19 +347,27 @@ fn mean_of<'m>(ms: &'m [Measurement], name: &str) -> Option<&'m Measurement> {
     ms.iter().find(|m| m.name == name)
 }
 
-fn push_speedups(json: &mut String, ms: &[Measurement], key: &str, num: &str, den: &str) {
+/// Writes `key`: the speedup of `variant` over `naive` in `group`, per
+/// store size.
+fn push_speedups(
+    json: &mut String,
+    ms: &[Measurement],
+    key: &str,
+    group: &str,
+    variant: &str,
+    sizes: &[(usize, u32)],
+) {
     json.push_str(&format!("  \"{key}\": {{\n"));
-    let sizes = query_sizes();
     for (i, &(size, _)) in sizes.iter().enumerate() {
-        let slow = mean_of(ms, &format!("violation_query_one_var_changed/{num}/{size}"));
-        let fast = mean_of(ms, &format!("violation_query_one_var_changed/{den}/{size}"));
+        let slow = mean_of(ms, &format!("{group}/naive/{size}"));
+        let fast = mean_of(ms, &format!("{group}/{variant}/{size}"));
         let speedup = match (slow, fast) {
             (Some(n), Some(x)) if x.mean_ns > 0.0 => n.mean_ns / x.mean_ns,
             _ => f64::NAN,
         };
         let sep = if i + 1 < sizes.len() { "," } else { "" };
         json.push_str(&format!("    \"{size}\": {speedup:.2}{sep}\n"));
-        println!("speedup {den} vs {num} at {size:>7} nogoods: {speedup:.2}x");
+        println!("{group}: speedup {variant} vs naive at {size:>7} nogoods: {speedup:.2}x");
     }
     json.push_str("  }");
 }
@@ -263,7 +390,32 @@ fn write_snapshot(c: &Criterion) {
         ));
     }
     json.push_str("  ],\n");
-    push_speedups(&mut json, ms, "speedup_indexed_over_naive", "naive", "indexed");
+    push_speedups(
+        &mut json,
+        ms,
+        "speedup_indexed_over_naive",
+        "violation_query_one_var_changed",
+        "indexed",
+        query_sizes(),
+    );
+    json.push_str(",\n");
+    push_speedups(
+        &mut json,
+        ms,
+        "speedup_changed_over_naive",
+        "violation_query_one_var_changed",
+        "changed",
+        query_sizes(),
+    );
+    json.push_str(",\n");
+    push_speedups(
+        &mut json,
+        ms,
+        "speedup_review_indexed_over_naive",
+        "review_one_var_changed",
+        "indexed",
+        &REVIEW_SIZES,
+    );
     json.push_str("\n}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
@@ -277,6 +429,7 @@ criterion_group!(
     bench_single_eval,
     bench_store_scan,
     bench_incremental_query,
+    bench_review,
     bench_forgetting
 );
 

@@ -10,10 +10,10 @@
 //! buckets over slot ids, and a per-variable index
 //! ([`NogoodStore::for_variable`]) supports incremental evaluation.
 //!
-//! [`IncrementalEval`] caches each nogood's violation status against a
-//! view: a view change re-evaluates exactly the nogoods mentioning the
-//! changed variables, at every store size. See DESIGN.md §11 for the
-//! layout and why this one strategy suffices.
+//! [`IncrementalEval`] keeps each nogood's violation status and its
+//! higher/lower side (§2.2) against a view: a changed variable moves the
+//! tallies of exactly the nogoods mentioning it, at every store size.
+//! See DESIGN.md §11 for the layout and why this one strategy suffices.
 //!
 //! Learned nogoods carry an activity score ([`NogoodStore::bump_activity`])
 //! and can be evicted deterministically with [`NogoodStore::forget`];
@@ -31,12 +31,13 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::mem;
 
 use crate::assignment::VarValue;
 use crate::ids::VariableId;
 use crate::nogood::{Nogood, NogoodLits, NogoodRef};
+use crate::priority::{Priority, Rank};
 use crate::value::Value;
+use crate::view::AgentView;
 
 /// Index of a nogood within its [`NogoodStore`]: the id of the slot the
 /// nogood occupies. Stable for the nogood's whole lifetime — forgetting
@@ -479,24 +480,35 @@ impl Extend<Nogood> for NogoodStore {
     }
 }
 
-/// Incremental violation tracker for one agent's store and view.
+/// Incremental violation and partition tracker for one agent's store and
+/// view.
 ///
-/// Decomposes each nogood's violation into two factors:
+/// Keeps two tallies per stored nogood:
 ///
-/// - `foreign_sat`: every literal over a *foreign* variable matches the
-///   view (cached);
-/// - the own-variable literal (if any) matches the queried value
-///   (compared at query time in O(1); the prohibited value is a static
-///   property of the nogood).
+/// - `unmatched`: foreign literals the view does not match (an unknown
+///   variable never matches). The nogood is *foreign-satisfied* when the
+///   tally is zero; it is then violated exactly when its own-variable
+///   literal (if any) names the queried own value, a static property of
+///   the nogood compared at query time.
+/// - `not_outranking`: foreign literals whose variable does not outrank
+///   the owner. §2.2 ranks a nogood by its lowest-ranked foreign
+///   variable, so a nogood is *higher* exactly when this tally is zero;
+///   own-only nogoods are higher. Unknown variables rank at
+///   [`Priority::ZERO`], as [`AgentView::priority_of`] says.
 ///
-/// After a [`IncrementalEval::refresh`], [`IncrementalEval::is_violated`]
-/// answers "is nogood `i` violated under the view with my variable at
-/// `value`?" without touching the nogood's literals.
+/// Both tallies move by deltas. A view variable whose value or priority
+/// changed walks only its own mention list ([`NogoodStore::for_variable`]);
+/// an own-priority change walks only the variables whose side of the
+/// owner flipped; a store mutation re-reads only the mutated slot. So a
+/// refresh costs what changed, not the store or the view size, and the
+/// queries the AWC review asks — the higher count, the violated higher
+/// nogoods, the violated lower count — are a counter or word-wise
+/// bitset operations.
 ///
-/// Maintenance is a per-variable rescan: a changed variable
-/// re-evaluates every nogood mentioning it via
-/// [`NogoodStore::for_variable`], so a refresh costs the changed
-/// variables' mention lists, not the store size.
+/// Two ways in: [`IncrementalEval::refresh_changed`] takes the variables
+/// whose view entry changed (what [`AgentView::update`] and
+/// [`AgentView::remove`] report), and [`IncrementalEval::refresh`] /
+/// [`IncrementalEval::refresh_view`] diff a complete view.
 ///
 /// **This type never meters checks.** Callers on the algorithm hot paths
 /// must charge the same number of checks the naive scan would have
@@ -507,65 +519,83 @@ impl Extend<Nogood> for NogoodStore {
 /// # Examples
 ///
 /// ```
-/// use discsp_core::{IncrementalEval, Nogood, NogoodStore, Value, VariableId};
+/// use discsp_core::{AgentId, AgentView, IncrementalEval, Nogood, NogoodStore};
+/// use discsp_core::{Priority, Value, VariableId};
 ///
 /// let own = VariableId::new(0);
 /// let foreign = VariableId::new(1);
 /// let mut store = NogoodStore::new();
 /// store.insert(Nogood::of([(own, Value::new(0)), (foreign, Value::new(1))]));
 ///
+/// let mut view = AgentView::new();
+/// view.update(foreign, AgentId::new(1), Value::new(1), Priority::new(1));
 /// let mut eval = IncrementalEval::new(own);
-/// eval.refresh(&store, [(foreign, Value::new(1))]);
-/// assert!(eval.is_violated(0, Value::new(0)));
-/// assert!(!eval.is_violated(0, Value::new(1)));
+/// eval.refresh_changed(&store, &view, Priority::ZERO, &[foreign]);
+/// // x1 at priority 1 outranks the owner: the nogood is higher.
+/// assert_eq!(eval.higher_len(), 1);
+/// assert_eq!(eval.violated_higher(Value::new(0)).collect::<Vec<_>>(), vec![0]);
+/// assert!(eval.violated_higher(Value::new(1)).next().is_none());
+///
+/// // Raising the owner above x1 moves the nogood to the lower side.
+/// eval.refresh_changed(&store, &view, Priority::new(2), &[]);
+/// assert_eq!(eval.higher_len(), 0);
+/// assert_eq!(eval.lower_violation_count(Value::new(0)), 1);
 /// ```
 #[derive(Debug)]
 pub struct IncrementalEval {
     own_var: VariableId,
-    /// Sorted `(global variable index, local slot)` pairs mapping every
-    /// foreign variable this tracker has observed to a dense local slot.
-    /// `shadow` is indexed by local slot, so its size is proportional to
-    /// the agent's *degree*, not to the largest foreign variable id —
-    /// indexing it by global id made every agent carry an O(population)
-    /// vector, which is quadratic total memory at 10^5+ agents.
-    local_index: Vec<(u32, u32)>,
-    /// Mirror of the last refreshed view, indexed by local slot:
-    /// value and the epoch at which the variable was last seen (stale
-    /// epochs mark removed variables).
-    shadow: Vec<Option<(Value, u64)>>,
-    /// Variables currently present in `shadow` (the removal sweep only
-    /// walks these, not the whole dense table).
-    present: Vec<VariableId>,
-    epoch: u64,
+    own_priority: Priority,
+    /// Every foreign variable seen in the view or in a synced nogood,
+    /// ascending by id. Sized by the agent's neighborhood, never by the
+    /// population: a table indexed by global id made every agent carry an
+    /// O(population) vector, which is quadratic total memory at 10^5+
+    /// agents.
+    vars: Vec<VarState>,
     /// Per slot: the own-variable value it prohibits, if it mentions
     /// the own variable at all. Re-read whenever the slot mutates.
     own_prohibited: Vec<Option<Value>>,
+    /// Per slot: the two tallies. Its length is the number of store
+    /// slots the caches cover.
+    tallies: Vec<Tally>,
     /// Bit `i`: every foreign literal of slot `i` matches the view
     /// (always clear for dead slots).
     foreign_sat: Vec<u64>,
+    /// Bit `i`: slot `i` is a higher nogood (always clear for dead
+    /// slots).
+    higher: Vec<u64>,
     /// Bit `i`: slot `i` has no own-variable literal (applies to every
     /// own value).
     applies_always: Vec<u64>,
     /// `applies_by_value[v]` bit `i`: slot `i` prohibits own value `v`.
     applies_by_value: Vec<Vec<u64>>,
-    /// How many store slots the per-slot caches cover.
-    synced_slots: usize,
+    higher_count: usize,
     /// Cursor into [`NogoodStore::mutation_log`]: entries before this
     /// are already reflected in the caches.
     synced_mutations: usize,
-    /// View generation of the last [`IncrementalEval::refresh_view`]
-    /// fast-path check.
-    synced_generation: Option<u64>,
-    /// Count of foreign-satisfied nogoods with no own-variable literal
-    /// (violated regardless of the own value).
-    sat_unconditional: usize,
-    /// Count of foreign-satisfied nogoods prohibiting own value `v`,
-    /// indexed by `v`.
-    sat_by_value: Vec<usize>,
-    /// Scratch buffers recycled across refreshes, so a refresh does not
-    /// allocate.
-    changed_scratch: Vec<VariableId>,
-    seen_scratch: Vec<VariableId>,
+}
+
+/// What the evaluator last saw of one foreign variable.
+#[derive(Debug, Clone, Copy)]
+struct VarState {
+    var: VariableId,
+    /// The view's value; `None` while the view does not hold the
+    /// variable.
+    value: Option<Value>,
+    /// The view's priority; [`Priority::ZERO`] while the view does not
+    /// hold the variable.
+    priority: Priority,
+    /// Whether the variable outranks the owner.
+    outranks: bool,
+    /// Set while a complete-view refresh walks the view: a held variable
+    /// it did not see has left the view.
+    seen: bool,
+}
+
+/// The per-slot tallies (see [`IncrementalEval`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    unmatched: u32,
+    not_outranking: u32,
 }
 
 #[inline]
@@ -584,168 +614,237 @@ fn bit_clear(bits: &mut [u64], idx: usize) {
     bits[idx / 64] &= !(1 << (idx % 64));
 }
 
+#[inline]
+fn bit_put(bits: &mut [u64], idx: usize, on: bool) {
+    if on {
+        bit_set(bits, idx);
+    } else {
+        bit_clear(bits, idx);
+    }
+}
+
+/// The slot ids of the set bits of `word` (word `w` of a bitset), in
+/// ascending order.
+fn bit_indices(w: usize, mut word: u64) -> impl Iterator<Item = NogoodIdx> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let bit = word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(w * 64 + bit)
+    })
+}
+
 impl IncrementalEval {
     /// Store size (in slots) that marks a *large* store. Evaluation is
-    /// the same rescan at every size; the limit stays as the yardstick
+    /// the same tally walk at every size; the limit stays as the yardstick
     /// the benchmark counts stores against (`store.agents_over_256`)
     /// and the golden tests use to prove their trials reach large stores.
     pub const SMALL_STORE_LIMIT: usize = 256;
 
-    /// Creates an empty tracker for the agent owning `own_var`.
+    /// Creates an empty tracker for the agent owning `own_var`, at
+    /// [`Priority::ZERO`].
     pub fn new(own_var: VariableId) -> Self {
         IncrementalEval {
             own_var,
-            local_index: Vec::new(),
-            shadow: Vec::new(),
-            present: Vec::new(),
-            epoch: 0,
+            own_priority: Priority::ZERO,
+            vars: Vec::new(),
             own_prohibited: Vec::new(),
+            tallies: Vec::new(),
             foreign_sat: Vec::new(),
+            higher: Vec::new(),
             applies_always: Vec::new(),
             applies_by_value: Vec::new(),
-            synced_slots: 0,
+            higher_count: 0,
             synced_mutations: 0,
-            synced_generation: None,
-            sat_unconditional: 0,
-            sat_by_value: Vec::new(),
-            changed_scratch: Vec::new(),
-            seen_scratch: Vec::new(),
         }
-    }
-
-    /// The variable this tracker treats as the agent's own.
-    pub fn own_var(&self) -> VariableId {
-        self.own_var
     }
 
     /// Number of store slots currently covered by the caches.
     pub fn synced_len(&self) -> usize {
-        self.synced_slots
+        self.tallies.len()
     }
 
-    /// The local slot of global variable index `g`, if it was ever
-    /// observed.
-    #[inline]
-    fn local_of(&self, g: u32) -> Option<u32> {
-        self.local_index
-            .binary_search_by_key(&g, |&(gv, _)| gv)
-            .ok()
-            .map(|p| self.local_index[p].1)
+    fn own_rank(&self) -> Rank {
+        Rank::new(self.own_var, self.own_priority)
     }
 
-    /// The local slot of global variable index `g`, allocating the slot
-    /// (and its `shadow` cell) on first touch. Slots are stable: once
-    /// handed out, a slot never moves.
-    fn local_or_insert(&mut self, g: u32) -> u32 {
-        match self.local_index.binary_search_by_key(&g, |&(gv, _)| gv) {
-            Ok(p) => self.local_index[p].1,
-            Err(p) => {
-                let local = self.shadow.len() as u32;
-                self.local_index.insert(p, (g, local));
-                self.shadow.push(None);
-                local
+    /// The position of `var` in `vars`, adding it as unknown to the view
+    /// on first sight.
+    fn var_or_insert(&mut self, var: VariableId) -> usize {
+        match self.vars.binary_search_by_key(&var, |state| state.var) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let outranks = Rank::new(var, Priority::ZERO).outranks(self.own_rank());
+                self.vars.insert(
+                    pos,
+                    VarState {
+                        var,
+                        value: None,
+                        priority: Priority::ZERO,
+                        outranks,
+                        seen: false,
+                    },
+                );
+                pos
             }
         }
     }
 
-    /// Synchronizes the caches with `store` and `view`.
+    /// Synchronizes the caches with `store` and the variables of `view`
+    /// listed in `changed`, with the owner at `own_priority`.
     ///
-    /// `view` is the complete foreign assignment (it must never contain
-    /// the own variable). Work done is proportional to the view size,
-    /// the number of store mutations since the last refresh, and the
-    /// nogoods mentioning changed variables — not to the store size.
+    /// `changed` must name every variable whose [`AgentView`] entry
+    /// changed (value, priority or removal) since the last refresh;
+    /// repeats and unchanged variables are harmless. Work is the store
+    /// mutations since the last refresh, the mention lists of the
+    /// variables whose value or side of the owner changed, and — when
+    /// `own_priority` moved — one rank comparison per tracked variable.
+    pub fn refresh_changed(
+        &mut self,
+        store: &NogoodStore,
+        view: &AgentView,
+        own_priority: Priority,
+        changed: &[VariableId],
+    ) {
+        // Slots first: every later delta walk then meets initialized
+        // tallies only.
+        self.sync_store(store);
+        if own_priority != self.own_priority {
+            self.own_priority = own_priority;
+            let own_rank = self.own_rank();
+            for pos in 0..self.vars.len() {
+                let state = self.vars[pos];
+                if Rank::new(state.var, state.priority).outranks(own_rank) != state.outranks {
+                    self.set_var(store, pos, state.value, state.priority);
+                }
+            }
+        }
+        for &var in changed {
+            debug_assert_ne!(var, self.own_var, "the view never holds the own variable");
+            let pos = self.var_or_insert(var);
+            let (value, priority) = match view.entry(var) {
+                Some(entry) => (Some(entry.value), entry.priority),
+                None => (None, Priority::ZERO),
+            };
+            self.set_var(store, pos, value, priority);
+        }
+    }
+
+    /// Synchronizes the caches with `store` and the complete foreign
+    /// assignment `view` (every variable at [`Priority::ZERO`]; it must
+    /// never contain the own variable). Variables missing from `view`
+    /// count as removed.
+    ///
+    /// Work is the view size, the store mutations since the last
+    /// refresh, and the mention lists of the variables that changed —
+    /// not the store size.
     pub fn refresh<I>(&mut self, store: &NogoodStore, view: I)
     where
         I: IntoIterator<Item = (VariableId, Value)>,
     {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut changed = mem::take(&mut self.changed_scratch);
-        changed.clear();
-        let mut seen = mem::take(&mut self.seen_scratch);
-        seen.clear();
-
-        for (var, value) in view {
-            debug_assert_ne!(
-                var, self.own_var,
-                "the view passed to IncrementalEval::refresh must not \
-                 contain the own variable"
-            );
-            let slot_idx = self.local_or_insert(var.index() as u32) as usize;
-            match &mut self.shadow[slot_idx] {
-                Some((stored, stamp)) => {
-                    if *stored != value {
-                        *stored = value;
-                        changed.push(var);
-                    }
-                    *stamp = epoch;
-                }
-                slot @ None => {
-                    *slot = Some((value, epoch));
-                    changed.push(var);
-                }
-            }
-            seen.push(var);
-        }
-        // Variables not seen this epoch were removed from the view.
-        // Present variables always have a local slot (allocated when
-        // they were first observed above).
-        for &var in &self.present {
-            let Some(local) = self.local_of(var.index() as u32) else {
-                continue;
-            };
-            let li = local as usize;
-            if let Some((_, stamp)) = self.shadow[li] {
-                if stamp != epoch {
-                    self.shadow[li] = None;
-                    changed.push(var);
-                }
-            }
-        }
-        // `seen` becomes the new `present`; the old vector is recycled
-        // as next refresh's scratch.
-        self.seen_scratch = mem::replace(&mut self.present, seen);
-
-        // The shadow is fully up to date before any per-slot processing,
-        // so every re-evaluation below sees the final assignment.
-        self.sync_store(store);
-
-        for &var in &changed {
-            for (idx, ng) in store.for_variable(var) {
-                let sat = self.compute_foreign_sat(ng);
-                self.set_foreign_sat(idx, sat);
-            }
-        }
-        self.changed_scratch = changed;
-        self.synced_generation = None;
+        self.refresh_all(
+            store,
+            view.into_iter()
+                .map(|(var, value)| (var, value, Priority::ZERO)),
+        );
     }
 
-    /// [`IncrementalEval::refresh`] against an [`crate::AgentView`], with
-    /// a generation fast path: when neither the view generation nor the
-    /// store mutation log advanced since the last call, returns
-    /// immediately.
-    pub fn refresh_view(&mut self, store: &NogoodStore, view: &crate::AgentView) {
-        if self.synced_generation == Some(view.generation())
-            && self.synced_mutations == store.mutation_log().len()
-        {
+    /// [`IncrementalEval::refresh`] against an [`AgentView`], priorities
+    /// included.
+    pub fn refresh_view(&mut self, store: &NogoodStore, view: &AgentView) {
+        self.refresh_all(
+            store,
+            view.iter()
+                .map(|(var, entry)| (var, entry.value, entry.priority)),
+        );
+    }
+
+    fn refresh_all<I>(&mut self, store: &NogoodStore, view: I)
+    where
+        I: Iterator<Item = (VariableId, Value, Priority)>,
+    {
+        self.sync_store(store);
+        for (var, value, priority) in view {
+            debug_assert_ne!(
+                var, self.own_var,
+                "the view passed to IncrementalEval must not contain the own variable"
+            );
+            let pos = self.var_or_insert(var);
+            self.vars[pos].seen = true;
+            self.set_var(store, pos, Some(value), priority);
+        }
+        for pos in 0..self.vars.len() {
+            let state = self.vars[pos];
+            if state.seen {
+                self.vars[pos].seen = false;
+            } else if state.value.is_some() {
+                self.set_var(store, pos, None, Priority::ZERO);
+            }
+        }
+    }
+
+    /// Records the view's new `value` and `priority` for the variable at
+    /// `pos` and moves the tallies of the nogoods mentioning it by the
+    /// difference. The store must be synced.
+    fn set_var(
+        &mut self,
+        store: &NogoodStore,
+        pos: usize,
+        value: Option<Value>,
+        priority: Priority,
+    ) {
+        let old = self.vars[pos];
+        let outranks = Rank::new(old.var, priority).outranks(self.own_rank());
+        self.vars[pos] = VarState {
+            value,
+            priority,
+            outranks,
+            ..old
+        };
+        if old.value == value && old.outranks == outranks {
             return;
         }
-        self.refresh(store, view.iter().map(|(var, entry)| (var, entry.value)));
-        self.synced_generation = Some(view.generation());
+        for (idx, ng) in store.for_variable(old.var) {
+            let lit = ng.value_of(old.var);
+            let tally = &mut self.tallies[idx];
+            match (old.value == lit, value == lit) {
+                (true, false) => tally.unmatched += 1,
+                (false, true) => tally.unmatched -= 1,
+                _ => {}
+            }
+            match (old.outranks, outranks) {
+                (true, false) => tally.not_outranking += 1,
+                (false, true) => tally.not_outranking -= 1,
+                _ => {}
+            }
+            let Tally {
+                unmatched,
+                not_outranking,
+            } = *tally;
+            bit_put(&mut self.foreign_sat, idx, unmatched == 0);
+            self.set_higher(idx, not_outranking == 0);
+        }
     }
 
     /// Grows per-slot caches and replays the store's mutation log.
     fn sync_store(&mut self, store: &NogoodStore) {
         let slot_count = store.slot_count();
-        if slot_count > self.synced_slots {
+        if slot_count > self.tallies.len() {
             let words = slot_count.div_ceil(64);
-            self.foreign_sat.resize(words, 0);
-            self.applies_always.resize(words, 0);
+            for bits in [
+                &mut self.foreign_sat,
+                &mut self.higher,
+                &mut self.applies_always,
+            ] {
+                bits.resize(words, 0);
+            }
             for mask in &mut self.applies_by_value {
                 mask.resize(words, 0);
             }
             self.own_prohibited.resize(slot_count, None);
-            self.synced_slots = slot_count;
+            self.tallies.resize(slot_count, Tally::default());
         }
         let log = store.mutation_log();
         debug_assert!(
@@ -758,22 +857,17 @@ impl IncrementalEval {
         self.synced_mutations = log.len();
     }
 
-    /// Rebuilds all cached state of one slot from the store. Idempotent
-    /// (full undo, then redo from current content), so replaying a
-    /// mutation-log entry more than once is harmless.
+    /// Rebuilds all cached state of one slot from the store and the
+    /// tracked variables. Idempotent (full undo, then redo from current
+    /// content), so replaying a mutation-log entry more than once is
+    /// harmless.
     fn resync_slot(&mut self, store: &NogoodStore, idx: usize) {
-        // Undo. Counter adjustment must happen while `own_prohibited`
-        // still describes the old content.
-        if bit_get(&self.foreign_sat, idx) {
-            self.set_foreign_sat(idx, false);
-        }
-        match self.own_prohibited[idx].take() {
-            None => bit_clear(&mut self.applies_always, idx),
-            Some(value) => {
-                if let Some(mask) = self.applies_by_value.get_mut(value.index()) {
-                    bit_clear(mask, idx);
-                }
-            }
+        // Undo.
+        self.set_higher(idx, false);
+        bit_clear(&mut self.foreign_sat, idx);
+        bit_clear(&mut self.applies_always, idx);
+        if let Some(value) = self.own_prohibited[idx].take() {
+            bit_clear(&mut self.applies_by_value[value.index()], idx);
         }
         // Redo from the slot's current content (dead slots stay cleared).
         let Some(ng) = store.get(idx) else { return };
@@ -789,51 +883,36 @@ impl IncrementalEval {
                 bit_set(&mut self.applies_by_value[value.index()], idx);
             }
         }
-        let sat = self.compute_foreign_sat(ng);
-        self.set_foreign_sat(idx, sat);
+        let mut tally = Tally::default();
+        let own_var = self.own_var;
+        for lit in ng.elems().iter().filter(|lit| lit.var != own_var) {
+            let pos = self.var_or_insert(lit.var);
+            let state = self.vars[pos];
+            tally.unmatched += u32::from(state.value != Some(lit.value));
+            tally.not_outranking += u32::from(!state.outranks);
+        }
+        self.tallies[idx] = tally;
+        bit_put(&mut self.foreign_sat, idx, tally.unmatched == 0);
+        self.set_higher(idx, tally.not_outranking == 0);
     }
 
-    /// Whether the shadowed view matches literal `e` (same value
-    /// assigned). Unassigned never matches — an unassigned foreign
-    /// literal keeps the nogood from being violated.
-    #[inline]
-    fn matches_shadow(&self, e: &VarValue) -> bool {
-        self.local_of(e.var.index() as u32)
-            .and_then(|li| self.shadow[li as usize])
-            .map(|(v, _)| v)
-            == Some(e.value)
-    }
-
-    fn compute_foreign_sat<N: NogoodLits>(&self, nogood: N) -> bool {
-        nogood
-            .lits()
-            .iter()
-            .all(|e| e.var == self.own_var || self.matches_shadow(e))
-    }
-
-    fn set_foreign_sat(&mut self, idx: NogoodIdx, sat: bool) {
-        if bit_get(&self.foreign_sat, idx) == sat {
+    fn set_higher(&mut self, idx: NogoodIdx, higher: bool) {
+        if bit_get(&self.higher, idx) == higher {
             return;
         }
-        let delta: isize = if sat {
-            bit_set(&mut self.foreign_sat, idx);
-            1
+        if higher {
+            bit_set(&mut self.higher, idx);
+            self.higher_count += 1;
         } else {
-            bit_clear(&mut self.foreign_sat, idx);
-            -1
-        };
-        match self.own_prohibited[idx] {
-            None => {
-                self.sat_unconditional = self.sat_unconditional.wrapping_add_signed(delta);
-            }
-            Some(value) => {
-                let slot = value.index();
-                if slot >= self.sat_by_value.len() {
-                    self.sat_by_value.resize(slot + 1, 0);
-                }
-                self.sat_by_value[slot] = self.sat_by_value[slot].wrapping_add_signed(delta);
-            }
+            bit_clear(&mut self.higher, idx);
+            self.higher_count -= 1;
         }
+    }
+
+    /// Word `w` of the "applies to own value" mask for `by_value`.
+    #[inline]
+    fn applies_word(&self, w: usize, by_value: Option<&Vec<u64>>) -> u64 {
+        self.applies_always[w] | by_value.map_or(0, |mask| mask[w])
     }
 
     /// Whether nogood `idx` is violated under the refreshed view with the
@@ -845,9 +924,9 @@ impl IncrementalEval {
     /// Panics if slot `idx` was created after the last refresh.
     pub fn is_violated(&self, idx: NogoodIdx, own_value: Value) -> bool {
         assert!(
-            idx < self.synced_slots,
+            idx < self.synced_len(),
             "slot {idx} created after the last refresh (synced {})",
-            self.synced_slots
+            self.synced_len()
         );
         bit_get(&self.foreign_sat, idx)
             && (bit_get(&self.applies_always, idx)
@@ -857,58 +936,49 @@ impl IncrementalEval {
                     .is_some_and(|mask| bit_get(mask, idx)))
     }
 
-    /// Filters `indices` down to the nogoods violated with the own
-    /// variable at `own_value`, preserving order. **Meters nothing** —
-    /// hot-path callers must charge one check per candidate
-    /// ([`NogoodStore::charge_checks`] with `indices.len()`), because
-    /// that is exactly what the paper's naive evaluator would count.
-    pub fn violated_among(&self, indices: &[NogoodIdx], own_value: Value) -> Vec<NogoodIdx> {
-        indices
-            .iter()
-            .copied()
-            .filter(|&idx| self.is_violated(idx, own_value))
-            .collect()
+    /// Number of live *higher* nogoods: the nogoods the AWC review tests
+    /// each value against. O(1). Every other live nogood is lower, so
+    /// the lower count is `store.len() - higher_len()`.
+    pub fn higher_len(&self) -> usize {
+        self.higher_count
     }
 
-    /// How many of `indices` are violated with the own variable at
-    /// `own_value`: the length of [`IncrementalEval::violated_among`]
-    /// without building it. **Meters nothing**; callers charge one check
-    /// per candidate, as there.
-    pub fn violated_count_among(&self, indices: &[NogoodIdx], own_value: Value) -> usize {
-        indices
-            .iter()
-            .filter(|&&idx| self.is_violated(idx, own_value))
-            .count()
-    }
-
-    /// All violated slot indices with the own variable at `own_value`
-    /// (ascending). Word-wise bitset AND over the synced slots — no
-    /// literal work, ~n/64 word operations plus one push per violated
-    /// nogood.
-    pub fn violated_with(&self, own_value: Value) -> Vec<NogoodIdx> {
+    /// The higher nogoods violated with the own variable at `own_value`,
+    /// ascending by slot: a word-wise AND of bitsets. **Meters
+    /// nothing** — hot-path callers charge one check per higher nogood
+    /// ([`IncrementalEval::higher_len`]), which is what the paper's naive
+    /// evaluator would count.
+    pub fn violated_higher(&self, own_value: Value) -> impl Iterator<Item = NogoodIdx> + '_ {
         let by_value = self.applies_by_value.get(own_value.index());
-        let mut violated = Vec::new();
-        for (w, &sat) in self.foreign_sat.iter().enumerate() {
-            let applies =
-                self.applies_always[w] | by_value.map(|mask| mask[w]).unwrap_or_default();
-            let mut bits = sat & applies;
-            while bits != 0 {
-                violated.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        violated
+        (0..self.foreign_sat.len()).flat_map(move |w| {
+            bit_indices(
+                w,
+                self.foreign_sat[w] & self.higher[w] & self.applies_word(w, by_value),
+            )
+        })
+    }
+
+    /// Number of lower nogoods violated with the own variable at
+    /// `own_value`. **Meters nothing**; callers charge one check per
+    /// lower nogood (the store's live count less
+    /// [`IncrementalEval::higher_len`]).
+    pub fn lower_violation_count(&self, own_value: Value) -> usize {
+        let by_value = self.applies_by_value.get(own_value.index());
+        (0..self.foreign_sat.len())
+            .map(|w| {
+                (self.foreign_sat[w] & !self.higher[w] & self.applies_word(w, by_value))
+                    .count_ones() as usize
+            })
+            .sum()
     }
 
     /// Number of violated nogoods with the own variable at `own_value`.
-    /// O(1) via incrementally maintained counters.
+    /// **Meters nothing**; callers charge one check per stored nogood.
     pub fn violation_count_with(&self, own_value: Value) -> usize {
-        self.sat_unconditional
-            + self
-                .sat_by_value
-                .get(own_value.index())
-                .copied()
-                .unwrap_or(0)
+        let by_value = self.applies_by_value.get(own_value.index());
+        (0..self.foreign_sat.len())
+            .map(|w| (self.foreign_sat[w] & self.applies_word(w, by_value)).count_ones() as usize)
+            .sum()
     }
 }
 
@@ -1119,6 +1189,62 @@ mod tests {
         assert_eq!(store.mutation_log(), &[0, 1, 1, 1]);
     }
 
+    /// What the AWC review asks, answered by the naive scan: the higher
+    /// and lower counts, the violated higher slots (ascending) and the
+    /// violated lower count, with the owner at `own_rank` holding
+    /// `own_value`.
+    fn naive_review(
+        store: &NogoodStore,
+        view: &AgentView,
+        own_rank: Rank,
+        own_value: Value,
+    ) -> (usize, usize, Vec<NogoodIdx>, usize) {
+        let lookup = view.lookup_with(own_rank.var(), own_value);
+        let (mut higher, mut lower, mut violated_higher, mut violated_lower) =
+            (0, 0, Vec::new(), 0);
+        for (idx, ng) in store.entries() {
+            let violated = ng.is_violated_by(&lookup);
+            if view.is_higher_nogood(ng, own_rank) {
+                higher += 1;
+                if violated {
+                    violated_higher.push(idx);
+                }
+            } else {
+                lower += 1;
+                violated_lower += usize::from(violated);
+            }
+        }
+        (higher, lower, violated_higher, violated_lower)
+    }
+
+    /// The evaluator's answers to [`naive_review`]'s questions; the lower
+    /// count is what the AWC review charges for the lower side.
+    fn eval_review(
+        eval: &IncrementalEval,
+        store: &NogoodStore,
+        own_value: Value,
+    ) -> (usize, usize, Vec<NogoodIdx>, usize) {
+        (
+            eval.higher_len(),
+            store.len() - eval.higher_len(),
+            eval.violated_higher(own_value).collect(),
+            eval.lower_violation_count(own_value),
+        )
+    }
+
+    fn view_of(entries: &[(u32, u16, u64)]) -> AgentView {
+        let mut view = AgentView::new();
+        for &(var, value, priority) in entries {
+            view.update(
+                x(var),
+                crate::ids::AgentId::new(var),
+                v(value),
+                Priority::new(priority),
+            );
+        }
+        view
+    }
+
     #[test]
     fn incremental_matches_naive_on_changes() {
         let own = x(0);
@@ -1137,6 +1263,12 @@ mod tests {
         ];
         for view in views {
             eval.refresh(&store, view.clone());
+            let agent_view = view_of(
+                &view
+                    .iter()
+                    .map(|&(var, value)| (var.raw(), value.raw(), 0))
+                    .collect::<Vec<_>>(),
+            );
             let lookup_base: HashMap<VariableId, Value> = view.into_iter().collect();
             for own_value in 0..3u16 {
                 let lookup = |var: VariableId| {
@@ -1154,17 +1286,16 @@ mod tests {
                         "idx {idx} own={own_value}"
                     );
                 }
-                let naive_violated: Vec<NogoodIdx> = (0..store.len())
-                    .filter(|&i| store.get(i).unwrap().is_violated_by(lookup))
-                    .collect();
-                assert_eq!(eval.violated_with(v(own_value)), naive_violated);
+                let naive_count = store.iter().filter(|ng| ng.is_violated_by(lookup)).count();
+                assert_eq!(eval.violation_count_with(v(own_value)), naive_count);
                 assert_eq!(
-                    eval.violation_count_with(v(own_value)),
-                    naive_violated.len()
-                );
-                assert_eq!(
-                    eval.violated_among(&naive_violated, v(own_value)),
-                    naive_violated
+                    eval_review(&eval, &store, v(own_value)),
+                    naive_review(
+                        &store,
+                        &agent_view,
+                        Rank::new(own, Priority::ZERO),
+                        v(own_value)
+                    )
                 );
             }
         }
@@ -1198,20 +1329,25 @@ mod tests {
         assert!(eval.is_violated(0, v(0)));
         assert!(eval.is_violated(1, v(1)));
         assert_eq!(eval.violation_count_with(v(1)), 1);
+        // x0 outranks x1 at equal priority: both nogoods are lower.
+        assert_eq!(eval.higher_len(), 0);
+        assert_eq!(eval.lower_violation_count(v(1)), 1);
 
         assert_eq!(store.forget(0), vec![1]);
         eval.refresh(&store, [(x(1), v(0))]);
         // The forgotten slot no longer registers as violated anywhere.
         assert!(!eval.is_violated(1, v(1)));
-        assert_eq!(eval.violated_with(v(1)), Vec::<NogoodIdx>::new());
+        assert_eq!(eval.lower_violation_count(v(1)), 0);
         assert_eq!(eval.violation_count_with(v(1)), 0);
+        assert_eq!(eval.higher_len(), 0);
 
         // A new nogood reusing slot 1 is tracked with its own semantics.
         store.insert_learned(pair(0, 2, 1, 0));
         eval.refresh(&store, [(x(1), v(0))]);
         assert!(eval.is_violated(1, v(2)));
         assert!(!eval.is_violated(1, v(1)));
-        assert_eq!(eval.violated_with(v(2)), vec![1]);
+        assert_eq!(eval.lower_violation_count(v(2)), 1);
+        assert_eq!(eval.higher_len(), 0);
     }
 
     #[test]
@@ -1223,6 +1359,8 @@ mod tests {
         eval.refresh(&store, []);
         assert!(eval.is_violated(0, v(0)));
         assert_eq!(eval.violation_count_with(v(7)), 1);
+        // No foreign variable: higher, like an own-only nogood.
+        assert_eq!(eval.violated_higher(v(7)).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -1233,16 +1371,41 @@ mod tests {
         let mut eval = IncrementalEval::new(own);
         eval.refresh(&store, [(x(1), v(0))]);
         let _ = eval.is_violated(0, v(0));
-        let _ = eval.violated_with(v(0));
-        let _ = eval.violated_among(&[0], v(0));
+        let _ = eval_review(&eval, &store, v(0));
         let _ = eval.violation_count_with(v(0));
         assert_eq!(store.checks(), 0);
     }
 
     #[test]
-    fn refresh_view_fast_path_tracks_generation() {
+    fn own_priority_moves_nogoods_between_sides() {
+        // §2.2's example: x1 at priority 2, x2 at 1, the owner x5 at 0.
+        let own = x(5);
+        let mut store = NogoodStore::new();
+        store.insert(Nogood::of([(x(1), v(0)), (x(2), v(1)), (own, v(2))]));
+        store.insert(Nogood::of([(x(1), v(0)), (own, v(1))]));
+        store.insert(Nogood::of([(own, v(0))]));
+        let view = view_of(&[(1, 0, 2), (2, 1, 1)]);
+        let mut eval = IncrementalEval::new(own);
+        eval.refresh_changed(&store, &view, Priority::ZERO, &[x(1), x(2)]);
+        assert_eq!(eval.violated_higher(v(2)).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(eval.higher_len(), 3);
+        // At priority 1 the owner ties x2, which wins on its smaller id,
+        // so nothing moves; at 2 it outranks x2 and ties x1, which wins.
+        eval.refresh_changed(&store, &view, Priority::new(1), &[]);
+        assert_eq!(eval.higher_len(), 3);
+        eval.refresh_changed(&store, &view, Priority::new(2), &[]);
+        assert_eq!(eval.higher_len(), 2);
+        assert_eq!(eval.lower_violation_count(v(2)), 1);
+        // Above everyone, only the own-only nogood stays higher.
+        eval.refresh_changed(&store, &view, Priority::new(3), &[]);
+        assert_eq!(eval.higher_len(), 1);
+        assert_eq!(eval.violated_higher(v(0)).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(store.checks(), 0);
+    }
+
+    #[test]
+    fn refresh_view_tracks_view_and_store_changes() {
         use crate::ids::AgentId;
-        use crate::priority::Priority;
         let own = x(0);
         let mut store = NogoodStore::new();
         store.insert(pair(0, 0, 1, 0));
@@ -1253,28 +1416,33 @@ mod tests {
         eval.refresh_view(&store, &view);
         assert!(eval.is_violated(0, v(0)));
 
-        // Unchanged view + store: fast path (observable via epoch not
-        // advancing — exercised here just for coverage/no-panic).
+        // Unchanged view + store: nothing moves.
         eval.refresh_view(&store, &view);
         assert!(eval.is_violated(0, v(0)));
 
-        // A real change invalidates.
+        // A value change.
         view.update(x(1), AgentId::new(1), v(1), Priority::ZERO);
         eval.refresh_view(&store, &view);
         assert!(!eval.is_violated(0, v(0)));
 
-        // Store growth alone also invalidates.
+        // Store growth alone.
         store.insert(pair(0, 1, 1, 1));
         eval.refresh_view(&store, &view);
         assert!(eval.is_violated(1, v(1)));
 
-        // Store *mutation* (forgetting) alone also invalidates.
+        // Store *mutation* (forgetting) alone.
         store.insert_learned(pair(0, 2, 1, 1));
         eval.refresh_view(&store, &view);
         assert!(eval.is_violated(2, v(2)));
         store.forget(0);
         eval.refresh_view(&store, &view);
         assert!(!eval.is_violated(2, v(2)));
+
+        // Priorities come along: x1 above the owner makes both nogoods
+        // higher.
+        view.update(x(1), AgentId::new(1), v(1), Priority::new(1));
+        eval.refresh_view(&store, &view);
+        assert_eq!(eval.higher_len(), 2);
     }
 
     /// Deterministic pseudo-random stream (SplitMix64) for the large-store
@@ -1293,22 +1461,34 @@ mod tests {
         }
     }
 
-    /// Drives a store past `SMALL_STORE_LIMIT` slots with random view
-    /// churn, inserts, and forgetting, comparing every query against a
-    /// naive literal scan. This is the in-crate counterpart of the
-    /// proptest in `tests/properties.rs`.
+    /// Drives a store past `SMALL_STORE_LIMIT` slots under the churn an
+    /// AWC agent meets — view values changing, priorities rising and
+    /// dropping (reordering links deliver old announcements), removals,
+    /// own-priority raises, nogoods over variables the view never holds,
+    /// inserts and forgetting — and compares the change-driven evaluator
+    /// with the naive `is_higher_nogood` plus `is_violated_by` scan after
+    /// every step. A second evaluator follows the same store and view
+    /// through [`IncrementalEval::refresh`], DB's whole-view path, and
+    /// must agree slot by slot on violation. This is the in-crate
+    /// counterpart of the proptest in `tests/properties.rs`.
     #[test]
-    fn watched_mode_matches_naive_under_churn() {
+    fn change_driven_eval_matches_naive_under_churn() {
         const VARS: u32 = 24;
+        /// Variables at or above this id appear in nogoods only.
+        const VIEW_VARS: u32 = 20;
         const VALUES: u16 = 3;
-        let own = x(0);
+        let own = x(9);
         let mut rng = Rng(0xd15c_5b00_c0ff_ee00);
         let mut store = NogoodStore::new();
         let mut eval = IncrementalEval::new(own);
-        let mut view: HashMap<VariableId, Value> = HashMap::new();
+        let mut whole = IncrementalEval::new(own);
+        let mut view = AgentView::new();
+        let mut own_priority = Priority::ZERO;
+        let mut changed: Vec<VariableId> = Vec::new();
+        let mut flips = 0;
 
         let random_nogood = |rng: &mut Rng| {
-            let len = 1 + rng.below(3) as usize;
+            let len = 1 + rng.below(4) as usize;
             let mut elems: Vec<(VariableId, Value)> = Vec::new();
             while elems.len() < len {
                 let var = x(rng.below(VARS as u64) as u32);
@@ -1325,44 +1505,82 @@ mod tests {
             for _ in 0..inserts {
                 store.insert_learned(random_nogood(&mut rng));
             }
-            if step == 200 {
+            if step % 150 == 149 {
                 store.forget(store.learned_len() / 2);
             }
-            // Mutate the view: a few assignments plus occasional removal.
             for _ in 0..1 + rng.below(3) {
-                let var = x(1 + rng.below((VARS - 1) as u64) as u32);
-                if rng.below(8) == 0 {
-                    view.remove(&var);
+                let var = x(rng.below(VIEW_VARS as u64) as u32);
+                if var == own {
+                    continue;
+                }
+                let hit = if rng.below(8) == 0 {
+                    view.remove(var).is_some()
                 } else {
-                    view.insert(var, v(rng.below(VALUES as u64) as u16));
+                    let value = v(rng.below(VALUES as u64) as u16);
+                    let priority = Priority::new(rng.below(6));
+                    view.update(var, crate::ids::AgentId::new(var.raw()), value, priority)
+                };
+                if hit {
+                    changed.push(var);
                 }
             }
-            eval.refresh(&store, view.iter().map(|(&k, &val)| (k, val)));
+            // The owner mostly climbs, as after a deadend, and now and
+            // then starts over low.
+            match rng.below(10) {
+                0..=2 => own_priority = own_priority.next(),
+                3 => own_priority = Priority::new(rng.below(3)),
+                _ => {}
+            }
+            let before = eval.higher_len();
+            eval.refresh_changed(&store, &view, own_priority, &changed);
+            changed.clear();
+            flips += usize::from(before != eval.higher_len());
+            whole.refresh(&store, view.iter().map(|(var, entry)| (var, entry.value)));
 
-            let own_value = v(rng.below(VALUES as u64) as u16);
-            let lookup = |var: VariableId| {
-                if var == own {
-                    Some(own_value)
-                } else {
-                    view.get(&var).copied()
+            let own_rank = Rank::new(own, own_priority);
+            for own_value in 0..VALUES {
+                let own_value = v(own_value);
+                assert_eq!(
+                    eval_review(&eval, &store, own_value),
+                    naive_review(&store, &view, own_rank, own_value),
+                    "step {step} own={own_value}"
+                );
+                let lookup = view.lookup_with(own, own_value);
+                let naive_count = store.iter().filter(|ng| ng.is_violated_by(&lookup)).count();
+                assert_eq!(eval.violation_count_with(own_value), naive_count);
+                assert_eq!(whole.violation_count_with(own_value), naive_count);
+                for (idx, ng) in store.entries() {
+                    let naive = ng.is_violated_by(&lookup);
+                    assert_eq!(
+                        eval.is_violated(idx, own_value),
+                        naive,
+                        "step {step} idx {idx} own={own_value}"
+                    );
+                    assert_eq!(
+                        whole.is_violated(idx, own_value),
+                        naive,
+                        "step {step} idx {idx} own={own_value} (whole view)"
+                    );
                 }
-            };
-            let naive: Vec<NogoodIdx> = store
-                .entries()
-                .filter(|(_, ng)| ng.is_violated_by(lookup))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(eval.violated_with(own_value), naive, "step {step}");
-            assert_eq!(eval.violation_count_with(own_value), naive.len());
+            }
             for (idx, ng) in store.entries() {
                 assert_eq!(
-                    eval.is_violated(idx, own_value),
-                    ng.is_violated_by(lookup),
+                    bit_get(&eval.higher, idx),
+                    view.is_higher_nogood(ng, own_rank),
                     "step {step} idx {idx}"
                 );
             }
         }
         assert!(store.slot_count() > IncrementalEval::SMALL_STORE_LIMIT);
+        assert!(flips > 100, "the partition moved only {flips} times");
+        // A fresh evaluator reading the whole view agrees at the owner's
+        // starting priority.
+        let mut fresh = IncrementalEval::new(own);
+        fresh.refresh_view(&store, &view);
+        assert_eq!(
+            eval_review(&fresh, &store, v(0)),
+            naive_review(&store, &view, Rank::new(own, Priority::ZERO), v(0))
+        );
         assert_eq!(store.checks(), 0, "incremental machinery must not meter");
     }
 }

@@ -35,12 +35,10 @@ pub struct ViewEntry {
 /// their own assignment separately and combine the two with
 /// [`AgentView::lookup_with`].
 ///
-/// The view carries a *generation counter* bumped on every observable
-/// change ([`AgentView::update`] that alters an entry, or a successful
-/// [`AgentView::remove`]). Incremental machinery such as
-/// [`IncrementalEval`](crate::IncrementalEval) uses it to skip
-/// re-synchronization when nothing changed. The counter is not part of
-/// a view's identity: equality compares entries only.
+/// [`AgentView::update`] and [`AgentView::remove`] report whether they
+/// changed an entry; incremental machinery such as
+/// [`IncrementalEval`](crate::IncrementalEval) is handed exactly the
+/// variables they report.
 ///
 /// # Examples
 ///
@@ -50,21 +48,11 @@ pub struct ViewEntry {
 /// let mut view = AgentView::new();
 /// view.update(VariableId::new(1), AgentId::new(1), Value::new(0), Priority::ZERO);
 /// assert_eq!(view.value_of(VariableId::new(1)), Some(Value::new(0)));
-/// assert_eq!(view.generation(), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentView {
     entries: BTreeMap<VariableId, ViewEntry>,
-    generation: u64,
 }
-
-impl PartialEq for AgentView {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
-impl Eq for AgentView {}
 
 impl AgentView {
     /// Creates an empty view.
@@ -88,27 +76,13 @@ impl AgentView {
             value,
             priority,
         };
-        let changed = self.entries.insert(var, entry) != Some(entry);
-        if changed {
-            self.generation += 1;
-        }
-        changed
+        self.entries.insert(var, entry) != Some(entry)
     }
 
-    /// Forgets everything about `var`.
+    /// Forgets everything about `var`; returns the entry if there was
+    /// one (i.e. when this changed the view).
     pub fn remove(&mut self, var: VariableId) -> Option<ViewEntry> {
-        let removed = self.entries.remove(&var);
-        if removed.is_some() {
-            self.generation += 1;
-        }
-        removed
-    }
-
-    /// Counter bumped on every observable change; equal generations on
-    /// the same view guarantee identical contents (the converse need not
-    /// hold).
-    pub fn generation(&self) -> u64 {
-        self.generation
+        self.entries.remove(&var)
     }
 
     /// The full entry for `var`, if known.
@@ -312,22 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_observable_changes() {
+    fn equality_compares_entries() {
         let mut view = AgentView::new();
-        assert_eq!(view.generation(), 0);
         view.update(x(1), a(1), v(0), p(0));
-        assert_eq!(view.generation(), 1);
-        // No-op refresh: generation untouched.
-        view.update(x(1), a(1), v(0), p(0));
-        assert_eq!(view.generation(), 1);
-        view.update(x(1), a(1), v(1), p(0));
-        assert_eq!(view.generation(), 2);
+        assert_ne!(view, AgentView::new());
         view.remove(x(1));
-        assert_eq!(view.generation(), 3);
-        // Removing an unknown variable is not a change.
-        view.remove(x(1));
-        assert_eq!(view.generation(), 3);
-        // Generation is excluded from equality.
         assert_eq!(view, AgentView::new());
     }
 

@@ -1,4 +1,4 @@
-//! M1 positive fixture: a nogood-store query with no metering in sight.
+//! M1 positive fixture: nogood-store queries with no metering in sight.
 
 pub fn consistent(&self, var: u32, val: i64) -> bool {
     for ng in self.store.for_variable(var) {
@@ -10,5 +10,9 @@ pub fn consistent(&self, var: u32, val: i64) -> bool {
 }
 
 pub fn filter_unmetered(&self, val: i64) -> Vec<usize> {
-    self.tracker.violated_among(&self.candidates, val)
+    self.tracker.violated_higher(val).collect()
+}
+
+pub fn count_unmetered(&self, val: i64) -> usize {
+    self.tracker.lower_violation_count(val)
 }

@@ -16,6 +16,6 @@ pub fn consistent_incremental(&mut self, var: u32, val: i64) -> bool {
 }
 
 pub fn violated_charged(&mut self, val: i64) -> Vec<usize> {
-    self.metrics.charge_checks(self.candidates.len() as u64);
-    self.tracker.violated_among(&self.candidates, val)
+    self.metrics.charge_checks(self.tracker.higher_len() as u64);
+    self.tracker.violated_higher(val).collect()
 }

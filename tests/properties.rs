@@ -56,48 +56,101 @@ proptest! {
     fn incremental_eval_matches_naive_scan(
         own in 0u32..12,
         nogood_elems in proptest::collection::vec(arb_elements(), 1..10),
-        views in proptest::collection::vec(
-            proptest::collection::btree_map(0u32..12, 0u16..4, 0..8),
-            1..6,
+        steps in proptest::collection::vec(
+            (
+                // View changes: an update (value, priority) or a removal.
+                // Variables 9..12 appear in nogoods only.
+                proptest::collection::vec(
+                    (0u32..9, proptest::option::of((0u16..4, 0u64..4))),
+                    0..6,
+                ),
+                // The owner's priority: rises and drops.
+                0u64..4,
+                // 0: forget half the learned nogoods.
+                0u16..4,
+            ),
+            1..8,
         ),
     ) {
-        use discsp::core::{IncrementalEval, NogoodStore};
+        use discsp::core::{AgentId, AgentView, IncrementalEval, NogoodStore};
         let own = VariableId::new(own);
         let nogoods: Vec<Nogood> = nogood_elems.into_iter().map(Nogood::new).collect();
         let mut store = NogoodStore::new();
+        let mut view = AgentView::new();
         let mut eval = IncrementalEval::new(own);
-        let steps = views.len();
-        for (step, view) in views.into_iter().enumerate() {
+        // DB's path: the same store and view, read whole at every step.
+        let mut whole = IncrementalEval::new(own);
+        let count = steps.len();
+        for (step, (ops, own_priority, forget)) in steps.into_iter().enumerate() {
             // Grow the store progressively so append-sync is exercised
-            // alongside view changes.
-            let grown = ((step + 1) * nogoods.len()).div_ceil(steps);
+            // alongside view changes, and forget now and then.
+            let grown = ((step + 1) * nogoods.len()).div_ceil(count);
             for ng in &nogoods[..grown] {
-                store.insert(ng.clone());
+                store.insert_learned(ng.clone());
             }
-            let foreign: Vec<(VariableId, Value)> = view
-                .iter()
-                .map(|(&var, &value)| (VariableId::new(var), Value::new(value)))
-                .filter(|&(var, _)| var != own)
+            if forget == 0 {
+                store.forget(store.learned_len() / 2);
+            }
+            let mut changed = Vec::new();
+            for (var, entry) in ops {
+                let var = VariableId::new(var);
+                if var == own {
+                    continue;
+                }
+                let hit = match entry {
+                    Some((value, priority)) => view.update(
+                        var,
+                        AgentId::new(var.raw()),
+                        Value::new(value),
+                        Priority::new(priority),
+                    ),
+                    None => view.remove(var).is_some(),
+                };
+                if hit {
+                    changed.push(var);
+                }
+            }
+            let own_priority = Priority::new(own_priority);
+            eval.refresh_changed(&store, &view, own_priority, &changed);
+            whole.refresh(&store, view.iter().map(|(var, entry)| (var, entry.value)));
+            let own_rank = Rank::new(own, own_priority);
+            let higher: Vec<usize> = store
+                .entries()
+                .filter(|&(_, ng)| view.is_higher_nogood(ng, own_rank))
+                .map(|(i, _)| i)
                 .collect();
-            eval.refresh(&store, foreign.iter().copied());
+            prop_assert_eq!(eval.higher_len(), higher.len());
             for own_value in 0u16..4 {
                 let own_value = Value::new(own_value);
-                let lookup = |var: VariableId| {
-                    if var == own {
-                        Some(own_value)
-                    } else {
-                        foreign.iter().find(|&&(v, _)| v == var).map(|&(_, value)| value)
-                    }
-                };
-                let naive: Vec<usize> = (0..store.len())
-                    .filter(|&i| store.get(i).expect("in range").is_violated_by(lookup))
+                let lookup = view.lookup_with(own, own_value);
+                let violated: Vec<usize> = store
+                    .entries()
+                    .filter(|&(_, ng)| ng.is_violated_by(&lookup))
+                    .map(|(i, _)| i)
                     .collect();
-                prop_assert_eq!(eval.violated_with(own_value), naive.clone());
-                prop_assert_eq!(eval.violation_count_with(own_value), naive.len());
-                for i in 0..store.len() {
+                let violated_higher: Vec<usize> = violated
+                    .iter()
+                    .copied()
+                    .filter(|i| higher.contains(i))
+                    .collect();
+                prop_assert_eq!(
+                    eval.violated_higher(own_value).collect::<Vec<_>>(),
+                    violated_higher.clone()
+                );
+                prop_assert_eq!(
+                    eval.lower_violation_count(own_value),
+                    violated.len() - violated_higher.len()
+                );
+                prop_assert_eq!(eval.violation_count_with(own_value), violated.len());
+                prop_assert_eq!(whole.violation_count_with(own_value), violated.len());
+                for (i, _) in store.entries() {
                     prop_assert!(
-                        eval.is_violated(i, own_value) == naive.contains(&i),
+                        eval.is_violated(i, own_value) == violated.contains(&i),
                         "nogood {} disagrees under own={}", i, own_value
+                    );
+                    prop_assert!(
+                        whole.is_violated(i, own_value) == violated.contains(&i),
+                        "nogood {} disagrees under own={} (whole view)", i, own_value
                     );
                 }
             }
