@@ -99,21 +99,26 @@ pub struct AbtAgent {
 impl AbtAgent {
     /// Creates an agent for `var`.
     ///
-    /// `neighbors` lists all constraint-graph neighbors with their
-    /// owners; only the lower-priority ones (larger variable id) receive
-    /// announcements.
+    /// The nogoods are borrowed (`problem.nogoods_of(var)`, or
+    /// `&[Nogood]`); the agent's store copies their literals. `neighbors`
+    /// lists all constraint-graph neighbors with their owners; only the
+    /// lower-priority ones (larger variable id) receive announcements.
     ///
     /// # Panics
     ///
     /// Panics if `initial_value` is outside `domain`.
-    pub fn new(
+    pub fn new<'a, I>(
         id: AgentId,
         var: VariableId,
         domain: Domain,
         initial_value: Value,
-        nogoods: Vec<Nogood>,
+        nogoods: I,
         neighbors: Vec<(VariableId, AgentId)>,
-    ) -> Self {
+    ) -> Self
+    where
+        I: IntoIterator<Item = &'a Nogood>,
+        I::IntoIter: Clone,
+    {
         assert!(
             domain.contains(initial_value),
             "initial value {initial_value} outside domain {domain}"
@@ -270,7 +275,7 @@ impl DistributedAgent for AbtAgent {
                         self.insoluble = true;
                         continue;
                     }
-                    if self.store.insert_learned(nogood.clone()) {
+                    if self.store.insert_learned(&nogood) {
                         for &(var, owner) in &owners {
                             if var != self.var && !self.view.knows(var) {
                                 out.send(owner, AbtMessage::AddLink);
@@ -395,7 +400,7 @@ impl AbtSolver {
                 .iter()
                 .map(|&v| (v, problem.owner(v)))
                 .collect();
-            let nogoods = problem.nogoods_of(var).cloned().collect();
+            let nogoods = problem.nogoods_of(var);
             agents.push(AbtAgent::new(
                 agent_id, var, domain, value, nogoods, neighbors,
             ));

@@ -182,22 +182,28 @@ impl AwcAgent {
     /// Creates an agent for `var` with its relevant constraint nogoods
     /// and constraint-graph neighborhood.
     ///
-    /// `neighbors` lists the foreign variables sharing a nogood with
-    /// `var` together with their owning agents; they form the initial
-    /// `ok?` distribution list.
+    /// The nogoods are borrowed (`problem.nogoods_of(var)`, or
+    /// `&[Nogood]`); the agent's store copies their literals. `neighbors`
+    /// lists the foreign variables sharing a nogood with `var` together
+    /// with their owning agents; they form the initial `ok?` distribution
+    /// list.
     ///
     /// # Panics
     ///
     /// Panics if `initial_value` is outside `domain`.
-    pub fn new(
+    pub fn new<'a, I>(
         id: AgentId,
         var: VariableId,
         domain: Domain,
         initial_value: Value,
-        nogoods: Vec<Nogood>,
+        nogoods: I,
         neighbors: Vec<(VariableId, AgentId)>,
         config: AwcConfig,
-    ) -> Self {
+    ) -> Self
+    where
+        I: IntoIterator<Item = &'a Nogood>,
+        I::IntoIter: Clone,
+    {
         assert!(
             domain.contains(initial_value),
             "initial value {initial_value} outside domain {domain}"
@@ -283,7 +289,7 @@ impl AwcAgent {
                 let within_bound = self.config.record_bound.is_none_or(|k| nogood.len() <= k);
                 if self.config.record_received
                     && within_bound
-                    && self.store.insert_learned(nogood.clone())
+                    && self.store.insert_learned(&nogood)
                 {
                     // §2.2: "If the new nogood includes an unknown
                     // variable, the agent has to request the
@@ -618,7 +624,7 @@ mod tests {
             VariableId::new(0),
             Domain::new(2),
             Value::new(0),
-            vec![Nogood::of([
+            &[Nogood::of([
                 (VariableId::new(0), Value::new(0)),
                 (VariableId::new(1), Value::new(0)),
             ])],
@@ -718,7 +724,7 @@ mod tests {
             VariableId::new(0),
             Domain::new(2),
             Value::new(0),
-            vec![
+            &[
                 Nogood::of([
                     (VariableId::new(0), Value::new(0)),
                     (VariableId::new(1), Value::new(0)),
@@ -939,7 +945,7 @@ mod tests {
             VariableId::new(0),
             Domain::new(2),
             Value::new(0),
-            vec![
+            &[
                 Nogood::of([(VariableId::new(0), Value::new(0))]),
                 Nogood::of([(VariableId::new(0), Value::new(1))]),
             ],

@@ -288,7 +288,7 @@ impl MultiAwcSolver {
                     .iter()
                     .map(|&v| (v, AgentId::new(v.raw())))
                     .collect();
-                let nogoods = problem.nogoods_of(var).cloned().collect();
+                let nogoods = problem.nogoods_of(var);
                 inner.push(AwcAgent::new(
                     virtual_id,
                     var,

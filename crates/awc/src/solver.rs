@@ -188,7 +188,7 @@ impl AwcSolver {
                 .iter()
                 .map(|&v| (v, problem.owner(v)))
                 .collect();
-            let nogoods = problem.nogoods_of(var).cloned().collect();
+            let nogoods = problem.nogoods_of(var);
             agents.push(AwcAgent::new(
                 agent_id,
                 var,

@@ -11,7 +11,9 @@
 //! wall-clock second) and **bytes per agent** (the peak live heap of
 //! build + solve, above what the cell started with, divided by the
 //! population; a counting global allocator measures it, so one cell
-//! cannot reuse pages an earlier cell freed).
+//! cannot reuse pages an earlier cell freed). The same allocator counts
+//! what building the agents costs: the build's seconds (part of the
+//! solve's) and its heap allocations per agent, reallocations included.
 //!
 //! The worker count must not change a run, so the bench fails unless
 //! every row of one population reports the same ticks and activations.
@@ -28,7 +30,7 @@ use std::time::Instant;
 use discsp_core::{Assignment, Termination, Value};
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
-use discsp_runtime::{ShardConfig, SplitMix64, VirtualConfig};
+use discsp_runtime::{run_sharded, ShardConfig, SplitMix64, VirtualConfig};
 
 /// One agent in 64 starts off the planted color, so ~1.5% of the
 /// population (plus their neighborhoods) has genuine repair work while
@@ -43,12 +45,12 @@ fn smoke() -> bool {
 /// and runs a 3×10^5 headline row; smoke keeps CI under a minute.
 ///
 /// Why the headline is not 10^6: the executor's per-activation cost is
-/// nearly flat (≈280k–390k activations/s at 10^5, ≈440k at 3×10^5 on a
+/// nearly flat (≈390k–430k activations/s at 10^5, ≈470k at 3×10^5 on a
 /// 2-vCPU host), but the *workload's* breakout wave count grows with
 /// the population (20 waves at 10^5, 100 at 3×10^5) and every wave
 /// activates all n agents, so a 10^6 solve would outlast the rest of
-/// the matrix many times over. Peak heap stays flat at ≈7.3 KB per
-/// agent, so 10^6 agents would need ≈7.3 GB.
+/// the matrix many times over. Peak heap stays flat at ≈4.3 KB per
+/// agent, so 10^6 agents would need ≈4.3 GB.
 fn matrix() -> Vec<(u32, usize)> {
     if smoke() {
         vec![(10_000, 1), (10_000, 4)]
@@ -57,12 +59,13 @@ fn matrix() -> Vec<(u32, usize)> {
     }
 }
 
-/// Forwards to the system allocator, counting live heap bytes and their
-/// peak across every thread.
+/// Forwards to the system allocator, counting live heap bytes, their
+/// peak and the allocations across every thread.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -110,6 +113,7 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 fn grow(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -120,9 +124,11 @@ struct Row {
     ticks: u64,
     activations: u64,
     solve_secs: f64,
+    build_secs: f64,
     agents_per_sec: f64,
     activations_per_sec: f64,
     bytes_per_agent: f64,
+    build_allocs_per_agent: f64,
 }
 
 fn run_cell(agents: u32, workers: usize) -> Row {
@@ -147,14 +153,18 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         },
         workers,
     );
-    let solver = DbaSolver::new();
     // Peak window: build + solve, above what the cell holds already.
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
-    let report = solver
-        .solve_sharded(&problem, &init, &config)
+    let population = DbaSolver::new()
+        .build_agents(&problem, &init)
         .expect("one variable per agent");
+    let build_secs = start.elapsed().as_secs_f64();
+    let build_allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+    // What `DbaSolver::solve_sharded` runs, with the build timed apart.
+    let report = run_sharded(population, &problem, &config).expect("sharded solve");
     let solve_secs = start.elapsed().as_secs_f64();
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
 
@@ -172,9 +182,11 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         ticks: report.ticks,
         activations: report.activations,
         solve_secs,
+        build_secs,
         agents_per_sec: f64::from(agents) / solve_secs,
         activations_per_sec: report.activations as f64 / solve_secs,
         bytes_per_agent: peak as f64 / f64::from(agents),
+        build_allocs_per_agent: build_allocs as f64 / f64::from(agents),
     }
 }
 
@@ -186,16 +198,19 @@ fn write_snapshot(rows: &[Row]) {
         let sep = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"agents\": {}, \"workers\": {}, \"ticks\": {}, \"activations\": {}, \
-             \"solve_secs\": {:.3}, \"agents_per_sec\": {:.0}, \
-             \"activations_per_sec\": {:.0}, \"bytes_per_agent\": {:.0}}}{sep}\n",
+             \"solve_secs\": {:.3}, \"build_secs\": {:.3}, \"agents_per_sec\": {:.0}, \
+             \"activations_per_sec\": {:.0}, \"bytes_per_agent\": {:.0}, \
+             \"build_allocs_per_agent\": {:.1}}}{sep}\n",
             r.agents,
             r.workers,
             r.ticks,
             r.activations,
             r.solve_secs,
+            r.build_secs,
             r.agents_per_sec,
             r.activations_per_sec,
-            r.bytes_per_agent
+            r.bytes_per_agent,
+            r.build_allocs_per_agent
         ));
     }
     json.push_str("  ]\n}\n");
@@ -210,15 +225,17 @@ fn main() {
     for (agents, workers) in matrix() {
         let row = run_cell(agents, workers);
         println!(
-            "scale/{}agents/{}workers: {:.3}s, {} ticks, {:.0} agents/s, \
-             {:.0} activations/s, {:.0} bytes/agent",
+            "scale/{}agents/{}workers: {:.3}s (build {:.3}s), {} ticks, {:.0} agents/s, \
+             {:.0} activations/s, {:.0} bytes/agent, {:.1} build allocations/agent",
             row.agents,
             row.workers,
             row.solve_secs,
+            row.build_secs,
             row.ticks,
             row.agents_per_sec,
             row.activations_per_sec,
-            row.bytes_per_agent
+            row.bytes_per_agent,
+            row.build_allocs_per_agent
         );
         if let Some(first) = rows.iter().find(|r: &&Row| r.agents == row.agents) {
             assert!(

@@ -116,7 +116,7 @@ impl DistributedCsp {
     /// # Panics
     ///
     /// Panics if `var` is out of range.
-    pub fn nogoods_of(&self, var: VariableId) -> impl Iterator<Item = &Nogood> {
+    pub fn nogoods_of(&self, var: VariableId) -> impl Iterator<Item = &Nogood> + Clone {
         self.relevant[var.index()].iter().map(|&i| &self.nogoods[i])
     }
 

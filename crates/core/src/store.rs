@@ -6,9 +6,13 @@
 //! literals in one flat arena (`Vec<VarValue>`) addressed by per-nogood
 //! `(offset, len)` slot headers — no per-nogood heap allocation — with a
 //! free list so forgetting a nogood recycles its slot without
-//! invalidating other [`NogoodIdx`] values. Dedup goes through hash
-//! buckets over slot ids, and a per-variable index
-//! ([`NogoodStore::for_variable`]) supports incremental evaluation.
+//! invalidating other [`NogoodIdx`] values. Dedup goes through a map
+//! from literal hash to one live slot, whose header chains to the other
+//! live slots of that hash, so a nogood costs no index allocation of its
+//! own. A per-variable index ([`NogoodStore::for_variable`]) supports
+//! incremental evaluation. [`NogoodStore::with_nogoods`] takes the
+//! initial constraints by reference and sizes the arena, the slots and
+//! the mutation log once.
 //!
 //! [`IncrementalEval`] keeps each nogood's violation status and its
 //! higher/lower side (§2.2) against a view: a changed variable moves the
@@ -26,6 +30,7 @@
 //! wall-clock re-evaluation. See DESIGN.md, "Store indexing and metric
 //! fidelity".
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -56,8 +61,12 @@ struct Slot {
     /// Capacity of the arena range owned by this slot (`>= len`); slot
     /// reuse keeps the old range when the new nogood fits.
     cap: u32,
-    /// Hash of the canonical literal slice (dedup bucket key).
+    /// Hash of the canonical literal slice (dedup key).
     hash: u64,
+    /// Next live slot with the same `hash`, or [`NO_SLOT`]: the dedup
+    /// chain that starts at `NogoodStore::by_hash[hash]`. Read only
+    /// while the slot is live.
+    next_same_hash: u32,
     /// Insertion sequence number: the deterministic tie-break for
     /// forgetting (older = evicted first at equal activity).
     seq: u64,
@@ -115,10 +124,11 @@ pub struct NogoodStore {
     /// Number of live *learned* slots.
     learned_live: usize,
     next_seq: u64,
-    /// Dedupe buckets: canonical-literal hash -> live slot ids.
-    // lint: allow(unordered): point lookups keyed by hash only; buckets
-    // are never iterated, so map order cannot reach any output.
-    by_hash: HashMap<u64, Vec<u32>>,
+    /// Dedup index: canonical-literal hash -> the first live slot of
+    /// that hash; the rest follow through `Slot::next_same_hash`.
+    // lint: allow(unordered): point lookups keyed by hash only; the map
+    // is never iterated, so map order cannot reach any output.
+    by_hash: HashMap<u64, u32>,
     /// Per-variable index: every live nogood mentioning the variable, in
     /// recording order.
     // lint: allow(unordered): point lookups keyed by variable; values are
@@ -131,6 +141,9 @@ pub struct NogoodStore {
     log: Vec<u32>,
     checks: Cell<u64>,
 }
+
+/// End of a dedup chain.
+const NO_SLOT: u32 = u32::MAX;
 
 fn hash_lits(lits: &[VarValue]) -> u64 {
     let mut hasher = DefaultHasher::new();
@@ -146,41 +159,81 @@ impl NogoodStore {
 
     /// Creates a store pre-populated with initial-constraint `nogoods`
     /// (duplicates merged). These are never evicted by forgetting.
+    ///
+    /// Pass the nogoods by reference (`problem.nogoods_of(var)`, or
+    /// `&[Nogood]`): the store copies their literals into its arena, and
+    /// walks `nogoods` twice — once to size the arena, the slots and the
+    /// mutation log, once to fill them — so building allocates each of
+    /// them once, however many nogoods there are.
     pub fn with_nogoods<I>(nogoods: I) -> Self
     where
-        I: IntoIterator<Item = Nogood>,
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: Borrow<Nogood>,
     {
-        let mut store = NogoodStore::new();
+        let nogoods = nogoods.into_iter();
+        let (count, literals) = nogoods.clone().fold((0, 0), |(count, literals), ng| {
+            (count + 1, literals + ng.borrow().len())
+        });
+        let mut store = NogoodStore {
+            lits: Vec::with_capacity(literals),
+            slots: Vec::with_capacity(count),
+            log: Vec::with_capacity(count),
+            ..NogoodStore::default()
+        };
+        store.by_hash.reserve(count);
         for ng in nogoods {
-            store.insert(ng);
+            store.insert_lits(ng.borrow().elems(), false);
         }
         store
     }
 
-    /// Records `nogood` as an initial constraint (never forgotten);
+    /// Records `nogood` (owned or borrowed; the store copies its
+    /// literals) as an initial constraint (never forgotten); returns
+    /// `false` if it was already present.
+    pub fn insert(&mut self, nogood: impl Borrow<Nogood>) -> bool {
+        self.insert_lits(nogood.borrow().elems(), false)
+    }
+
+    /// Records `nogood` (owned or borrowed) as a *learned* nogood —
+    /// eligible for [`NogoodStore::forget`] — starting at activity 1;
     /// returns `false` if it was already present.
-    pub fn insert(&mut self, nogood: Nogood) -> bool {
-        self.insert_impl(nogood, false)
+    pub fn insert_learned(&mut self, nogood: impl Borrow<Nogood>) -> bool {
+        self.insert_lits(nogood.borrow().elems(), true)
     }
 
-    /// Records `nogood` as a *learned* nogood — eligible for
-    /// [`NogoodStore::forget`] — starting at activity 1; returns `false`
-    /// if it was already present.
-    pub fn insert_learned(&mut self, nogood: Nogood) -> bool {
-        self.insert_impl(nogood, true)
+    fn insert_lits(&mut self, lits: &[VarValue], learned: bool) -> bool {
+        self.insert_hashed(lits, hash_lits(lits), learned)
     }
 
-    fn insert_impl(&mut self, nogood: Nogood, learned: bool) -> bool {
-        let hash = hash_lits(nogood.elems());
-        if let Some(bucket) = self.by_hash.get(&hash) {
-            if bucket.iter().any(|&i| self.slot_ref(i as usize) == nogood) {
-                return false;
+    /// The first live slot of the dedup chain of `hash`, or [`NO_SLOT`].
+    fn chain_head(&self, hash: u64) -> u32 {
+        self.by_hash.get(&hash).copied().unwrap_or(NO_SLOT)
+    }
+
+    /// The live slot holding exactly `lits`, whose hash is `hash`.
+    fn find(&self, lits: &[VarValue], hash: u64) -> Option<u32> {
+        let mut id = self.chain_head(hash);
+        while id != NO_SLOT {
+            if self.slot_ref(id as usize).elems() == lits {
+                return Some(id);
             }
+            id = self.slots[id as usize].next_same_hash;
         }
-        let n = nogood.len();
+        None
+    }
+
+    /// Inserts canonical `lits` under `hash`, which is `hash_lits(lits)`
+    /// everywhere but in the tests that force hash collisions.
+    fn insert_hashed(&mut self, lits: &[VarValue], hash: u64, learned: bool) -> bool {
+        if self.find(lits, hash).is_some() {
+            return false;
+        }
+        let n = lits.len();
         // lint: allow(panic-path): capacity guard — nogoods are bounded by
         // the variable count, orders of magnitude below 2^32
         let n32 = u32::try_from(n).expect("nogood holds < 2^32 literals");
+        let next_same_hash = self.chain_head(hash);
         let slot_id = match self.free.pop() {
             Some(id) => {
                 let slot = &mut self.slots[id as usize];
@@ -188,7 +241,7 @@ impl NogoodStore {
                 if slot.cap >= n32 {
                     // Reuse the dead slot's arena range in place.
                     let off = slot.offset as usize;
-                    self.lits[off..off + n].copy_from_slice(nogood.elems());
+                    self.lits[off..off + n].copy_from_slice(lits);
                 } else {
                     // Too small: take a fresh range at the end. The old
                     // range is abandoned (arena growth stays bounded by
@@ -196,10 +249,11 @@ impl NogoodStore {
                     slot.offset = u32::try_from(self.lits.len())
                         .expect("literal arena holds < 2^32 literals"); // lint: allow(panic-path): capacity guard; forgetting bounds the arena far below 2^32
                     slot.cap = n32;
-                    self.lits.extend_from_slice(nogood.elems());
+                    self.lits.extend_from_slice(lits);
                 }
                 slot.len = n32;
                 slot.hash = hash;
+                slot.next_same_hash = next_same_hash;
                 slot.seq = self.next_seq;
                 slot.activity = 1;
                 slot.learned = learned;
@@ -212,12 +266,13 @@ impl NogoodStore {
                 let id = u32::try_from(self.slots.len()).expect("store holds < 2^32 slots");
                 let offset = u32::try_from(self.lits.len())
                     .expect("literal arena holds < 2^32 literals"); // lint: allow(panic-path): capacity guard; forgetting bounds the arena far below 2^32
-                self.lits.extend_from_slice(nogood.elems());
+                self.lits.extend_from_slice(lits);
                 self.slots.push(Slot {
                     offset,
                     len: n32,
                     cap: n32,
                     hash,
+                    next_same_hash,
                     seq: self.next_seq,
                     activity: 1,
                     learned,
@@ -227,9 +282,9 @@ impl NogoodStore {
             }
         };
         self.next_seq += 1;
-        self.by_hash.entry(hash).or_default().push(slot_id);
-        for var in nogood.vars() {
-            self.var_index.entry(var).or_default().push(slot_id);
+        self.by_hash.insert(hash, slot_id);
+        for lit in lits {
+            self.var_index.entry(lit.var).or_default().push(slot_id);
         }
         self.live += 1;
         if learned {
@@ -242,16 +297,31 @@ impl NogoodStore {
     /// Scrubs `slot_id` from every index and marks it dead/reusable.
     fn remove_slot(&mut self, slot_id: u32) {
         let idx = slot_id as usize;
-        let (hash, learned, range) = {
+        let (hash, next, learned, range) = {
             let s = &self.slots[idx];
             debug_assert!(s.live, "removing a dead slot");
-            (s.hash, s.learned, s.offset as usize..(s.offset + s.len) as usize)
+            (
+                s.hash,
+                s.next_same_hash,
+                s.learned,
+                s.offset as usize..(s.offset + s.len) as usize,
+            )
         };
-        if let Some(bucket) = self.by_hash.get_mut(&hash) {
-            bucket.retain(|&i| i != slot_id);
-            if bucket.is_empty() {
+        // Unlink from the dedup chain: the slot is the head, or some
+        // live slot of the same hash points at it.
+        let head = self.chain_head(hash);
+        if head == slot_id {
+            if next == NO_SLOT {
                 self.by_hash.remove(&hash);
+            } else {
+                self.by_hash.insert(hash, next);
             }
+        } else {
+            let mut prev = head;
+            while self.slots[prev as usize].next_same_hash != slot_id {
+                prev = self.slots[prev as usize].next_same_hash;
+            }
+            self.slots[prev as usize].next_same_hash = next;
         }
         for li in range {
             let var = self.lits[li].var;
@@ -319,9 +389,7 @@ impl NogoodStore {
 
     /// Whether `nogood` is recorded.
     pub fn contains(&self, nogood: &Nogood) -> bool {
-        self.by_hash
-            .get(&hash_lits(nogood.elems()))
-            .is_some_and(|bucket| bucket.iter().any(|&i| self.slot_ref(i as usize) == *nogood))
+        self.find(nogood.elems(), hash_lits(nogood.elems())).is_some()
     }
 
     /// Number of live nogoods.
@@ -468,7 +536,9 @@ impl fmt::Display for NogoodStore {
 
 impl FromIterator<Nogood> for NogoodStore {
     fn from_iter<I: IntoIterator<Item = Nogood>>(iter: I) -> Self {
-        NogoodStore::with_nogoods(iter)
+        let mut store = NogoodStore::new();
+        store.extend(iter);
+        store
     }
 }
 
@@ -936,6 +1006,18 @@ impl IncrementalEval {
                     .is_some_and(|mask| bit_get(mask, idx)))
     }
 
+    /// The nogoods violated with the own variable at `own_value`,
+    /// ascending by slot: a word-wise AND of bitsets, the set
+    /// [`IncrementalEval::is_violated`] answers slot by slot. **Meters
+    /// nothing** — hot-path callers charge one check per stored nogood,
+    /// which is what the paper's naive evaluator would count.
+    pub fn violated_with(&self, own_value: Value) -> impl Iterator<Item = NogoodIdx> + '_ {
+        let by_value = self.applies_by_value.get(own_value.index());
+        (0..self.foreign_sat.len()).flat_map(move |w| {
+            bit_indices(w, self.foreign_sat[w] & self.applies_word(w, by_value))
+        })
+    }
+
     /// Number of live *higher* nogoods: the nogoods the AWC review tests
     /// each value against. O(1). Every other live nogood is lower, so
     /// the lower count is `store.len() - higher_len()`.
@@ -1187,6 +1269,64 @@ mod tests {
         assert_eq!(store.mutation_log(), &[0, 1, 1]);
         store.insert_learned(pair(2, 0, 3, 0)); // reuses slot 1
         assert_eq!(store.mutation_log(), &[0, 1, 1, 1]);
+    }
+
+    /// The slots on the dedup chain of `hash`, head first.
+    fn chain(store: &NogoodStore, hash: u64) -> Vec<u32> {
+        let mut ids = Vec::new();
+        let mut id = store.chain_head(hash);
+        while id != NO_SLOT {
+            ids.push(id);
+            id = store.slots[id as usize].next_same_hash;
+        }
+        ids
+    }
+
+    #[test]
+    fn colliding_hashes_share_one_chain() {
+        // Distinct nogoods never share a 64-bit hash by chance, so the
+        // test files three of them under one hash it picks.
+        const HASH: u64 = 0xC011_1DE5;
+        let members = [pair(0, 0, 1, 0), pair(0, 1, 1, 1), pair(2, 0, 3, 0)];
+        let three = || {
+            let mut store = NogoodStore::new();
+            for ng in &members {
+                assert!(store.insert_hashed(ng.elems(), HASH, true));
+            }
+            store
+        };
+        let mut store = three();
+        // A new slot joins at the head.
+        assert_eq!(chain(&store, HASH), vec![2, 1, 0]);
+        for ng in &members {
+            assert!(!store.insert_hashed(ng.elems(), HASH, false), "{ng} again");
+        }
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.find(pair(4, 0, 5, 0).elems(), HASH), None);
+
+        // Unlink the head (slot 2), the middle member (slot 1) and the
+        // tail (slot 0), each from a fresh chain of three.
+        for (gone, rest) in [(2, vec![1, 0]), (1, vec![2, 0]), (0, vec![2, 1])] {
+            let mut store = three();
+            store.remove_slot(gone);
+            assert_eq!(chain(&store, HASH), rest, "slot {gone} removed");
+            for (id, ng) in (0u32..).zip(&members) {
+                let expected = (id != gone).then_some(id);
+                assert_eq!(store.find(ng.elems(), HASH), expected, "slot {gone} removed");
+            }
+            // The freed slot takes its nogood back, at the head.
+            assert!(store.insert_hashed(members[gone as usize].elems(), HASH, true));
+            assert_eq!(chain(&store, HASH)[0], gone);
+            assert_eq!((store.len(), store.slot_count()), (3, 3));
+        }
+
+        // Emptying the chain drops the hash from the index.
+        let mut store = three();
+        for id in [1, 0, 2] {
+            store.remove_slot(id);
+        }
+        assert!(chain(&store, HASH).is_empty());
+        assert!(store.by_hash.is_empty());
     }
 
     /// What the AWC review asks, answered by the naive scan: the higher

@@ -71,9 +71,11 @@ pub struct DbaAgent {
     /// wave (the view only changes at wave boundaries); never meters
     /// checks itself — [`DbaAgent::eval_value`] charges the naive cost.
     eval: IncrementalEval,
-    /// Weight of nogood `i` is `weights[weight_group[i]]`.
+    /// Weight of nogood `i` is `weights[i]`, or
+    /// `weights[weight_group[i]]` when nogoods share weights
+    /// ([`WeightMode::PerPair`]).
     weights: Vec<u64>,
-    weight_group: Vec<usize>,
+    weight_group: Option<Vec<usize>>,
     /// The neighbor variables, ascending, each with the view and the
     /// `ok?` buffer. Neighbors are fixed at construction, so the
     /// per-wave state lives in these slots.
@@ -85,36 +87,43 @@ pub struct DbaAgent {
     planned_value: Value,
     my_improve: u64,
     my_eval: u64,
-    violated_now: Vec<usize>,
+    /// The nogoods violated at the current value, refilled every `ok?`
+    /// wave; the breakout raises their weights.
+    violated_now: Vec<NogoodIdx>,
     stats: AgentStats,
 }
 
 impl DbaAgent {
     /// Creates an agent for `var` with its relevant nogoods and
-    /// neighborhood, all weights starting at 1.
+    /// neighborhood, all weights starting at 1. The nogoods are borrowed
+    /// (`problem.nogoods_of(var)`, or `&[Nogood]`); the agent's store
+    /// copies their literals.
     ///
     /// # Panics
     ///
     /// Panics if `initial_value` is outside `domain`.
-    pub fn new(
+    pub fn new<'a, I>(
         id: AgentId,
         var: VariableId,
         domain: Domain,
         initial_value: Value,
-        nogoods: Vec<Nogood>,
+        nogoods: I,
         neighbors: Vec<(VariableId, AgentId)>,
         mode: WeightMode,
-    ) -> Self {
+    ) -> Self
+    where
+        I: IntoIterator<Item = &'a Nogood>,
+        I::IntoIter: Clone,
+    {
         assert!(
             domain.contains(initial_value),
             "initial value {initial_value} outside domain {domain}"
         );
         let store = NogoodStore::with_nogoods(nogoods);
         let (weights, weight_group) = match mode {
-            WeightMode::PerNogood => {
-                let groups: Vec<usize> = store.indices().collect();
-                (vec![1; store.len()], groups)
-            }
+            // The store never forgets, so its slots are 0..len: one
+            // weight per slot.
+            WeightMode::PerNogood => (vec![1; store.len()], None),
             WeightMode::PerPair => {
                 let mut group_of: BTreeMap<Vec<VariableId>, usize> = BTreeMap::new();
                 let mut groups = Vec::with_capacity(store.len());
@@ -124,7 +133,7 @@ impl DbaAgent {
                     let g = *group_of.entry(key).or_insert(next);
                     groups.push(g);
                 }
-                (vec![1; group_of.len()], groups)
+                (vec![1; group_of.len()], Some(groups))
             }
         };
         DbaAgent {
@@ -173,7 +182,18 @@ impl DbaAgent {
 
     /// The current weight of the nogood at store index `index`.
     pub fn weight_of(&self, index: usize) -> Option<u64> {
-        self.weight_group.get(index).map(|&g| self.weights[g])
+        let weight = match &self.weight_group {
+            None => index,
+            Some(groups) => *groups.get(index)?,
+        };
+        self.weights.get(weight).copied()
+    }
+
+    /// Where in `weights` the weight of nogood `index` lives.
+    fn weight_index(&self, index: NogoodIdx) -> usize {
+        self.weight_group
+            .as_ref()
+            .map_or(index, |groups| groups[index])
     }
 
     /// Re-syncs the incremental cache with the current view. Must run
@@ -188,24 +208,30 @@ impl DbaAgent {
         self.eval.refresh(&self.store, view);
     }
 
-    /// Metered weighted cost of taking `value` under the current view,
-    /// together with the violated store indices.
+    /// Metered weighted cost of taking `value` under the current view.
     ///
     /// Answers from the [`IncrementalEval`] cache but charges one check
     /// per stored nogood — exactly the cost of the naive full scan this
     /// replaces, keeping `maxcck` bit-identical (pinned by the golden
     /// metric tests).
-    fn eval_value(&self, value: Value) -> (u64, Vec<NogoodIdx>) {
+    fn eval_value(&self, value: Value) -> u64 {
         self.store.charge_checks(self.store.len() as u64);
-        let mut cost = 0u64;
-        let mut violated = Vec::new();
-        for i in self.store.indices() {
-            if self.eval.is_violated(i, value) {
-                cost += self.weights[self.weight_group[i]];
-                violated.push(i);
-            }
-        }
-        (cost, violated)
+        self.eval
+            .violated_with(value)
+            .map(|i| self.weights[self.weight_index(i)])
+            .sum()
+    }
+
+    /// [`DbaAgent::eval_value`] of the current value, also recording
+    /// the violated nogoods in `violated_now`.
+    fn eval_current(&mut self) -> u64 {
+        self.store.charge_checks(self.store.len() as u64);
+        self.violated_now.clear();
+        self.violated_now.extend(self.eval.violated_with(self.value));
+        self.violated_now
+            .iter()
+            .map(|&i| self.weights[self.weight_index(i)])
+            .sum()
     }
 
     fn send_ok(&self, out: &mut Outbox<DbaMessage>) {
@@ -229,9 +255,8 @@ impl DbaAgent {
             }
         }
         self.sync_eval();
-        let (eval, violated) = self.eval_value(self.value);
+        let eval = self.eval_current();
         self.my_eval = eval;
-        self.violated_now = violated;
         // Best alternative value.
         let mut best_value = self.value;
         let mut best_cost = eval;
@@ -239,7 +264,7 @@ impl DbaAgent {
             if d == self.value {
                 continue;
             }
-            let (cost, _) = self.eval_value(d);
+            let cost = self.eval_value(d);
             if cost < best_cost {
                 best_cost = cost;
                 best_value = d;
@@ -281,7 +306,8 @@ impl DbaAgent {
             // Quasi-local-minimum: breakout — raise the weight of every
             // currently violated nogood.
             for &i in &self.violated_now {
-                self.weights[self.weight_group[i]] += 1;
+                let weight = self.weight_index(i);
+                self.weights[weight] += 1;
             }
         }
         self.send_ok(out);
@@ -371,13 +397,13 @@ impl DistributedAgent for DbaAgent {
             // Isolated variable: settle its (unary) nogoods immediately —
             // no waves will ever run.
             self.sync_eval();
-            let (_, _) = self.eval_value(self.value);
+            let _ = self.eval_value(self.value);
             // Domains are nonempty by construction; the fallback keeps
             // this step function panic-free.
             let best = self
                 .domain
                 .iter()
-                .min_by_key(|&d| self.eval_value(d).0)
+                .min_by_key(|&d| self.eval_value(d))
                 .unwrap_or(self.value);
             self.value = best;
             return;
@@ -451,7 +477,7 @@ mod tests {
             x(0),
             Domain::new(2),
             v(0),
-            vec![
+            &[
                 Nogood::of([(x(0), v(0)), (x(1), v(0))]),
                 Nogood::of([(x(0), v(1)), (x(1), v(1))]),
             ],
@@ -467,14 +493,13 @@ mod tests {
             slot.view = Some(v(0));
         }
         agent.sync_eval();
-        let (cost, violated) = agent.eval_value(v(0));
-        assert_eq!(cost, 1);
-        assert_eq!(violated, vec![0]);
-        let (cost, violated) = agent.eval_value(v(1));
-        assert_eq!(cost, 0);
-        assert!(violated.is_empty());
-        // Four checks were metered (two nogoods × two evaluations).
-        assert_eq!(agent.store.take_checks(), 4);
+        assert_eq!(agent.eval_value(v(0)), 1);
+        assert_eq!(agent.eval_value(v(1)), 0);
+        // The current value (x0 = 0) also records what it violates.
+        assert_eq!(agent.eval_current(), 1);
+        assert_eq!(agent.violated_now, vec![0]);
+        // Six checks were metered (two nogoods × three evaluations).
+        assert_eq!(agent.store.take_checks(), 6);
     }
 
     #[test]
@@ -545,7 +570,7 @@ mod tests {
             x(5),
             Domain::new(2),
             v(0),
-            vec![Nogood::of([(x(5), v(0)), (x(1), v(0))])],
+            &[Nogood::of([(x(5), v(0)), (x(1), v(0))])],
             vec![(x(1), AgentId::new(1))],
             WeightMode::PerNogood,
         );
@@ -585,7 +610,7 @@ mod tests {
             x(0),
             Domain::new(2),
             v(0),
-            vec![
+            &[
                 Nogood::of([(x(0), v(0)), (x(1), v(0))]),
                 Nogood::of([(x(0), v(1)), (x(1), v(0))]),
             ],
@@ -627,7 +652,7 @@ mod tests {
         let agent = two_agent_pair(WeightMode::PerPair);
         // Both nogoods share the foreign set {x1}: one weight group.
         assert_eq!(agent.weights.len(), 1);
-        assert_eq!(agent.weight_group, vec![0, 0]);
+        assert_eq!(agent.weight_group, Some(vec![0, 0]));
     }
 
     #[test]
@@ -656,7 +681,7 @@ mod tests {
             x(0),
             Domain::new(2),
             v(0),
-            vec![Nogood::of([(x(0), v(0))])],
+            &[Nogood::of([(x(0), v(0))])],
             vec![],
             WeightMode::PerNogood,
         );

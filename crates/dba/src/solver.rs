@@ -184,7 +184,7 @@ impl DbaSolver {
                 .iter()
                 .map(|&v| (v, problem.owner(v)))
                 .collect();
-            let nogoods = problem.nogoods_of(var).cloned().collect();
+            let nogoods = problem.nogoods_of(var);
             agents.push(DbaAgent::new(
                 agent_id, var, domain, value, nogoods, neighbors, self.mode,
             ));

@@ -551,6 +551,7 @@ fn check_d2(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
 const M1_TRIGGERS: &[&str] = &[
     "for_variable",
     "is_violated",
+    "violated_with",
     "violated_higher",
     "lower_violation_count",
     "violation_count_with",

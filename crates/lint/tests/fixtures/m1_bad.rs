@@ -16,3 +16,7 @@ pub fn filter_unmetered(&self, val: i64) -> Vec<usize> {
 pub fn count_unmetered(&self, val: i64) -> usize {
     self.tracker.lower_violation_count(val)
 }
+
+pub fn cost_unmetered(&self, val: i64) -> u64 {
+    self.tracker.violated_with(val).map(|i| self.weights[i]).sum()
+}

@@ -59,10 +59,11 @@ fn d2_bad_flags_all_three_sources() {
 #[test]
 fn m1_bad_flags_unmetered_query() {
     let fs = lint_fixture("m1_bad.rs");
-    assert_eq!(rule_lines(&fs, "M1"), vec![4, 13, 17]);
+    assert_eq!(rule_lines(&fs, "M1"), vec![4, 13, 17, 21]);
     assert!(fs[0].message.contains("for_variable"));
     assert!(fs[1].message.contains("violated_higher"));
     assert!(fs[2].message.contains("lower_violation_count"));
+    assert!(fs[3].message.contains("violated_with"));
 }
 
 #[test]

@@ -63,7 +63,7 @@ pub fn run_agent(addr: SocketAddr, index: u32, io_timeout: Duration) -> Result<(
                 slice.var,
                 slice.domain,
                 slice.init,
-                slice.nogoods,
+                &slice.nogoods,
                 slice.neighbors,
                 config,
             );
@@ -75,7 +75,7 @@ pub fn run_agent(addr: SocketAddr, index: u32, io_timeout: Duration) -> Result<(
                 slice.var,
                 slice.domain,
                 slice.init,
-                slice.nogoods,
+                &slice.nogoods,
                 slice.neighbors,
                 mode,
             );

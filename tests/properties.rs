@@ -143,6 +143,14 @@ proptest! {
                 );
                 prop_assert_eq!(eval.violation_count_with(own_value), violated.len());
                 prop_assert_eq!(whole.violation_count_with(own_value), violated.len());
+                prop_assert_eq!(
+                    whole.violated_with(own_value).collect::<Vec<_>>(),
+                    violated.clone()
+                );
+                prop_assert_eq!(
+                    eval.violated_with(own_value).collect::<Vec<_>>(),
+                    violated.clone()
+                );
                 for (i, _) in store.entries() {
                     prop_assert!(
                         eval.is_violated(i, own_value) == violated.contains(&i),
@@ -157,6 +165,120 @@ proptest! {
         }
         // The cached path itself must never meter checks.
         prop_assert_eq!(store.checks(), 0);
+    }
+
+    #[test]
+    fn store_dedup_matches_a_model_under_churn(
+        ops in proptest::collection::vec(
+            (
+                // 0..4: initial insert, 4..8: learned insert, 8: forget
+                // down to `param` learned nogoods, 9: bump the activity
+                // of the `param`-th live nogood.
+                0u16..10,
+                // Nogoods over four variables and two values: repeats
+                // are frequent.
+                proptest::collection::btree_map(0u32..4, 0u16..2, 0..3),
+                0usize..6,
+            ),
+            1..80,
+        ),
+    ) {
+        use discsp::core::NogoodStore;
+        use std::collections::{BTreeMap, BTreeSet};
+        // Per live nogood: learned, insertion sequence, activity.
+        let mut model: BTreeMap<Nogood, (bool, u64, u64)> = BTreeMap::new();
+        let mut store = NogoodStore::new();
+        let (mut seq, mut peak) = (0u64, 0usize);
+        for (kind, elems, param) in ops {
+            let ng = Nogood::of(
+                elems
+                    .into_iter()
+                    .map(|(var, value)| (VariableId::new(var), Value::new(value))),
+            );
+            match kind {
+                0..=7 => {
+                    let learned = kind >= 4;
+                    let fresh = !model.contains_key(&ng);
+                    let inserted = if learned {
+                        store.insert_learned(ng.clone())
+                    } else {
+                        store.insert(ng.clone())
+                    };
+                    prop_assert_eq!(inserted, fresh);
+                    if fresh {
+                        model.insert(ng.clone(), (learned, seq, 1));
+                        seq += 1;
+                    }
+                }
+                8 => {
+                    // Coldest first, oldest first at equal activity; a
+                    // pass that evicts halves the survivors' activity.
+                    let mut learned: Vec<(u64, u64, Nogood)> = model
+                        .iter()
+                        .filter(|(_, entry)| entry.0)
+                        .map(|(ng, &(_, seq, activity))| (activity, seq, ng.clone()))
+                        .collect();
+                    learned.sort();
+                    let evict = learned.len().saturating_sub(param);
+                    let expected: BTreeSet<Nogood> =
+                        learned[..evict].iter().map(|(_, _, ng)| ng.clone()).collect();
+                    let before: BTreeMap<usize, Nogood> =
+                        store.entries().map(|(i, ng)| (i, ng.to_nogood())).collect();
+                    let evicted = store.forget(param);
+                    prop_assert!(evicted.windows(2).all(|w| w[0] < w[1]));
+                    let got: BTreeSet<Nogood> =
+                        evicted.iter().map(|i| before[i].clone()).collect();
+                    prop_assert_eq!(got, expected.clone());
+                    if evict > 0 {
+                        model.retain(|ng, _| !expected.contains(ng));
+                        for entry in model.values_mut().filter(|entry| entry.0) {
+                            entry.2 /= 2;
+                        }
+                    }
+                }
+                _ => {
+                    let hit = store.entries().nth(param).map(|(i, ng)| (i, ng.to_nogood()));
+                    if let Some((idx, live)) = hit {
+                        store.bump_activity(idx);
+                        if let Some(entry) = model.get_mut(&live) {
+                            entry.2 += 1;
+                        }
+                    }
+                }
+            }
+            peak = peak.max(model.len());
+
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.learned_len(), model.values().filter(|e| e.0).count());
+            // Freed slots are reused before the store takes a new one.
+            prop_assert_eq!(store.slot_count(), peak);
+            let entries: Vec<(usize, Nogood)> =
+                store.entries().map(|(i, ng)| (i, ng.to_nogood())).collect();
+            prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert_eq!(
+                store.indices().collect::<Vec<_>>(),
+                entries.iter().map(|(i, _)| *i).collect::<Vec<_>>()
+            );
+            let mut live: Vec<Nogood> = entries.iter().map(|(_, ng)| ng.clone()).collect();
+            live.sort();
+            prop_assert_eq!(live, model.keys().cloned().collect::<Vec<_>>());
+            prop_assert_eq!(store.contains(&ng), model.contains_key(&ng));
+            prop_assert!(model.keys().all(|ng| store.contains(ng)));
+            for var in (0..4).map(VariableId::new) {
+                let mut mentions: Vec<usize> = Vec::new();
+                for (i, ng) in store.for_variable(var) {
+                    prop_assert_eq!(store.get(i), Some(ng));
+                    mentions.push(i);
+                }
+                mentions.sort_unstable();
+                let expected: Vec<usize> = entries
+                    .iter()
+                    .filter(|(_, ng)| ng.contains_var(var))
+                    .map(|(i, _)| *i)
+                    .collect();
+                prop_assert_eq!(mentions, expected);
+            }
+        }
     }
 
     #[test]
