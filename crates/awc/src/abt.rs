@@ -13,16 +13,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use discsp_core::{
-    AgentId, AgentView, Domain, IncrementalEval, Nogood, NogoodStore, Priority, Value, VarValue,
-    VariableId,
+    AgentId, AgentView, Assignment, CoreError, DistributedCsp, Domain, IncrementalEval, Nogood,
+    NogoodStore, Priority, Value, VarValue, VariableId,
 };
 use discsp_runtime::{
-    run_sharded, run_virtual, AgentNote, AgentStats, Classify, DistributedAgent, Envelope,
-    MessageClass, Outbox, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
+    AgentNote, AgentStats, Classify, DistributedAgent, Envelope, MessageClass, Outbox, Solver,
 };
 use serde::{Deserialize, Serialize};
-
-use crate::solver::AwcError;
 
 /// Messages exchanged by ABT agents.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -333,145 +330,56 @@ impl DistributedAgent for AbtAgent {
     }
 }
 
-/// Builds and runs ABT agent populations on the synchronous simulator.
-#[derive(Debug, Clone)]
-pub struct AbtSolver {
-    cycle_limit: u64,
-    record_history: bool,
-    record_trace: bool,
-}
+/// Builds ABT agent populations; runs them through [`Solver`].
+#[derive(Debug, Clone, Default)]
+pub struct AbtSolver;
 
 impl AbtSolver {
-    /// Creates a solver with the paper's 10 000-cycle limit.
+    /// Creates a solver.
     pub fn new() -> Self {
-        AbtSolver {
-            cycle_limit: discsp_core::PAPER_CYCLE_LIMIT,
-            record_history: false,
-            record_trace: false,
-        }
-    }
-
-    /// Overrides the cycle limit.
-    pub fn cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
-    }
-
-    /// Enables per-cycle history recording.
-    pub fn record_history(mut self, on: bool) -> Self {
-        self.record_history = on;
-        self
-    }
-
-    /// Enables event-trace recording (see `discsp_runtime::TraceEvent`).
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
-        self
+        AbtSolver
     }
 
     /// Builds the ABT agent population for `problem` from `init`.
     ///
     /// # Errors
     ///
-    /// Fails when an agent owns a number of variables other than one, or
-    /// an initial value is missing or out of domain.
+    /// See [`DistributedCsp::seat`].
     pub fn build_agents(
         &self,
-        problem: &discsp_core::DistributedCsp,
-        init: &discsp_core::Assignment,
-    ) -> Result<Vec<AbtAgent>, AwcError> {
-        let mut agents = Vec::with_capacity(problem.num_agents());
-        for a in 0..problem.num_agents() {
-            let agent_id = AgentId::new(a as u32);
-            let vars = problem.vars_of_agent(agent_id);
-            let [var] = vars[..] else {
-                return Err(AwcError::WrongVariableCount {
-                    agent: agent_id,
-                    count: vars.len(),
-                });
-            };
-            let domain = problem.domain(var);
-            let value = init
-                .get(var)
-                .filter(|&v| domain.contains(v))
-                .ok_or(AwcError::BadInitialValue { var })?;
-            let neighbors = problem
-                .neighbors(var)
-                .iter()
-                .map(|&v| (v, problem.owner(v)))
-                .collect();
-            let nogoods = problem.nogoods_of(var);
-            agents.push(AbtAgent::new(
-                agent_id, var, domain, value, nogoods, neighbors,
-            ));
-        }
-        Ok(agents)
-    }
-
-    /// Runs ABT against `problem` from initial values `init` on the
-    /// synchronous cycle simulator.
-    ///
-    /// # Errors
-    ///
-    /// See [`AbtSolver::build_agents`].
-    pub fn solve_sync(
-        &self,
-        problem: &discsp_core::DistributedCsp,
-        init: &discsp_core::Assignment,
-    ) -> Result<SyncRun, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        let mut sim = SyncSimulator::new(agents);
-        sim.cycle_limit(self.cycle_limit)
-            .record_history(self.record_history)
-            .record_trace(self.record_trace);
-        sim.run(problem).map_err(AwcError::from)
-    }
-
-    /// Runs ABT on the deterministic discrete-event runtime with link
-    /// faults: identical `(seed, LinkPolicy)` pairs replay
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// See [`AbtSolver::build_agents`].
-    pub fn solve_virtual(
-        &self,
-        problem: &discsp_core::DistributedCsp,
-        init: &discsp_core::Assignment,
-        config: &VirtualConfig,
-    ) -> Result<VirtualReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_virtual(agents, problem, config).map_err(AwcError::from)
-    }
-
-    /// Runs ABT on the M:N sharded executor. Reports are bit-identical
-    /// to [`AbtSolver::solve_virtual`] under `config.base` for any
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`AbtSolver::build_agents`].
-    pub fn solve_sharded(
-        &self,
-        problem: &discsp_core::DistributedCsp,
-        init: &discsp_core::Assignment,
-        config: &ShardConfig,
-    ) -> Result<VirtualReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_sharded(agents, problem, config).map_err(AwcError::from)
+        problem: &DistributedCsp,
+        init: &Assignment,
+    ) -> Result<Vec<AbtAgent>, CoreError> {
+        problem.seat(init, |agent, var, domain, value, neighbors| {
+            AbtAgent::new(
+                agent,
+                var,
+                domain,
+                value,
+                problem.nogoods_of(var),
+                neighbors,
+            )
+        })
     }
 }
 
-impl Default for AbtSolver {
-    fn default() -> Self {
-        AbtSolver::new()
+impl Solver for AbtSolver {
+    type Agent = AbtAgent;
+
+    fn agents(
+        &self,
+        problem: &DistributedCsp,
+        init: &Assignment,
+    ) -> Result<Vec<AbtAgent>, CoreError> {
+        self.build_agents(problem, init)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use discsp_core::{Assignment, DistributedCsp, Termination};
+    use discsp_core::Termination;
+    use discsp_runtime::SyncSimulator;
 
     fn triangle() -> DistributedCsp {
         let mut b = DistributedCsp::builder();
@@ -517,9 +425,10 @@ mod tests {
         }
         let problem = b.build().unwrap();
         let init = Assignment::total([Value::new(0); 4]);
-        let run = AbtSolver::new()
+        let agents = AbtSolver::new().build_agents(&problem, &init).unwrap();
+        let run = SyncSimulator::new(agents)
             .cycle_limit(5_000)
-            .solve_sync(&problem, &init)
+            .run(&problem)
             .unwrap();
         assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
     }

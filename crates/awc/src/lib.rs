@@ -8,9 +8,9 @@
 //! changes, and break deadends by learning a nogood and raising their
 //! priority. This crate provides:
 //!
-//! * [`AwcAgent`] / [`AwcSolver`] — the algorithm, runnable on the
-//!   synchronous simulator or the deterministic executors of
-//!   `discsp-runtime`;
+//! * [`AwcAgent`] / [`AwcSolver`] — the algorithm, runnable through
+//!   `discsp-runtime`'s `Solver` on the synchronous simulator or the
+//!   deterministic executors;
 //! * [`Learning`] — resolvent-based (§3), mcs-based, and no-learning
 //!   strategies, with size-bounded recording (§4.2) and the rec/norec
 //!   switch (§4.1) configured via [`AwcConfig`];
@@ -22,6 +22,7 @@
 //! ```
 //! use discsp_awc::{AwcConfig, AwcSolver};
 //! use discsp_core::{Assignment, DistributedCsp, Domain, Value};
+//! use discsp_runtime::Solver;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = DistributedCsp::builder();
@@ -53,4 +54,4 @@ pub use agent::{AwcAgent, AwcConfig};
 pub use learning::{minimize_conflict_set, resolvent, resolvent_selections, Deadend, Learning};
 pub use msg::AwcMessage;
 pub use multi::{MultiAwcAgent, MultiAwcMessage, MultiAwcSolver};
-pub use solver::{AwcError, AwcSolver};
+pub use solver::AwcSolver;

@@ -16,15 +16,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use discsp_core::{AgentId, Assignment, DistributedCsp, VarValue};
+use discsp_core::{AgentId, Assignment, CoreError, DistributedCsp, VarValue};
 use discsp_runtime::{
-    AgentStats, Classify, DistributedAgent, Envelope, MessageClass, Outbox, SyncRun, SyncSimulator,
+    AgentStats, Classify, DistributedAgent, Envelope, MessageClass, Outbox, SolveError, SyncRun,
+    SyncSimulator,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::agent::{AwcAgent, AwcConfig};
 use crate::msg::AwcMessage;
-use crate::solver::AwcError;
 
 /// The wire format between physical agents: a virtual-agent envelope.
 ///
@@ -197,7 +197,8 @@ impl DistributedAgent for MultiAwcAgent {
 }
 
 /// Builds and runs multi-variable AWC populations on the synchronous
-/// simulator.
+/// simulator only: the carry-over needs every agent to run every wave,
+/// and the other executors activate recipients only.
 ///
 /// # Examples
 ///
@@ -223,8 +224,6 @@ impl DistributedAgent for MultiAwcAgent {
 #[derive(Debug, Clone)]
 pub struct MultiAwcSolver {
     config: AwcConfig,
-    cycle_limit: u64,
-    record_history: bool,
     local_rounds: usize,
 }
 
@@ -233,22 +232,8 @@ impl MultiAwcSolver {
     pub fn new(config: AwcConfig) -> Self {
         MultiAwcSolver {
             config,
-            cycle_limit: discsp_core::PAPER_CYCLE_LIMIT,
-            record_history: false,
             local_rounds: 3,
         }
-    }
-
-    /// Overrides the cycle limit.
-    pub fn cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
-    }
-
-    /// Enables per-cycle history recording.
-    pub fn record_history(mut self, on: bool) -> Self {
-        self.record_history = on;
-        self
     }
 
     /// Sets the number of free intra-agent message rounds per cycle
@@ -269,7 +254,7 @@ impl MultiAwcSolver {
         &self,
         problem: &DistributedCsp,
         init: &Assignment,
-    ) -> Result<Vec<MultiAwcAgent>, AwcError> {
+    ) -> Result<Vec<MultiAwcAgent>, CoreError> {
         let owner_of: Vec<AgentId> = problem.vars().map(|v| problem.owner(v)).collect();
         let mut agents = Vec::with_capacity(problem.num_agents());
         for a in 0..problem.num_agents() {
@@ -280,7 +265,7 @@ impl MultiAwcSolver {
                 let value = init
                     .get(var)
                     .filter(|&v| domain.contains(v))
-                    .ok_or(AwcError::BadInitialValue { var })?;
+                    .ok_or(CoreError::BadInitialValue { var })?;
                 // Virtual agent id = variable id, globally.
                 let virtual_id = AgentId::new(var.raw());
                 let neighbors = problem
@@ -309,7 +294,8 @@ impl MultiAwcSolver {
         Ok(agents)
     }
 
-    /// Runs on the synchronous cycle simulator.
+    /// Runs on the synchronous cycle simulator with the paper's settings
+    /// (the 10 000-cycle limit, no history, trace or delay).
     ///
     /// Message counts in the returned metrics cover **remote** messages
     /// only — intra-agent exchanges are the free local computation this
@@ -322,12 +308,9 @@ impl MultiAwcSolver {
         &self,
         problem: &DistributedCsp,
         init: &Assignment,
-    ) -> Result<SyncRun, AwcError> {
+    ) -> Result<SyncRun, SolveError> {
         let agents = self.build_agents(problem, init)?;
-        let mut sim = SyncSimulator::new(agents);
-        sim.cycle_limit(self.cycle_limit)
-            .record_history(self.record_history);
-        sim.run(problem).map_err(AwcError::from)
+        Ok(SyncSimulator::new(agents).run(problem)?)
     }
 }
 
@@ -335,6 +318,7 @@ impl MultiAwcSolver {
 mod tests {
     use super::*;
     use discsp_core::{Domain, Termination, Value};
+    use discsp_runtime::Solver;
 
     /// A 9-node 3-coloring ring distributed over `agents` physical
     /// agents in contiguous blocks (so co-located variables share ring
@@ -409,9 +393,12 @@ mod tests {
         }
         let problem = b.build().unwrap();
         let init = Assignment::total(vec![Value::new(0); 4]);
-        let run = MultiAwcSolver::new(AwcConfig::resolvent())
+        let agents = MultiAwcSolver::new(AwcConfig::resolvent())
+            .build_agents(&problem, &init)
+            .unwrap();
+        let run = SyncSimulator::new(agents)
             .cycle_limit(5_000)
-            .solve_sync(&problem, &init)
+            .run(&problem)
             .unwrap();
         assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
     }
@@ -452,6 +439,9 @@ mod tests {
         let err = MultiAwcSolver::new(AwcConfig::resolvent())
             .solve_sync(&problem, &Assignment::empty(9))
             .unwrap_err();
-        assert!(matches!(err, AwcError::BadInitialValue { .. }));
+        assert!(matches!(
+            err,
+            SolveError::Problem(CoreError::BadInitialValue { .. })
+        ));
     }
 }

@@ -1,72 +1,11 @@
 //! Front-end: run the AWC against a [`DistributedCsp`] on any runtime.
 
-use std::error::Error;
-use std::fmt;
-
-use discsp_core::{AgentId, Assignment, DistributedCsp, VariableId};
-use discsp_runtime::{
-    run_sharded, run_virtual, ShardConfig, SyncRun, SyncSimulator, VirtualConfig, VirtualReport,
-};
+use discsp_core::{Assignment, CoreError, DistributedCsp};
+use discsp_runtime::Solver;
 
 use crate::agent::{AwcAgent, AwcConfig};
 
-/// Errors raised when a problem does not fit the AWC's one-variable-per-
-/// agent execution model, or initial values are unusable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AwcError {
-    /// An agent owns a number of variables other than one. The paper's
-    /// AWC targets exactly one variable per agent (§2.2); see the
-    /// multi-variable extensions in Yokoo & Hirayama (ICMAS'98) for the
-    /// general case.
-    WrongVariableCount {
-        /// The offending agent.
-        agent: AgentId,
-        /// How many variables it owns.
-        count: usize,
-    },
-    /// A variable has no initial value, or the value is outside its
-    /// domain.
-    BadInitialValue {
-        /// The offending variable.
-        var: VariableId,
-    },
-    /// The underlying runtime failed (misrouted message, dead agent
-    /// thread).
-    Runtime(discsp_runtime::RuntimeError),
-}
-
-impl fmt::Display for AwcError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AwcError::WrongVariableCount { agent, count } => write!(
-                f,
-                "agent {agent} owns {count} variables; the AWC runs one variable per agent"
-            ),
-            AwcError::BadInitialValue { var } => {
-                write!(f, "variable {var} has no usable initial value")
-            }
-            AwcError::Runtime(e) => write!(f, "runtime failure: {e}"),
-        }
-    }
-}
-
-impl Error for AwcError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            AwcError::Runtime(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<discsp_runtime::RuntimeError> for AwcError {
-    fn from(e: discsp_runtime::RuntimeError) -> Self {
-        AwcError::Runtime(e)
-    }
-}
-
-/// Builds and runs AWC agent populations.
+/// Builds AWC agent populations; runs them through [`Solver`].
 ///
 /// # Examples
 ///
@@ -75,6 +14,7 @@ impl From<discsp_runtime::RuntimeError> for AwcError {
 /// ```
 /// use discsp_awc::{AwcConfig, AwcSolver};
 /// use discsp_core::{Assignment, DistributedCsp, Domain, Value};
+/// use discsp_runtime::Solver;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = DistributedCsp::builder();
@@ -97,51 +37,12 @@ impl From<discsp_runtime::RuntimeError> for AwcError {
 #[derive(Debug, Clone)]
 pub struct AwcSolver {
     config: AwcConfig,
-    cycle_limit: u64,
-    record_history: bool,
-    record_trace: bool,
-    message_delay: Option<(u64, u64)>,
 }
 
 impl AwcSolver {
-    /// Creates a solver with the given agent configuration and the
-    /// paper's 10 000-cycle limit.
+    /// Creates a solver with the given agent configuration.
     pub fn new(config: AwcConfig) -> Self {
-        AwcSolver {
-            config,
-            cycle_limit: discsp_core::PAPER_CYCLE_LIMIT,
-            record_history: false,
-            record_trace: false,
-            message_delay: None,
-        }
-    }
-
-    /// Adds a random per-message delivery delay of up to `max_extra`
-    /// additional cycles on synchronous runs (the paper's §5 "other
-    /// types of distributed systems"), drawn deterministically from
-    /// `seed`.
-    pub fn message_delay(mut self, max_extra: u64, seed: u64) -> Self {
-        self.message_delay = Some((max_extra, seed));
-        self
-    }
-
-    /// Overrides the synchronous cycle limit.
-    pub fn cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
-    }
-
-    /// Enables per-cycle history recording on synchronous runs.
-    pub fn record_history(mut self, on: bool) -> Self {
-        self.record_history = on;
-        self
-    }
-
-    /// Enables event-trace recording on synchronous runs (see
-    /// `discsp_runtime::TraceEvent`).
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
-        self
+        AwcSolver { config }
     }
 
     /// The agent configuration this solver deploys.
@@ -161,109 +62,37 @@ impl AwcSolver {
     ///
     /// # Errors
     ///
-    /// Fails when an agent owns a number of variables other than one, or
-    /// an initial value is missing or out of domain.
+    /// See [`DistributedCsp::seat`]: the AWC runs one variable per agent
+    /// (§2.2; Yokoo & Hirayama, ICMAS'98, extend it to several).
     pub fn build_agents(
         &self,
         problem: &DistributedCsp,
         init: &Assignment,
-    ) -> Result<Vec<AwcAgent>, AwcError> {
-        let mut agents = Vec::with_capacity(problem.num_agents());
-        for a in 0..problem.num_agents() {
-            let agent_id = AgentId::new(a as u32);
-            let vars = problem.vars_of_agent(agent_id);
-            let &[var] = &vars[..] else {
-                return Err(AwcError::WrongVariableCount {
-                    agent: agent_id,
-                    count: vars.len(),
-                });
-            };
-            let domain = problem.domain(var);
-            let value = init
-                .get(var)
-                .filter(|&v| domain.contains(v))
-                .ok_or(AwcError::BadInitialValue { var })?;
-            let neighbors = problem
-                .neighbors(var)
-                .iter()
-                .map(|&v| (v, problem.owner(v)))
-                .collect();
+    ) -> Result<Vec<AwcAgent>, CoreError> {
+        problem.seat(init, |agent, var, domain, value, neighbors| {
             let nogoods = problem.nogoods_of(var);
-            agents.push(AwcAgent::new(
-                agent_id,
-                var,
-                domain,
-                value,
-                nogoods,
-                neighbors,
-                self.config,
-            ));
-        }
-        Ok(agents)
+            AwcAgent::new(agent, var, domain, value, nogoods, neighbors, self.config)
+        })
     }
+}
 
-    /// Runs on the synchronous cycle simulator (the paper's measurement
-    /// setting).
-    ///
-    /// # Errors
-    ///
-    /// See [`AwcSolver::build_agents`].
-    pub fn solve_sync(
+impl Solver for AwcSolver {
+    type Agent = AwcAgent;
+
+    fn agents(
         &self,
         problem: &DistributedCsp,
         init: &Assignment,
-    ) -> Result<SyncRun, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        let mut sim = SyncSimulator::new(agents);
-        sim.cycle_limit(self.cycle_limit)
-            .record_history(self.record_history)
-            .record_trace(self.record_trace);
-        if let Some((max_extra, seed)) = self.message_delay {
-            sim.message_delay(max_extra, seed);
-        }
-        sim.run(problem).map_err(AwcError::from)
-    }
-
-    /// Runs on the deterministic discrete-event runtime with link faults:
-    /// identical `(seed, LinkPolicy)` pairs replay bit-identically, so any
-    /// fault-induced failure is reproducible from the config alone.
-    ///
-    /// # Errors
-    ///
-    /// See [`AwcSolver::build_agents`].
-    pub fn solve_virtual(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &VirtualConfig,
-    ) -> Result<VirtualReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_virtual(agents, problem, config).map_err(AwcError::from)
-    }
-
-    /// Runs on the M:N sharded executor: the deterministic virtual-time
-    /// semantics of [`AwcSolver::solve_virtual`], with agent activations
-    /// fanned out to `config.workers` threads. Reports are bit-identical
-    /// to `solve_virtual` under `config.base` for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`AwcSolver::build_agents`].
-    pub fn solve_sharded(
-        &self,
-        problem: &DistributedCsp,
-        init: &Assignment,
-        config: &ShardConfig,
-    ) -> Result<VirtualReport, AwcError> {
-        let agents = self.build_agents(problem, init)?;
-        run_sharded(agents, problem, config).map_err(AwcError::from)
+    ) -> Result<Vec<AwcAgent>, CoreError> {
+        self.build_agents(problem, init)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use discsp_core::{Domain, Termination, Value};
+    use discsp_core::{AgentId, Domain, Termination, Value};
+    use discsp_runtime::{ShardConfig, SolveError, SyncSimulator, VirtualConfig};
 
     fn triangle() -> DistributedCsp {
         let mut b = DistributedCsp::builder();
@@ -313,9 +142,12 @@ mod tests {
         // the AWC is complete and must derive the empty nogood.
         let problem = k4_three_colors();
         let init = Assignment::total([Value::new(0); 4]);
-        let run = AwcSolver::new(AwcConfig::resolvent())
+        let agents = AwcSolver::new(AwcConfig::resolvent())
+            .build_agents(&problem, &init)
+            .unwrap();
+        let run = SyncSimulator::new(agents)
             .cycle_limit(5_000)
-            .solve_sync(&problem, &init)
+            .run(&problem)
             .unwrap();
         assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
     }
@@ -332,7 +164,10 @@ mod tests {
         let err = AwcSolver::new(AwcConfig::resolvent())
             .solve_sync(&problem, &init)
             .unwrap_err();
-        assert!(matches!(err, AwcError::WrongVariableCount { count: 2, .. }));
+        assert!(matches!(
+            err,
+            SolveError::Problem(CoreError::WrongVariableCount { count: 2, .. })
+        ));
     }
 
     #[test]
@@ -342,7 +177,10 @@ mod tests {
         let err = AwcSolver::new(AwcConfig::resolvent())
             .solve_sync(&problem, &init)
             .unwrap_err();
-        assert!(matches!(err, AwcError::BadInitialValue { .. }));
+        assert!(matches!(
+            err,
+            SolveError::Problem(CoreError::BadInitialValue { .. })
+        ));
     }
 
     #[test]
@@ -361,18 +199,5 @@ mod tests {
             assert_eq!(sharded.ticks, report.ticks, "workers {workers}");
             assert_eq!(sharded.activations, report.activations, "workers {workers}");
         }
-    }
-
-    #[test]
-    fn error_messages() {
-        let e = AwcError::WrongVariableCount {
-            agent: AgentId::new(1),
-            count: 0,
-        };
-        assert!(e.to_string().contains("owns 0 variables"));
-        let e = AwcError::BadInitialValue {
-            var: VariableId::new(2),
-        };
-        assert!(e.to_string().contains("x2"));
     }
 }

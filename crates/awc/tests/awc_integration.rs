@@ -6,6 +6,7 @@ use discsp_awc::{AbtSolver, AwcConfig, AwcSolver, Learning, MultiAwcSolver};
 use discsp_core::{
     AgentId, Assignment, DistributedCsp, Domain, Nogood, Termination, Value, VariableId,
 };
+use discsp_runtime::Solver;
 
 fn v(i: u16) -> Value {
     Value::new(i)

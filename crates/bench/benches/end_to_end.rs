@@ -7,6 +7,7 @@ use discsp_awc::{AbtSolver, AwcConfig, AwcSolver};
 use discsp_core::{Assignment, DistributedCsp, Value};
 use discsp_dba::{DbaSolver, WeightMode};
 use discsp_probgen::{cnf_to_discsp, coloring_to_discsp, paper_coloring, paper_one_sat3};
+use discsp_runtime::Solver;
 
 fn fixtures() -> Vec<(&'static str, DistributedCsp, Assignment)> {
     let coloring = coloring_to_discsp(&paper_coloring(30, 11)).unwrap();

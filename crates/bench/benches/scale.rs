@@ -30,7 +30,7 @@ use std::time::Instant;
 use discsp_core::{Assignment, Termination, Value};
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
-use discsp_runtime::{run_sharded, ShardConfig, SplitMix64, VirtualConfig};
+use discsp_runtime::{run_sharded, ShardConfig, Solver, SplitMix64, VirtualConfig};
 
 /// One agent in 64 starts off the planted color, so ~1.5% of the
 /// population (plus their neighborhoods) has genuine repair work while
@@ -145,12 +145,12 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         }
     }));
 
+    let solver = DbaSolver::new();
     let config = ShardConfig::with_base(
-        VirtualConfig {
+        solver.run_config(&VirtualConfig {
             seed: 7,
-            stop_on_first_solution: true,
             ..VirtualConfig::default()
-        },
+        }),
         workers,
     );
     // Peak window: build + solve, above what the cell holds already.
@@ -158,12 +158,12 @@ fn run_cell(agents: u32, workers: usize) -> Row {
     PEAK.store(base, Ordering::Relaxed);
     let allocs = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
-    let population = DbaSolver::new()
+    let population = solver
         .build_agents(&problem, &init)
         .expect("one variable per agent");
     let build_secs = start.elapsed().as_secs_f64();
     let build_allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
-    // What `DbaSolver::solve_sharded` runs, with the build timed apart.
+    // What `Solver::solve_sharded` runs, with the build timed apart.
     let report = run_sharded(population, &problem, &config).expect("sharded solve");
     let solve_secs = start.elapsed().as_secs_f64();
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);

@@ -12,15 +12,13 @@
 //! synchronization stretches proportionally to the slowest link.
 
 use discsp_awc::{AwcConfig, AwcSolver};
-use discsp_core::{Aggregate, DistributedCsp};
-use discsp_cspsolve::random_assignment;
+use discsp_core::Aggregate;
 use discsp_dba::DbaSolver;
-use discsp_runtime::derive_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use discsp_runtime::{Solver, SyncSimulator};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{Family, Protocol};
+use crate::trial::{jobs, run_trials};
 
 /// One sampled point of the delay sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,27 +42,21 @@ pub struct DelaySweep {
     pub points: Vec<DelayPoint>,
 }
 
-fn run_delay_cell(
+/// `solver`'s aggregate over the protocol's trials with every message
+/// taking `1 + U(0..=max_extra)` cycles.
+fn delay_cell<S: Solver + Sync>(
     family: Family,
     n: u32,
     protocol: &Protocol,
+    solver: &S,
     max_extra: u64,
-    solver: &dyn Fn(&DistributedCsp, &discsp_core::Assignment, u64) -> discsp_core::RunMetrics,
 ) -> Aggregate {
-    let mut metrics = Vec::with_capacity(protocol.trials());
-    for instance_index in 0..protocol.instances {
-        let problem = family.problem(n, instance_index, protocol.master_seed);
-        let init_seed = derive_seed(
-            protocol.master_seed ^ 0xA5A5_5A5A,
-            family as u64 * 1000 + n as u64,
-            instance_index as u64,
-        );
-        let mut rng = StdRng::seed_from_u64(init_seed);
-        for _ in 0..protocol.inits {
-            let init = random_assignment(&problem, &mut rng);
-            metrics.push(solver(&problem, &init, max_extra));
-        }
-    }
+    let metrics = run_trials(family, n, protocol, jobs(), |problem, init| {
+        let mut sim = SyncSimulator::new(solver.agents(problem, init).expect("fits"));
+        sim.cycle_limit(protocol.cycle_limit)
+            .message_delay(max_extra, 17);
+        sim.run(problem).expect("fits").outcome.metrics
+    });
     Aggregate::from_metrics(metrics.iter())
 }
 
@@ -72,32 +64,14 @@ fn run_delay_cell(
 /// scale.
 pub fn delay_sweep(family: Family, n: u32, scale: f64, delays: &[u64]) -> DelaySweep {
     let protocol = Protocol::scaled(family, scale);
+    let awc = AwcSolver::new(AwcConfig::resolvent());
+    let db = DbaSolver::new();
     let points = delays
         .iter()
-        .map(|&d| {
-            let awc = run_delay_cell(family, n, &protocol, d, &|problem, init, max_extra| {
-                AwcSolver::new(AwcConfig::resolvent())
-                    .cycle_limit(protocol.cycle_limit)
-                    .message_delay(max_extra, 17)
-                    .solve_sync(problem, init)
-                    .expect("fits")
-                    .outcome
-                    .metrics
-            });
-            let db = run_delay_cell(family, n, &protocol, d, &|problem, init, max_extra| {
-                DbaSolver::new()
-                    .cycle_limit(protocol.cycle_limit)
-                    .message_delay(max_extra, 17)
-                    .solve_sync(problem, init)
-                    .expect("fits")
-                    .outcome
-                    .metrics
-            });
-            DelayPoint {
-                max_extra_delay: d,
-                awc,
-                db,
-            }
+        .map(|&d| DelayPoint {
+            max_extra_delay: d,
+            awc: delay_cell(family, n, &protocol, &awc, d),
+            db: delay_cell(family, n, &protocol, &db, d),
         })
         .collect();
     DelaySweep {

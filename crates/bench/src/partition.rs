@@ -12,13 +12,11 @@
 
 use discsp_awc::{AwcConfig, MultiAwcSolver};
 use discsp_core::{AgentId, Aggregate, DistributedCsp};
-use discsp_cspsolve::random_assignment;
-use discsp_runtime::derive_seed;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use discsp_runtime::SyncSimulator;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{Family, Protocol};
+use crate::trial::{jobs, run_trials};
 
 /// Rebuilds `problem` with the same variables and nogoods but ownership
 /// redistributed into `agents` contiguous blocks.
@@ -64,31 +62,21 @@ pub struct PartitionSweep {
 /// each agent count in `agent_counts`.
 pub fn partition_sweep(family: Family, n: u32, scale: f64, agent_counts: &[u32]) -> PartitionSweep {
     let protocol = Protocol::scaled(family, scale);
-    let solver = MultiAwcSolver::new(AwcConfig::resolvent()).cycle_limit(protocol.cycle_limit);
+    let solver = MultiAwcSolver::new(AwcConfig::resolvent());
     let points = agent_counts
         .iter()
         .map(|&agents| {
-            let mut metrics = Vec::with_capacity(protocol.trials());
-            for instance_index in 0..protocol.instances {
-                let flat = family.problem(n, instance_index, protocol.master_seed);
-                let problem = repartition(&flat, agents);
-                let init_seed = derive_seed(
-                    protocol.master_seed ^ 0xA5A5_5A5A,
-                    family as u64 * 1000 + n as u64,
-                    instance_index as u64,
-                );
-                let mut rng = StdRng::seed_from_u64(init_seed);
-                for _ in 0..protocol.inits {
-                    let init = random_assignment(&problem, &mut rng);
-                    metrics.push(
-                        solver
-                            .solve_sync(&problem, &init)
-                            .expect("any partition fits the multi solver")
-                            .outcome
-                            .metrics,
-                    );
-                }
-            }
+            // The trials are the flat instance's: `random_assignment`
+            // reads only domains, which repartitioning keeps.
+            let metrics = run_trials(family, n, &protocol, jobs(), |flat, init| {
+                let problem = repartition(flat, agents);
+                let population = solver
+                    .build_agents(&problem, init)
+                    .expect("any partition fits the multi solver");
+                let mut sim = SyncSimulator::new(population);
+                sim.cycle_limit(protocol.cycle_limit);
+                sim.run(&problem).expect("dense agent ids").outcome.metrics
+            });
             PartitionPoint {
                 agents,
                 agg: Aggregate::from_metrics(metrics.iter()),

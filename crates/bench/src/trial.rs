@@ -2,10 +2,11 @@
 //! values — and batched sweeps over the full protocol.
 //!
 //! Sweeps fan the independent trials of a cell across CPU cores
-//! ([`run_cell`]). Trial *generation* (instances and initial values) is
+//! (`run_trials`, which [`run_cell`] and the delay and partition sweeps
+//! share). Trial *generation* (instances and initial values) is
 //! always sequential and consumes the RNG streams in the exact order the
 //! serial runner did, so results are bit-identical for every worker
-//! count — see [`run_cell_with_jobs`].
+//! count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -14,7 +15,7 @@ use discsp_awc::{AbtSolver, AwcConfig, AwcSolver};
 use discsp_core::{Aggregate, Assignment, DistributedCsp, RunMetrics};
 use discsp_cspsolve::random_assignment;
 use discsp_dba::{DbaSolver, WeightMode};
-use discsp_runtime::derive_seed;
+use discsp_runtime::{derive_seed, Solver, SyncSimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -67,34 +68,33 @@ impl Algorithm {
 
     /// Runs one trial on the synchronous simulator.
     pub fn run(&self, problem: &DistributedCsp, init: &Assignment, cycle_limit: u64) -> RunMetrics {
-        match self {
-            Algorithm::Awc(config) => {
-                AwcSolver::new(*config)
-                    .cycle_limit(cycle_limit)
-                    .solve_sync(problem, init)
-                    .expect("benchmark problems are one variable per agent") // lint: allow(panic-path): the bench generator guarantees one variable per agent; fail fast on a bad generator
-                    .outcome
-                    .metrics
-            }
+        match *self {
+            Algorithm::Awc(config) => run_sync(&AwcSolver::new(config), problem, init, cycle_limit),
             Algorithm::Db(mode) => {
-                DbaSolver::new()
-                    .weight_mode(*mode)
-                    .cycle_limit(cycle_limit)
-                    .solve_sync(problem, init)
-                    .expect("benchmark problems are one variable per agent") // lint: allow(panic-path): the bench generator guarantees one variable per agent; fail fast on a bad generator
-                    .outcome
-                    .metrics
+                run_sync(&DbaSolver::new().weight_mode(mode), problem, init, cycle_limit)
             }
-            Algorithm::Abt => {
-                AbtSolver::new()
-                    .cycle_limit(cycle_limit)
-                    .solve_sync(problem, init)
-                    .expect("benchmark problems are one variable per agent") // lint: allow(panic-path): the bench generator guarantees one variable per agent; fail fast on a bad generator
-                    .outcome
-                    .metrics
-            }
+            Algorithm::Abt => run_sync(&AbtSolver::new(), problem, init, cycle_limit),
         }
     }
+}
+
+/// One trial of `solver` on the synchronous simulator, cut off after
+/// `cycle_limit` cycles.
+fn run_sync<S: Solver>(
+    solver: &S,
+    problem: &DistributedCsp,
+    init: &Assignment,
+    cycle_limit: u64,
+) -> RunMetrics {
+    let agents = solver
+        .agents(problem, init)
+        .expect("benchmark problems are one variable per agent"); // lint: allow(panic-path): the bench generator guarantees one variable per agent; fail fast on a bad generator
+    let mut sim = SyncSimulator::new(agents);
+    sim.cycle_limit(cycle_limit);
+    sim.run(problem)
+        .expect("benchmark populations are densely indexed") // lint: allow(panic-path): seated populations are densely indexed; fail fast on a runtime bug
+        .outcome
+        .metrics
 }
 
 /// Runs the full protocol for one `(family, n, algorithm)` cell and
@@ -112,12 +112,9 @@ pub fn run_cell(
     run_cell_with_jobs(family, n, algorithm, protocol, jobs())
 }
 
-/// [`run_cell`] with an explicit worker count.
-///
-/// All randomness is consumed during the sequential generation phase
-/// (instances in index order, then each instance's initial values from
-/// its own derived-seed stream), and trials are merged back by index —
-/// the result is bit-identical for every `workers` value, including 1.
+/// [`run_cell`] with an explicit worker count. All randomness is consumed
+/// before the trials fan out, so the result is bit-identical for every
+/// `workers` value, including 1.
 pub fn run_cell_with_jobs(
     family: Family,
     n: u32,
@@ -125,6 +122,26 @@ pub fn run_cell_with_jobs(
     protocol: &Protocol,
     workers: usize,
 ) -> Vec<RunMetrics> {
+    run_trials(family, n, protocol, workers, |problem, init| {
+        algorithm.run(problem, init, protocol.cycle_limit)
+    })
+}
+
+/// Generates the protocol's trials for `(family, n)` and runs `trial` on
+/// each, fanned out to `workers` threads, returning the results in trial
+/// order.
+///
+/// All randomness is consumed during the sequential generation phase
+/// (instances in index order, then each instance's initial values from
+/// its own derived-seed stream), and trials are merged back by index —
+/// the result is bit-identical for every `workers` value, including 1.
+pub(crate) fn run_trials<T: Send>(
+    family: Family,
+    n: u32,
+    protocol: &Protocol,
+    workers: usize,
+    trial: impl Fn(&DistributedCsp, &Assignment) -> T + Sync,
+) -> Vec<T> {
     let mut problems: Vec<DistributedCsp> = Vec::with_capacity(protocol.instances);
     let mut trials: Vec<(usize, Assignment)> = Vec::with_capacity(protocol.trials());
     for instance_index in 0..protocol.instances {
@@ -145,15 +162,14 @@ pub fn run_cell_with_jobs(
     if workers == 1 {
         return trials
             .iter()
-            .map(|(p, init)| algorithm.run(&problems[*p], init, protocol.cycle_limit))
+            .map(|(p, init)| trial(&problems[*p], init))
             .collect();
     }
 
     // Dynamic work claiming: trial runtimes vary wildly (some hit the
     // cycle limit), so static chunking would leave workers idle.
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<RunMetrics>>> =
-        trials.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<T>>> = trials.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -161,8 +177,8 @@ pub fn run_cell_with_jobs(
                 let Some((p, init)) = trials.get(i) else {
                     break;
                 };
-                let metrics = algorithm.run(&problems[*p], init, protocol.cycle_limit);
-                *results[i].lock().expect("no panics hold this lock") = Some(metrics);
+                let result = trial(&problems[*p], init);
+                *results[i].lock().expect("no panics hold this lock") = Some(result);
             });
         }
     });

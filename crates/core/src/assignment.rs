@@ -63,7 +63,7 @@ impl From<(VariableId, Value)> for VarValue {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
-    values: Vec<Option<Value>>,
+    pub(crate) values: Vec<Option<Value>>,
 }
 
 impl Assignment {

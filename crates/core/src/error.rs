@@ -35,6 +35,20 @@ pub enum CoreError {
     },
     /// A problem was finalized with no variables.
     EmptyProblem,
+    /// An agent owns a number of variables other than one, where the
+    /// algorithm runs one variable per agent (the paper's class, §2.1).
+    WrongVariableCount {
+        /// The offending agent.
+        agent: AgentId,
+        /// How many variables it owns.
+        count: usize,
+    },
+    /// A variable has no initial value, or the value is outside its
+    /// domain.
+    BadInitialValue {
+        /// The offending variable.
+        var: VariableId,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -53,6 +67,13 @@ impl fmt::Display for CoreError {
                 write!(f, "value {value} is outside the domain of {var}")
             }
             CoreError::EmptyProblem => write!(f, "problem defines no variables"),
+            CoreError::WrongVariableCount { agent, count } => write!(
+                f,
+                "agent {agent} owns {count} variables; the algorithm runs one variable per agent"
+            ),
+            CoreError::BadInitialValue { var } => {
+                write!(f, "variable {var} has no usable initial value")
+            }
         }
     }
 }
@@ -80,6 +101,13 @@ mod tests {
                 value: Value::new(9),
             },
             CoreError::EmptyProblem,
+            CoreError::WrongVariableCount {
+                agent: AgentId::new(3),
+                count: 0,
+            },
+            CoreError::BadInitialValue {
+                var: VariableId::new(2),
+            },
         ];
         for e in errors {
             let msg = e.to_string();
@@ -87,6 +115,19 @@ mod tests {
             assert!(msg.chars().next().unwrap().is_lowercase());
             assert!(!msg.ends_with('.'));
         }
+    }
+
+    #[test]
+    fn seating_errors_name_the_culprit() {
+        let e = CoreError::WrongVariableCount {
+            agent: AgentId::new(3),
+            count: 0,
+        };
+        assert!(e.to_string().contains("a3 owns 0 variables"));
+        let e = CoreError::BadInitialValue {
+            var: VariableId::new(2),
+        };
+        assert!(e.to_string().contains("x2"));
     }
 
     #[test]

@@ -129,6 +129,45 @@ impl DistributedCsp {
         &self.neighbors[var.index()]
     }
 
+    /// Seats a one-variable-per-agent population, in agent id order:
+    /// checks that each agent owns exactly one variable and that `init`
+    /// gives it a value in its domain, then builds the agent with
+    /// `build(agent, var, domain, value, neighbors)`, where `neighbors`
+    /// pairs each of the variable's neighbors with its owner.
+    ///
+    /// # Errors
+    ///
+    /// The first agent's [`CoreError::WrongVariableCount`] or
+    /// [`CoreError::BadInitialValue`]; no agent is built after it.
+    pub fn seat<A>(
+        &self,
+        init: &Assignment,
+        mut build: impl FnMut(AgentId, VariableId, Domain, Value, Vec<(VariableId, AgentId)>) -> A,
+    ) -> Result<Vec<A>, CoreError> {
+        let mut agents = Vec::with_capacity(self.num_agents);
+        for (a, vars) in self.vars_of.iter().enumerate() {
+            let agent = AgentId::new(a as u32);
+            let &[var] = &vars[..] else {
+                return Err(CoreError::WrongVariableCount {
+                    agent,
+                    count: vars.len(),
+                });
+            };
+            let domain = self.domain(var);
+            let value = init
+                .get(var)
+                .filter(|&v| domain.contains(v))
+                .ok_or(CoreError::BadInitialValue { var })?;
+            let neighbors = self
+                .neighbors(var)
+                .iter()
+                .map(|&v| (v, self.owner(v)))
+                .collect();
+            agents.push(build(agent, var, domain, value, neighbors));
+        }
+        Ok(agents)
+    }
+
     /// Whether the total assignment `assignment` violates no nogood.
     ///
     /// Returns `false` for partial assignments (every variable must be
@@ -443,6 +482,61 @@ mod tests {
         let p = b.build().unwrap();
         assert_eq!(p.num_agents(), 1);
         assert_eq!(p.vars_of_agent(agent).len(), 2);
+    }
+
+    #[test]
+    fn seat_builds_each_agent_from_its_variable() {
+        let p = triangle();
+        let init = Assignment::total([v(2), v(1), v(0)]);
+        let seats = p
+            .seat(&init, |agent, var, domain, value, neighbors| {
+                (agent, var, domain, value, neighbors)
+            })
+            .unwrap();
+        assert_eq!(seats.len(), 3);
+        let (agent, var, domain, value, neighbors) = &seats[1];
+        assert_eq!((*agent, *var), (AgentId::new(1), VariableId::new(1)));
+        assert_eq!((*domain, *value), (Domain::new(3), v(1)));
+        assert_eq!(
+            neighbors,
+            &[
+                (VariableId::new(0), AgentId::new(0)),
+                (VariableId::new(2), AgentId::new(2))
+            ]
+        );
+    }
+
+    #[test]
+    fn seat_rejects_multi_variable_agents_and_unusable_values() {
+        let mut b = DistributedCsp::builder();
+        let agent = AgentId::new(0);
+        let x = b.variable_owned_by(Domain::new(2), agent);
+        let y = b.variable_owned_by(Domain::new(2), agent);
+        b.not_equal(x, y).unwrap();
+        let multi = b.build().unwrap();
+        let err = multi
+            .seat(&Assignment::total([v(0), v(0)]), |a, _, _, _, _| a)
+            .unwrap_err();
+        assert_eq!(err, CoreError::WrongVariableCount { agent, count: 2 });
+
+        let p = triangle();
+        let err = p
+            .seat(&Assignment::empty(3), |a, _, _, _, _| a)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::BadInitialValue {
+                var: VariableId::new(0)
+            }
+        );
+        let out_of_domain = Assignment::total([v(0), v(3), v(0)]);
+        let err = p.seat(&out_of_domain, |a, _, _, _, _| a).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::BadInitialValue {
+                var: VariableId::new(1)
+            }
+        );
     }
 
     #[test]

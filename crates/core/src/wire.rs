@@ -418,24 +418,17 @@ impl Wire for Nogood {
     }
 }
 
+/// The `Vec<Option<Value>>` codec, so a hostile length prefix reserves
+/// at most [`VEC_RESERVE_BYTES`] before the values decode.
 impl Wire for Assignment {
     fn encode(&self, out: &mut Vec<u8>) {
-        let n = self.num_vars();
-        (n as u32).encode(out);
-        for index in 0..n {
-            self.get(VariableId::new(index as u32)).encode(out);
-        }
+        self.values.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.len_prefix("Assignment")?;
-        let mut assignment = Assignment::empty(n);
-        for index in 0..n {
-            if let Some(value) = Option::<Value>::decode(r)? {
-                assignment.set(VariableId::new(index as u32), value);
-            }
-        }
-        Ok(assignment)
+        Ok(Assignment {
+            values: Vec::decode(r)?,
+        })
     }
 }
 

@@ -15,6 +15,7 @@
 //! ```
 //! use discsp_dba::DbaSolver;
 //! use discsp_core::{Assignment, DistributedCsp, Domain, Value};
+//! use discsp_runtime::Solver;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = DistributedCsp::builder();
@@ -39,4 +40,4 @@ mod solver;
 
 pub use agent::{DbaAgent, WeightMode};
 pub use msg::DbaMessage;
-pub use solver::{DbaError, DbaSolver};
+pub use solver::DbaSolver;

@@ -4,6 +4,7 @@
 
 use discsp_core::{Assignment, DistributedCsp, Domain, Nogood, Termination, Value};
 use discsp_dba::{DbaSolver, WeightMode};
+use discsp_runtime::{Solver, SyncSimulator};
 
 fn v(i: u16) -> Value {
     Value::new(i)
@@ -33,9 +34,10 @@ fn odd_cycle_with_two_colors_cuts_off() {
     // claiming anything.
     let problem = cycle_graph(7, 2);
     let init = Assignment::total(vec![v(0); 7]);
-    let run = DbaSolver::new()
+    let agents = DbaSolver::new().agents(&problem, &init).unwrap();
+    let run = SyncSimulator::new(agents)
         .cycle_limit(500)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .unwrap();
     assert_eq!(run.outcome.metrics.termination, Termination::CutOff);
     assert_eq!(run.outcome.metrics.cycles, 500);
@@ -66,9 +68,10 @@ fn cycles_alternate_ok_and_improve_waves() {
     // messages per cycle ≈ constant (every agent sends every wave).
     let problem = cycle_graph(6, 3);
     let init = Assignment::total(vec![v(0); 6]);
-    let run = DbaSolver::new()
+    let agents = DbaSolver::new().agents(&problem, &init).unwrap();
+    let run = SyncSimulator::new(agents)
         .record_history(true)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .unwrap();
     assert!(run.outcome.metrics.cycles >= 2);
     // Each cycle after the first, every agent sends to its 2 neighbors.
@@ -92,9 +95,10 @@ fn breakout_escapes_quasi_local_minimum() {
     // Start at the "wrong" proper coloring (x0 = 0 violates the unary
     // pin but the ring is satisfied: no single flip helps).
     let init = Assignment::total([v(0), v(1), v(0), v(1)]);
-    let run = DbaSolver::new()
+    let agents = DbaSolver::new().agents(&problem, &init).unwrap();
+    let run = SyncSimulator::new(agents)
         .cycle_limit(2_000)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .unwrap();
     assert_eq!(run.outcome.metrics.termination, Termination::Solved);
     let solution = run.outcome.solution.unwrap();
@@ -119,9 +123,10 @@ fn db_metrics_are_wave_shaped() {
 fn message_delay_preserves_correctness() {
     let problem = cycle_graph(8, 3);
     let init = Assignment::total(vec![v(0); 8]);
-    let run = DbaSolver::new()
+    let agents = DbaSolver::new().agents(&problem, &init).unwrap();
+    let run = SyncSimulator::new(agents)
         .message_delay(3, 5)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .unwrap();
     assert_eq!(run.outcome.metrics.termination, Termination::Solved);
     assert!(problem.is_solution(&run.outcome.solution.unwrap()));

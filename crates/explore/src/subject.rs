@@ -12,7 +12,7 @@ use discsp_core::{Assignment, DistributedCsp, Domain, Value};
 use discsp_cspsolve::{Backtracker, SolveResult};
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
-use discsp_runtime::{ShardConfig, TraceEvent, VirtualConfig, VirtualReport};
+use discsp_runtime::{ShardConfig, SolveError, Solver, TraceEvent, VirtualConfig, VirtualReport};
 
 /// Node budget for the centralized ground-truth solver. The campaign
 /// instances are small (tens of variables), so the backtracker settles
@@ -219,36 +219,30 @@ impl Subject {
     ///
     /// Propagates solver-construction and runtime failures as strings.
     pub fn run(&self, config: &VirtualConfig) -> Result<VirtualReport, String> {
-        let mut report = if self.workers > 0 {
-            let sharded = ShardConfig::with_base(config.clone(), self.workers);
-            match self.algo {
-                Algo::Awc => AwcSolver::new(AwcConfig::no_learning())
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
-                Algo::AwcRslv => AwcSolver::new(AwcConfig::resolvent())
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
-                Algo::Dba => DbaSolver::new()
-                    .solve_sharded(&self.problem, &self.init, &sharded)
-                    .map_err(|e| e.to_string())?,
-            }
-        } else {
-            match self.algo {
-                Algo::Awc => AwcSolver::new(AwcConfig::no_learning())
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-                Algo::AwcRslv => AwcSolver::new(AwcConfig::resolvent())
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-                Algo::Dba => DbaSolver::new()
-                    .solve_virtual(&self.problem, &self.init, config)
-                    .map_err(|e| e.to_string())?,
-            }
-        };
+        let mut report = match self.algo {
+            Algo::Awc => self.run_on(&AwcSolver::new(AwcConfig::no_learning()), config),
+            Algo::AwcRslv => self.run_on(&AwcSolver::new(AwcConfig::resolvent()), config),
+            Algo::Dba => self.run_on(&DbaSolver::new(), config),
+        }
+        .map_err(|e| e.to_string())?;
         if self.sabotage == Sabotage::UnderreportDuplicates {
             underreport_duplicates(&mut report);
         }
         Ok(report)
+    }
+
+    /// `solver` on the executor [`Subject::on_sharded`] chose.
+    fn run_on<S: Solver>(
+        &self,
+        solver: &S,
+        config: &VirtualConfig,
+    ) -> Result<VirtualReport, SolveError> {
+        if self.workers > 0 {
+            let sharded = ShardConfig::with_base(config.clone(), self.workers);
+            solver.solve_sharded(&self.problem, &self.init, &sharded)
+        } else {
+            solver.solve_virtual(&self.problem, &self.init, config)
+        }
     }
 }
 

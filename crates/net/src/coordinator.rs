@@ -26,9 +26,7 @@
 use std::net::TcpListener;
 
 use discsp_core::{AgentId, DistributedCsp, TrialOutcome, Wire};
-use discsp_runtime::{
-    Admission, Classify, Direct, Merge, Stepper, Teardown, VirtualConfig, Wave, WaveEngine,
-};
+use discsp_runtime::{Admission, Classify, Direct, Merge, Stepper, Teardown, Wave, WaveEngine};
 use discsp_trace::{canonical_sort, RuntimeKind, TraceEvent, TraceSink};
 
 use crate::frame::{RunFrame, SetupFrame};
@@ -51,8 +49,8 @@ pub struct NetReport {
     pub activations: u64,
     /// Stall-triggered recovery passes consumed.
     pub nudges: u64,
-    /// The session's merged event trace, empty unless
-    /// [`NetConfig::record_trace`](crate::NetConfig) is set.
+    /// The session's merged event trace, empty unless `record_trace` is
+    /// set in [`NetConfig::base`](crate::NetConfig::base).
     pub trace: Vec<TraceEvent>,
 }
 
@@ -231,9 +229,9 @@ where
             })?;
         conn.send(&SetupFrame::Assign {
             n_agents: n as u32,
-            seed: config.seed,
-            policy: config.link,
-            record_trace: config.record_trace,
+            seed: config.base.seed,
+            policy: config.base.link,
+            record_trace: config.base.record_trace,
             slice,
         })?;
         *slot = Some(conn);
@@ -247,16 +245,7 @@ where
     }
 
     // --- Session: the wave engine, stepping agents over sockets. ------
-    let session = VirtualConfig {
-        seed: config.seed,
-        link: config.link,
-        schedule: None,
-        max_ticks: config.max_ticks,
-        max_nudges: config.max_nudges,
-        stop_on_first_solution: config.stop_on_first_solution,
-        record_trace: config.record_trace,
-    };
-    let engine: WaveEngine<M> = WaveEngine::new(n, problem, &session, RuntimeKind::Net, Direct);
+    let engine: WaveEngine<M> = WaveEngine::new(n, problem, &config.base, RuntimeKind::Net, Direct);
     let mut report = engine.run(problem, &mut Sockets { conns })?;
     // The endpoints' events arrived last; the canonical order interleaves
     // them with the router's (`RunEnd` sorts last).

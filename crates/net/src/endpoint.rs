@@ -15,7 +15,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use discsp_awc::AwcAgent;
-use discsp_core::Wire;
+use discsp_core::{CoreError, Wire};
 use discsp_dba::DbaAgent;
 use discsp_runtime::{DistributedAgent, Outbox, RingBuffer, StepRecorder};
 
@@ -54,7 +54,7 @@ pub fn run_agent(addr: SocketAddr, index: u32, io_timeout: Duration) -> Result<(
     // agent constructors assert this invariant — re-check it here so a
     // protocol bug surfaces as a typed error, not a panic.
     if !slice.domain.contains(slice.init) {
-        return Err(NetError::BadInitialValue { var: slice.var });
+        return Err(CoreError::BadInitialValue { var: slice.var }.into());
     }
     match slice.algo {
         AlgoSpec::Awc(config) => {

@@ -36,8 +36,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use discsp_core::{AgentId, VariableId, WireError};
-use discsp_runtime::{LinkPolicy, RuntimeError};
+use discsp_core::{CoreError, WireError};
+use discsp_runtime::{RuntimeError, VirtualConfig};
 
 mod coordinator;
 mod endpoint;
@@ -58,31 +58,21 @@ pub use solve::{AgentLaunch, SolveNet};
 pub use topology::{build_slices, AgentSlice, AlgoSpec};
 pub use transport::{Deadline, FrameConn};
 
-/// Configuration of a networked solve session.
+/// Configuration of a networked solve session: the deterministic run
+/// configuration the coordinator's wave engine runs under, plus the
+/// socket timeouts.
 ///
-/// The `(seed, link)` pair fully determines the fault schedule on the
-/// coordinator's relay path, exactly as in
-/// [`VirtualConfig`](discsp_runtime::VirtualConfig) — a failing lossy
-/// run replays from these two fields alone.
+/// `base` means what it means to
+/// [`run_virtual`](discsp_runtime::run_virtual): the `(seed, link)` pair,
+/// or a recorded `schedule`, fully determines the faults on the
+/// coordinator's relay path, so a failing lossy run replays from `base`
+/// alone. With `base.record_trace` the report carries the router's
+/// link-level events plus each endpoint's per-step events (shipped home
+/// in `Final` frames), merged into [`NetReport::trace`](crate::NetReport).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Seed deriving every per-link fault stream.
-    pub seed: u64,
-    /// Fault policy applied to every relayed link.
-    pub link: LinkPolicy,
-    /// Tick budget; the run reports a cutoff beyond it.
-    pub max_ticks: u64,
-    /// How many stall-triggered recovery passes to run before giving up.
-    pub max_nudges: u64,
-    /// Stop at the first globally consistent snapshot instead of
-    /// requiring the relay queue to drain (forced on for distributed
-    /// breakout, whose waves never go quiet).
-    pub stop_on_first_solution: bool,
-    /// Record the session's event trace: the router's link-level events
-    /// on the coordinator plus each endpoint's per-step events (shipped
-    /// home in `Final` frames), merged into
-    /// [`NetReport::trace`](crate::NetReport).
-    pub record_trace: bool,
+    /// Seed, faults, budgets, stop rule and trace switch of the run.
+    pub base: VirtualConfig,
     /// How long the coordinator waits for all agents to connect and
     /// complete the handshake.
     pub handshake_timeout: Duration,
@@ -94,12 +84,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            seed: 0,
-            link: LinkPolicy::perfect(),
-            max_ticks: 1_000_000,
-            max_nudges: 64,
-            stop_on_first_solution: false,
-            record_trace: false,
+            base: VirtualConfig::default(),
             handshake_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
         }
@@ -156,18 +141,10 @@ pub enum NetError {
         /// The contested index.
         index: u32,
     },
-    /// An agent owns a number of variables other than one.
-    WrongVariableCount {
-        /// The offending agent.
-        agent: AgentId,
-        /// How many variables it owns.
-        count: usize,
-    },
-    /// An initial value is missing or outside its variable's domain.
-    BadInitialValue {
-        /// The variable with the unusable initial value.
-        var: VariableId,
-    },
+    /// The problem or the initial values do not fit the algorithm (an
+    /// agent owns other than one variable, or an initial value is
+    /// missing or out of domain), found before any network activity.
+    Problem(CoreError),
     /// An agent process or thread failed outside the protocol.
     AgentFailed {
         /// The agent's index.
@@ -211,12 +188,7 @@ impl fmt::Display for NetError {
             NetError::DuplicateAgentIndex { index } => {
                 write!(f, "two agents claimed index {index}")
             }
-            NetError::WrongVariableCount { agent, count } => {
-                write!(f, "agent {agent} owns {count} variables; expected exactly 1")
-            }
-            NetError::BadInitialValue { var } => {
-                write!(f, "initial value for {var} is missing or out of domain")
-            }
+            NetError::Problem(e) => write!(f, "problem does not fit the algorithm: {e}"),
             NetError::AgentFailed { index, detail } => {
                 write!(f, "agent {index} failed: {detail}")
             }
@@ -230,6 +202,7 @@ impl std::error::Error for NetError {
         match self {
             NetError::Io { error, .. } => Some(error),
             NetError::Wire(e) => Some(e),
+            NetError::Problem(e) => Some(e),
             NetError::Runtime(e) => Some(e),
             _ => None,
         }
@@ -239,6 +212,12 @@ impl std::error::Error for NetError {
 impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)
+    }
+}
+
+impl From<CoreError> for NetError {
+    fn from(e: CoreError) -> Self {
+        NetError::Problem(e)
     }
 }
 
@@ -255,9 +234,10 @@ mod tests {
     #[test]
     fn default_config_is_perfect_and_bounded() {
         let config = NetConfig::default();
-        assert!(config.link.is_perfect());
-        assert!(!config.stop_on_first_solution);
-        assert!(config.max_ticks > 0);
+        assert!(config.base.link.is_perfect());
+        assert!(config.base.schedule.is_none());
+        assert!(!config.base.stop_on_first_solution);
+        assert!(config.base.max_ticks > 0);
         assert!(config.handshake_timeout > Duration::ZERO);
     }
 

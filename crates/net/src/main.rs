@@ -15,7 +15,7 @@ use discsp_awc::AwcSolver;
 use discsp_core::{Assignment, DistributedCsp, Domain, Termination, Value};
 use discsp_dba::DbaSolver;
 use discsp_net::{run_agent, AgentLaunch, NetConfig, SolveNet};
-use discsp_runtime::LinkPolicy;
+use discsp_runtime::{LinkPolicy, VirtualConfig};
 
 const USAGE: &str = "usage:
   discsp-net agent --connect ADDR --index I [--io-timeout-secs S]
@@ -72,11 +72,14 @@ fn demo_role(args: &[String]) -> Result<(), String> {
     let problem = ring_coloring(n)?;
     let init = Assignment::total((0..n).map(|_| Value::new(0)));
     let config = NetConfig {
-        seed,
-        link: if drop_ppm == 0 {
-            LinkPolicy::perfect()
-        } else {
-            LinkPolicy::lossy(drop_ppm)
+        base: VirtualConfig {
+            seed,
+            link: if drop_ppm == 0 {
+                LinkPolicy::perfect()
+            } else {
+                LinkPolicy::lossy(drop_ppm)
+            },
+            ..VirtualConfig::default()
         },
         ..NetConfig::default()
     };

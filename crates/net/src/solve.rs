@@ -11,10 +11,10 @@ use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::thread;
 
-use discsp_awc::{AwcMessage, AwcSolver};
+use discsp_awc::AwcSolver;
 use discsp_core::{Assignment, DistributedCsp, Wire};
-use discsp_dba::{DbaMessage, DbaSolver};
-use discsp_runtime::Classify;
+use discsp_dba::DbaSolver;
+use discsp_runtime::{Classify, DistributedAgent, Solver};
 
 use crate::coordinator::{run_session, NetReport};
 use crate::endpoint::run_agent;
@@ -65,8 +65,8 @@ impl SolveNet for AwcSolver {
         config: &NetConfig,
         launch: &AgentLaunch,
     ) -> Result<NetReport, NetError> {
-        let slices = build_slices(problem, init, AlgoSpec::Awc(self.config()))?;
-        run::<AwcMessage>(problem, &slices, config, launch)
+        let algo = AlgoSpec::Awc(self.config());
+        solve(self, algo, problem, init, config, launch)
     }
 }
 
@@ -78,13 +78,31 @@ impl SolveNet for DbaSolver {
         config: &NetConfig,
         launch: &AgentLaunch,
     ) -> Result<NetReport, NetError> {
-        let slices = build_slices(problem, init, AlgoSpec::Dba(self.mode()))?;
-        // Distributed breakout never quiesces; terminate at the first
-        // consistent solution snapshot, as the other runtimes do.
-        let mut config = config.clone();
-        config.stop_on_first_solution = true;
-        run::<DbaMessage>(problem, &slices, &config, launch)
+        let algo = AlgoSpec::Dba(self.mode());
+        solve(self, algo, problem, init, config, launch)
     }
+}
+
+/// Slices `problem` for `algo` and runs the session under `solver`'s
+/// stop rule ([`Solver::run_config`]).
+fn solve<S>(
+    solver: &S,
+    algo: AlgoSpec,
+    problem: &DistributedCsp,
+    init: &Assignment,
+    config: &NetConfig,
+    launch: &AgentLaunch,
+) -> Result<NetReport, NetError>
+where
+    S: Solver,
+    <S::Agent as DistributedAgent>::Message: Wire,
+{
+    let slices = build_slices(problem, init, algo)?;
+    let config = NetConfig {
+        base: solver.run_config(&config.base),
+        ..config.clone()
+    };
+    run::<<S::Agent as DistributedAgent>::Message>(problem, &slices, &config, launch)
 }
 
 fn io(context: &'static str) -> impl FnOnce(std::io::Error) -> NetError {

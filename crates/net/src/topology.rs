@@ -4,8 +4,9 @@
 //! [`DistributedCsp`](discsp_core::DistributedCsp) one agent needs to
 //! run: its variable, domain, initial value, the nogoods mentioning its
 //! variable, its neighbor/owner map, and the algorithm to instantiate
-//! ([`AlgoSpec`]). Slices are built coordinator-side with the same
-//! validation as the in-process solvers (`build_agents`), so a
+//! ([`AlgoSpec`]). Slices are seated coordinator-side exactly as the
+//! in-process solvers seat their agents
+//! ([`DistributedCsp::seat`](discsp_core::DistributedCsp::seat)), so a
 //! malformed problem is rejected before any process is spawned.
 
 use discsp_awc::AwcConfig;
@@ -109,56 +110,34 @@ impl Wire for AgentSlice {
     }
 }
 
-/// Builds one slice per agent, with the same validation as the
-/// in-process solvers: exactly one variable per agent, every initial
-/// value present and in domain.
+/// Builds one slice per agent, seated as the in-process solvers seat
+/// their agents ([`DistributedCsp::seat`]).
 ///
 /// # Errors
 ///
-/// [`NetError::WrongVariableCount`] / [`NetError::BadInitialValue`] on
-/// the first violation, before any network activity.
+/// [`NetError::Problem`] on the first agent that does not fit, before
+/// any network activity.
 pub fn build_slices(
     problem: &DistributedCsp,
     init: &Assignment,
     algo: AlgoSpec,
 ) -> Result<Vec<AgentSlice>, NetError> {
-    let mut slices = Vec::with_capacity(problem.num_agents());
-    for a in 0..problem.num_agents() {
-        let agent = AgentId::new(a as u32);
-        let vars = problem.vars_of_agent(agent);
-        let [var] = vars[..] else {
-            return Err(NetError::WrongVariableCount {
-                agent,
-                count: vars.len(),
-            });
-        };
-        let domain = problem.domain(var);
-        let value = init
-            .get(var)
-            .filter(|&v| domain.contains(v))
-            .ok_or(NetError::BadInitialValue { var })?;
-        let neighbors = problem
-            .neighbors(var)
-            .iter()
-            .map(|&v| (v, problem.owner(v)))
-            .collect();
-        let nogoods = problem.nogoods_of(var).cloned().collect();
-        slices.push(AgentSlice {
-            agent,
-            var,
-            domain,
-            init: value,
-            nogoods,
-            neighbors,
-            algo,
-        });
-    }
+    let slices = problem.seat(init, |agent, var, domain, init, neighbors| AgentSlice {
+        agent,
+        var,
+        domain,
+        init,
+        nogoods: problem.nogoods_of(var).cloned().collect(),
+        neighbors,
+        algo,
+    })?;
     Ok(slices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use discsp_core::CoreError;
 
     fn triangle() -> DistributedCsp {
         let mut b = DistributedCsp::builder();
@@ -191,7 +170,10 @@ mod tests {
         let problem = triangle();
         let init = Assignment::empty(3);
         let err = build_slices(&problem, &init, AlgoSpec::Dba(WeightMode::PerNogood));
-        assert!(matches!(err, Err(NetError::BadInitialValue { .. })));
+        assert!(matches!(
+            err,
+            Err(NetError::Problem(CoreError::BadInitialValue { .. }))
+        ));
     }
 
     #[test]

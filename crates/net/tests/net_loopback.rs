@@ -10,7 +10,7 @@ use discsp_awc::{AwcConfig, AwcSolver};
 use discsp_core::{Assignment, DistributedCsp, Domain, RunMetrics, Termination, Value};
 use discsp_dba::{DbaSolver, WeightMode};
 use discsp_net::{AgentLaunch, NetConfig, SolveNet};
-use discsp_runtime::{LinkPolicy, VirtualConfig};
+use discsp_runtime::{LinkPolicy, Solver, VirtualConfig};
 use discsp_trace::{audit, canonical_sort, TraceEvent};
 
 fn agent_binary() -> AgentLaunch {
@@ -72,6 +72,18 @@ fn assert_metrics_match(net: &RunMetrics, virt: &RunMetrics) {
     assert_eq!(net.max_delivery_delay, virt.max_delivery_delay, "max_delivery_delay");
 }
 
+/// A trace without its `RunEnd` stamp (whose runtime kind differs
+/// between executors), in canonical order.
+fn strip(trace: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut events: Vec<TraceEvent> = trace
+        .iter()
+        .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
+        .cloned()
+        .collect();
+    canonical_sort(&mut events);
+    events
+}
+
 #[test]
 fn awc_processes_match_virtual_run() {
     let n = 6;
@@ -80,7 +92,10 @@ fn awc_processes_match_virtual_run() {
     let solver = AwcSolver::new(AwcConfig::resolvent());
 
     let net_config = NetConfig {
-        seed: 11,
+        base: VirtualConfig {
+            seed: 11,
+            ..VirtualConfig::default()
+        },
         ..NetConfig::default()
     };
     let report = solver
@@ -118,8 +133,11 @@ fn lossy_processes_replay_bit_identical_fault_counters() {
         .with_delay(0, 2)
         .with_reordering(2);
     let config = NetConfig {
-        seed: 2026,
-        link: policy,
+        base: VirtualConfig {
+            seed: 2026,
+            link: policy,
+            ..VirtualConfig::default()
+        },
         ..NetConfig::default()
     };
 
@@ -170,9 +188,12 @@ fn lossy_net_trace_matches_virtual_trace_and_passes_audit() {
             &problem,
             &init,
             &NetConfig {
-                seed: 2026,
-                link: policy,
-                record_trace: true,
+                base: VirtualConfig {
+                    seed: 2026,
+                    link: policy,
+                    record_trace: true,
+                    ..VirtualConfig::default()
+                },
                 ..NetConfig::default()
             },
             &AgentLaunch::Threads,
@@ -205,15 +226,6 @@ fn lossy_net_trace_matches_virtual_trace_and_passes_audit() {
 
     // And the two event streams are identical modulo the RunEnd stamp
     // (whose runtime kind necessarily differs).
-    let strip = |trace: &[TraceEvent]| -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = trace
-            .iter()
-            .filter(|e| !matches!(e, TraceEvent::RunEnd { .. }))
-            .cloned()
-            .collect();
-        canonical_sort(&mut events);
-        events
-    };
     assert_eq!(
         strip(&net_report.trace),
         strip(&virt_report.trace),
@@ -233,7 +245,10 @@ fn dba_threads_match_virtual_run() {
             &problem,
             &init,
             &NetConfig {
-                seed: 3,
+                base: VirtualConfig {
+                    seed: 3,
+                    ..VirtualConfig::default()
+                },
                 ..NetConfig::default()
             },
             &AgentLaunch::Threads,
@@ -257,4 +272,59 @@ fn dba_threads_match_virtual_run() {
         .expect("virtual dba solve");
     assert_metrics_match(m, &virt.outcome.metrics);
     assert_eq!(report.outcome.solution, virt.outcome.solution);
+}
+
+#[test]
+fn net_threads_replay_a_recorded_fault_schedule() {
+    // A lossy virtual run's fault log, replayed over sockets under a
+    // perfect lottery: every fault must come from the script, which the
+    // coordinator's engine reads from `base.schedule`.
+    let n = 5;
+    let problem = ring(n);
+    let init = all_zero(n);
+    let solver = AwcSolver::new(AwcConfig::resolvent());
+    let lossy = VirtualConfig {
+        seed: 2026,
+        link: LinkPolicy::lossy(250_000)
+            .with_duplication(80_000)
+            .with_delay(0, 2)
+            .with_reordering(2),
+        record_trace: true,
+        ..VirtualConfig::default()
+    };
+    let recorded = solver
+        .solve_virtual(&problem, &init, &lossy)
+        .expect("recorded lossy run");
+    let scripted = VirtualConfig {
+        link: LinkPolicy::perfect(),
+        schedule: Some(recorded.fault_log.clone()),
+        ..lossy
+    };
+    let replay = solver
+        .solve_virtual(&problem, &init, &scripted)
+        .expect("scripted virtual run");
+    let net = solver
+        .solve_net(
+            &problem,
+            &init,
+            &NetConfig {
+                base: scripted,
+                ..NetConfig::default()
+            },
+            &AgentLaunch::Threads,
+        )
+        .expect("scripted net run");
+
+    let m = &net.outcome.metrics;
+    assert!(
+        m.messages_dropped > 0,
+        "the lottery is perfect, so these drops came from the script: {m:?}"
+    );
+    assert_identity(m);
+    assert_metrics_match(m, &recorded.outcome.metrics);
+    assert_eq!(net.outcome, replay.outcome, "outcome");
+    assert_eq!(net.ticks, replay.ticks, "ticks");
+    assert_eq!(net.activations, replay.activations, "activations");
+    assert_eq!(net.nudges, replay.nudges, "nudges");
+    assert_eq!(strip(&net.trace), strip(&replay.trace), "trace");
 }

@@ -23,6 +23,10 @@
 //! `run_virtual` (and the `discsp-service` sessions), a worker pool for
 //! `run_sharded`, and a socket fan-out in the `discsp-net` coordinator.
 //!
+//! Above the executors sits one front end: an algorithm implements
+//! [`Solver`] by building its agents, and gets `solve_sync`,
+//! `solve_virtual` and `solve_sharded` with its stop rule applied.
+//!
 //! The [`link`](crate::Link) layer injects seeded drop, duplication,
 //! delay, and reordering faults into the deterministic executors'
 //! traffic, with per-link [`SplitMix64`] streams derived from the run
@@ -52,6 +56,7 @@ mod router;
 mod shard;
 mod schedule;
 mod seed;
+mod solver;
 mod sync;
 mod wire;
 
@@ -75,4 +80,5 @@ pub use router::Router;
 pub use shard::{run_sharded, ShardConfig};
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, ScheduleParseError};
 pub use seed::{derive_seed, SplitMix64};
+pub use solver::{SolveError, Solver};
 pub use sync::{CycleRecord, SyncRun, SyncSimulator};

@@ -61,8 +61,10 @@ pub struct SyncRun {
 ///
 /// # Examples
 ///
-/// See `discsp-awc`'s `solve_sync` for the intended usage; the simulator is
-/// algorithm-agnostic and works for any [`DistributedAgent`].
+/// [`Solver::solve_sync`](crate::Solver::solve_sync) runs it with the
+/// paper's settings; a caller that wants a history, a trace, a delay or
+/// another cycle limit builds the agents and sets them here. The
+/// simulator is algorithm-agnostic and works for any [`DistributedAgent`].
 #[derive(Debug)]
 pub struct SyncSimulator<A: DistributedAgent> {
     agents: Vec<A>,

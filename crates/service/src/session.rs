@@ -25,8 +25,8 @@ use discsp_core::{Assignment, DistributedCsp};
 use discsp_dba::DbaSolver;
 use discsp_net::AlgoSpec;
 use discsp_runtime::{
-    Admission, Classify, DistributedAgent, Envelope, InProcess, Router, RuntimeError, TraceEvent,
-    VirtualConfig, VirtualReport, WaveEngine,
+    Admission, Classify, DistributedAgent, Envelope, InProcess, Router, RuntimeError, Solver,
+    TraceEvent, VirtualConfig, VirtualReport, WaveEngine,
 };
 use discsp_trace::RuntimeKind;
 
@@ -42,9 +42,9 @@ pub struct SessionSpec {
     pub init: Assignment,
     /// The algorithm to run.
     pub algo: AlgoSpec,
-    /// Seed, link policy, budgets, trace recording. For distributed
-    /// breakout `stop_on_first_solution` is forced on (its waves never
-    /// go quiet), mirroring the net runtime.
+    /// Seed, link policy, budgets, trace recording. The algorithm's
+    /// stop rule applies on top ([`Solver::run_config`]), as on every
+    /// executor.
     pub config: VirtualConfig,
 }
 
@@ -222,11 +222,9 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
     }
 }
 
-/// Builds the type-erased session state machine for a spec: validates
-/// the problem through the same `build_agents` path as every in-process
-/// solver and instantiates the matching [`Driver`]. Distributed
-/// breakout gets `stop_on_first_solution` forced on, mirroring the net
-/// runtime.
+/// Builds the type-erased session state machine for a spec: seats the
+/// algorithm's agents as every in-process solver does and instantiates
+/// the matching [`Driver`] under the algorithm's stop rule.
 ///
 /// # Errors
 ///
@@ -234,29 +232,28 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
 /// initial assignment; [`ServiceError::Runtime`] on non-dense agent ids.
 pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError> {
     match spec.algo {
-        AlgoSpec::Awc(awc_config) => {
-            let solver = AwcSolver::new(awc_config);
-            let agents = solver
-                .build_agents(&spec.problem, &spec.init)
-                .map_err(|e| ServiceError::BadSpec {
-                    detail: e.to_string(),
-                })?;
-            let driver = Driver::new(agents, spec.problem.clone(), spec.config.clone(), budget)?;
-            Ok(Box::new(driver))
-        }
-        AlgoSpec::Dba(mode) => {
-            let solver = DbaSolver::new().weight_mode(mode);
-            let agents = solver
-                .build_agents(&spec.problem, &spec.init)
-                .map_err(|e| ServiceError::BadSpec {
-                    detail: e.to_string(),
-                })?;
-            let mut config = spec.config.clone();
-            config.stop_on_first_solution = true;
-            let driver = Driver::new(agents, spec.problem.clone(), config, budget)?;
-            Ok(Box::new(driver))
-        }
+        AlgoSpec::Awc(config) => pump(&AwcSolver::new(config), spec, budget),
+        AlgoSpec::Dba(mode) => pump(&DbaSolver::new().weight_mode(mode), spec, budget),
     }
+}
+
+fn pump<S>(solver: &S, spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError>
+where
+    S: Solver,
+    S::Agent: 'static,
+{
+    let agents = solver
+        .agents(&spec.problem, &spec.init)
+        .map_err(|e| ServiceError::BadSpec {
+            detail: e.to_string(),
+        })?;
+    let config = solver.run_config(&spec.config);
+    Ok(Box::new(Driver::new(
+        agents,
+        spec.problem.clone(),
+        config,
+        budget,
+    )?))
 }
 
 #[cfg(test)]

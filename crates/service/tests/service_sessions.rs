@@ -11,7 +11,7 @@ use discsp_core::{Assignment, Termination, Value};
 use discsp_dba::WeightMode;
 use discsp_net::AlgoSpec;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
-use discsp_runtime::{LinkPolicy, TraceEvent, VirtualConfig, VirtualReport};
+use discsp_runtime::{LinkPolicy, Solver, TraceEvent, VirtualConfig, VirtualReport};
 use discsp_service::{
     ServiceConfig, ServiceError, SessionSpec, SolveService,
 };
@@ -55,14 +55,10 @@ fn solo(spec: &SessionSpec) -> VirtualReport {
         AlgoSpec::Awc(config) => discsp_awc::AwcSolver::new(config)
             .solve_virtual(&spec.problem, &spec.init, &spec.config)
             .expect("solo awc run"),
-        AlgoSpec::Dba(mode) => {
-            let mut config = spec.config.clone();
-            config.stop_on_first_solution = true;
-            discsp_dba::DbaSolver::new()
-                .weight_mode(mode)
-                .solve_virtual(&spec.problem, &spec.init, &config)
-                .expect("solo dba run")
-        }
+        AlgoSpec::Dba(mode) => discsp_dba::DbaSolver::new()
+            .weight_mode(mode)
+            .solve_virtual(&spec.problem, &spec.init, &spec.config)
+            .expect("solo dba run"),
     }
 }
 

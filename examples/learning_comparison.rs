@@ -15,8 +15,8 @@ use discsp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn awc_batch(problem: &DistributedCsp, config: AwcConfig, inits: &[Assignment]) -> Aggregate {
-    let solver = AwcSolver::new(config);
+/// `solver`'s aggregate over one run from each initial assignment.
+fn batch<S: Solver>(solver: &S, problem: &DistributedCsp, inits: &[Assignment]) -> Aggregate {
     let metrics: Vec<_> = inits
         .iter()
         .map(|init| {
@@ -47,31 +47,20 @@ fn report(problem: &DistributedCsp, name: &str, trials: usize) {
         println!(
             "  AWC+{:<9} {}",
             config.label(),
-            awc_batch(problem, config, &inits)
+            batch(&AwcSolver::new(config), problem, &inits)
         );
     }
 
     // Baselines: ABT (the AWC's ancestor) and distributed breakout.
-    let abt = AbtSolver::new();
-    let abt_metrics: Vec<_> = inits
-        .iter()
-        .map(|init| abt.solve_sync(problem, init).unwrap().outcome.metrics)
-        .collect();
     println!(
         "  {:<13} {}",
         "ABT",
-        Aggregate::from_metrics(abt_metrics.iter())
+        batch(&AbtSolver::new(), problem, &inits)
     );
-
-    let db = DbaSolver::new();
-    let db_metrics: Vec<_> = inits
-        .iter()
-        .map(|init| db.solve_sync(problem, init).unwrap().outcome.metrics)
-        .collect();
     println!(
         "  {:<13} {}",
         "DB",
-        Aggregate::from_metrics(db_metrics.iter())
+        batch(&DbaSolver::new(), problem, &inits)
     );
     println!();
 }

@@ -86,9 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.nogood(Nogood::of([(meetings[4], Value::new(0))]))?;
     let overbooked = b.build()?;
     let init = Assignment::total(vec![Value::new(0); 5]);
-    let run = AwcSolver::new(AwcConfig::resolvent())
+    let agents = AwcSolver::new(AwcConfig::resolvent()).agents(&overbooked, &init)?;
+    let run = SyncSimulator::new(agents)
         .cycle_limit(5_000)
-        .solve_sync(&overbooked, &init)?;
+        .run(&overbooked)?;
     println!(
         "\noverbooked week: {} (the empty nogood was derived — a proof, not a timeout)",
         run.outcome.metrics.termination

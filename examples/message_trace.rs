@@ -27,6 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = SyncSimulator::new(agents);
     sim.record_trace(true);
     let run = sim.run(&problem)?;
+    assert!(problem.is_solution(run.outcome.solution.as_ref().expect("solved")));
 
     println!(
         "solved in {} cycles; full event trace:\n",

@@ -36,7 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== perfect links ==");
     let config = NetConfig {
-        seed: 7,
+        base: VirtualConfig {
+            seed: 7,
+            ..VirtualConfig::default()
+        },
         ..NetConfig::default()
     };
     let report = awc.solve_net(&problem, &init, &config, &AgentLaunch::Threads)?;
@@ -52,8 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== lossy links: 15% drop, seeded ==");
     let lossy = NetConfig {
-        seed: 7,
-        link: LinkPolicy::lossy(PPM * 15 / 100),
+        base: VirtualConfig {
+            seed: 7,
+            link: LinkPolicy::lossy(PPM * 15 / 100),
+            ..VirtualConfig::default()
+        },
         ..NetConfig::default()
     };
     let net = awc.solve_net(&problem, &init, &lossy, &AgentLaunch::Threads)?;
@@ -66,15 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The coordinator's relay path consumes the same per-link fault
     // streams as the virtual executor: same (seed, policy), same fate
     // for the k-th message on every link.
-    let virt = awc.solve_virtual(
-        &problem,
-        &init,
-        &VirtualConfig {
-            seed: 7,
-            link: LinkPolicy::lossy(PPM * 15 / 100),
-            ..VirtualConfig::default()
-        },
-    )?;
+    let virt = awc.solve_virtual(&problem, &init, &lossy.base)?;
     let vm = &virt.outcome.metrics;
     println!(
         "in-process:   {:?}, sent {}, dropped {}, retransmitted {}",

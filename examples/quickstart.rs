@@ -27,8 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Worst-case start: every agent picks red.
     let init = Assignment::total(vec![Value::new(0); 5]);
 
-    let solver = AwcSolver::new(AwcConfig::resolvent()).record_history(true);
-    let run = solver.solve_sync(&problem, &init)?;
+    // The paper's simulator, with the per-cycle history switched on.
+    let agents = AwcSolver::new(AwcConfig::resolvent()).agents(&problem, &init)?;
+    let run = SyncSimulator::new(agents)
+        .record_history(true)
+        .run(&problem)?;
     let metrics = &run.outcome.metrics;
 
     println!("terminated: {}", metrics.termination);

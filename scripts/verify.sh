@@ -19,6 +19,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> discsp-lint (workspace invariants: determinism, metrics, panic safety, schema sync)"
 cargo run --release --offline -q -p discsp-lint -- --timing --max-millis 1000
 
+echo "==> examples smoke (the seven quick examples; each asserts its own result)"
+for example in quickstart meeting_scheduling n_queens sat_pipeline sensor_network message_trace net_solve; do
+  cargo run --release --offline -q --example "$example" > /dev/null \
+    || { echo "examples smoke: $example failed"; exit 1; }
+done
+
 echo "==> paper smoke (every table, figure and extension at scale 0.02 must match results/smoke/)"
 paper_smoke="target/paper-smoke"
 rm -rf "$paper_smoke"

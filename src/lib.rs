@@ -80,7 +80,8 @@ pub mod prelude {
         read_dimacs, write_col, write_dimacs,
     };
     pub use discsp_runtime::{
-        LinkPolicy, ShardConfig, SplitMix64, SyncRun, SyncSimulator, VirtualConfig, PPM,
+        LinkPolicy, ShardConfig, SolveError, Solver, SplitMix64, SyncRun, SyncSimulator,
+        VirtualConfig, PPM,
     };
     pub use discsp_trace::{audit, parse_trace, summarize, TraceEvent};
 }

@@ -31,6 +31,20 @@ fn unsat_cnf() -> DistributedCsp {
     b.build().expect("valid")
 }
 
+/// `solver` on the paper's simulator, cut off after `cycle_limit` cycles.
+fn solve_within<S: Solver>(
+    solver: S,
+    problem: &DistributedCsp,
+    init: &Assignment,
+    cycle_limit: u64,
+) -> SyncRun {
+    let agents = solver.agents(problem, init).expect("fits");
+    SyncSimulator::new(agents)
+        .cycle_limit(cycle_limit)
+        .run(problem)
+        .expect("fits")
+}
+
 #[test]
 fn awc_resolvent_proves_k4_insoluble() {
     let problem = k4();
@@ -38,10 +52,12 @@ fn awc_resolvent_proves_k4_insoluble() {
         Assignment::total([Value::new(0); 4]),
         Assignment::total([Value::new(0), Value::new(1), Value::new(2), Value::new(0)]),
     ] {
-        let run = AwcSolver::new(AwcConfig::resolvent())
-            .cycle_limit(5_000)
-            .solve_sync(&problem, &initial)
-            .expect("fits");
+        let run = solve_within(
+            AwcSolver::new(AwcConfig::resolvent()),
+            &problem,
+            &initial,
+            5_000,
+        );
         assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
         assert!(run.outcome.solution.is_none());
     }
@@ -49,20 +65,24 @@ fn awc_resolvent_proves_k4_insoluble() {
 
 #[test]
 fn awc_mcs_proves_k4_insoluble() {
-    let run = AwcSolver::new(AwcConfig::mcs())
-        .cycle_limit(5_000)
-        .solve_sync(&k4(), &Assignment::total([Value::new(0); 4]))
-        .expect("fits");
+    let run = solve_within(
+        AwcSolver::new(AwcConfig::mcs()),
+        &k4(),
+        &Assignment::total([Value::new(0); 4]),
+        5_000,
+    );
     assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
 }
 
 #[test]
 fn awc_resolvent_proves_unsat_cnf_insoluble() {
     let problem = unsat_cnf();
-    let run = AwcSolver::new(AwcConfig::resolvent())
-        .cycle_limit(5_000)
-        .solve_sync(&problem, &Assignment::total([Value::FALSE; 3]))
-        .expect("fits");
+    let run = solve_within(
+        AwcSolver::new(AwcConfig::resolvent()),
+        &problem,
+        &Assignment::total([Value::FALSE; 3]),
+        5_000,
+    );
     assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
 }
 
@@ -70,10 +90,12 @@ fn awc_resolvent_proves_unsat_cnf_insoluble() {
 fn abt_proves_both_insoluble() {
     for problem in [k4(), unsat_cnf()] {
         let n = problem.num_vars();
-        let run = AbtSolver::new()
-            .cycle_limit(5_000)
-            .solve_sync(&problem, &Assignment::total(vec![Value::new(0); n]))
-            .expect("fits");
+        let run = solve_within(
+            AbtSolver::new(),
+            &problem,
+            &Assignment::total(vec![Value::new(0); n]),
+            5_000,
+        );
         assert_eq!(run.outcome.metrics.termination, Termination::Insoluble);
     }
 }
@@ -82,19 +104,23 @@ fn abt_proves_both_insoluble() {
 fn no_learning_cannot_prove_insolubility() {
     // §1 footnote: without nogoods the AWC never gets stuck — and §4.1:
     // no-learning makes the AWC incomplete. It must hit the cutoff.
-    let run = AwcSolver::new(AwcConfig::no_learning())
-        .cycle_limit(400)
-        .solve_sync(&k4(), &Assignment::total([Value::new(0); 4]))
-        .expect("fits");
+    let run = solve_within(
+        AwcSolver::new(AwcConfig::no_learning()),
+        &k4(),
+        &Assignment::total([Value::new(0); 4]),
+        400,
+    );
     assert_eq!(run.outcome.metrics.termination, Termination::CutOff);
 }
 
 #[test]
 fn db_cannot_prove_insolubility() {
-    let run = DbaSolver::new()
-        .cycle_limit(400)
-        .solve_sync(&k4(), &Assignment::total([Value::new(0); 4]))
-        .expect("fits");
+    let run = solve_within(
+        DbaSolver::new(),
+        &k4(),
+        &Assignment::total([Value::new(0); 4]),
+        400,
+    );
     assert_eq!(run.outcome.metrics.termination, Termination::CutOff);
 }
 
@@ -114,10 +140,12 @@ fn size_bounded_learning_may_lose_the_proof() {
     // empty nogood on K4 within the budget (footnote 6: size-bounded
     // learning makes the AWC incomplete). The run must not *claim*
     // insolubility wrongly nor crash; cutoff is the expected outcome.
-    let run = AwcSolver::new(AwcConfig::kth_resolvent(1))
-        .cycle_limit(300)
-        .solve_sync(&k4(), &Assignment::total([Value::new(0); 4]))
-        .expect("fits");
+    let run = solve_within(
+        AwcSolver::new(AwcConfig::kth_resolvent(1)),
+        &k4(),
+        &Assignment::total([Value::new(0); 4]),
+        300,
+    );
     assert!(matches!(
         run.outcome.metrics.termination,
         Termination::CutOff | Termination::Insoluble

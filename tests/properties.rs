@@ -351,9 +351,12 @@ proptest! {
         let inst = generate_coloring(n, m, 3, seed);
         let problem = coloring_to_discsp(&inst).expect("encode");
         let init = Assignment::total(vec![Value::new(0); n as usize]);
-        let run = AwcSolver::new(AwcConfig::resolvent())
+        let agents = AwcSolver::new(AwcConfig::resolvent())
+            .agents(&problem, &init)
+            .expect("fits");
+        let run = SyncSimulator::new(agents)
             .cycle_limit(5_000)
-            .solve_sync(&problem, &init)
+            .run(&problem)
             .expect("fits");
         prop_assert_eq!(run.outcome.metrics.termination, Termination::Solved);
         prop_assert!(problem.is_solution(&run.outcome.solution.expect("solved")));
@@ -385,9 +388,12 @@ proptest! {
         let problem = b.build().expect("nonempty");
         let central = Backtracker::new(&problem).solve();
         let init = Assignment::total(vec![Value::FALSE; n as usize]);
-        let run = AwcSolver::new(AwcConfig::resolvent())
+        let agents = AwcSolver::new(AwcConfig::resolvent())
+            .agents(&problem, &init)
+            .expect("fits");
+        let run = SyncSimulator::new(agents)
             .cycle_limit(5_000)
-            .solve_sync(&problem, &init)
+            .run(&problem)
             .expect("fits");
         match central {
             SolveResult::Solution(_) => {

@@ -58,16 +58,20 @@ fn sync_awc_and_dba_traces_audit_exactly() {
     let problem = ring(n);
     let init = all_zero(n);
 
-    let awc = AwcSolver::new(AwcConfig::resolvent())
+    let agents = AwcSolver::new(AwcConfig::resolvent())
+        .agents(&problem, &init)
+        .expect("fits");
+    let awc = SyncSimulator::new(agents)
         .record_trace(true)
         .message_delay(3, 7)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .expect("awc sync run");
     assert_audit_exact(&awc.trace, &awc.outcome.metrics, "sync awc");
 
-    let dba = DbaSolver::new()
+    let agents = DbaSolver::new().agents(&problem, &init).expect("fits");
+    let dba = SyncSimulator::new(agents)
         .record_trace(true)
-        .solve_sync(&problem, &init)
+        .run(&problem)
         .expect("dba sync run");
     assert_audit_exact(&dba.trace, &dba.outcome.metrics, "sync dba");
 
@@ -88,10 +92,13 @@ fn sync_awc_and_dba_traces_audit_exactly() {
         }
     }
     let k4 = b.build().expect("k4 problem");
-    let run = AwcSolver::new(AwcConfig::resolvent())
+    let agents = AwcSolver::new(AwcConfig::resolvent())
+        .agents(&k4, &all_zero(4))
+        .expect("fits");
+    let run = SyncSimulator::new(agents)
         .record_trace(true)
         .cycle_limit(5_000)
-        .solve_sync(&k4, &all_zero(4))
+        .run(&k4)
         .expect("awc k4 run");
     assert_audit_exact(&run.trace, &run.outcome.metrics, "sync awc k4");
     let learned = run
@@ -170,8 +177,11 @@ fn net_threads_trace_audits_exactly() {
     let problem = ring(n);
     let init = all_zero(n);
     let config = NetConfig {
-        seed: 5,
-        record_trace: true,
+        base: VirtualConfig {
+            seed: 5,
+            record_trace: true,
+            ..VirtualConfig::default()
+        },
         ..NetConfig::default()
     };
     let report = AwcSolver::new(AwcConfig::resolvent())
