@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use discsp_core::{AgentId, Assignment, CoreError, DistributedCsp, VarValue};
 use discsp_runtime::{
@@ -54,8 +55,8 @@ pub struct MultiAwcAgent {
     /// Virtual agent id → index into `inner`.
     local_index: BTreeMap<AgentId, usize>,
     /// Physical owner of every variable in the problem (dense by
-    /// variable index).
-    owner_of: Vec<AgentId>,
+    /// variable index), one table shared by every agent of a build.
+    owner_of: Arc<[AgentId]>,
     /// Local message rounds per cycle.
     local_rounds: usize,
     /// Local messages deferred past the round budget.
@@ -66,13 +67,14 @@ impl MultiAwcAgent {
     /// Creates a physical agent hosting `inner` virtual agents.
     ///
     /// `owner_of[i]` must name the physical owner of variable `i` for
-    /// the entire problem. `local_rounds` bounds how many intra-agent
-    /// message rounds run inside one cycle (the excess is deferred to
-    /// the next cycle, preserving fairness with remote traffic).
+    /// the entire problem; the agents of one problem share the table.
+    /// `local_rounds` bounds how many intra-agent message rounds run
+    /// inside one cycle (the excess is deferred to the next cycle,
+    /// preserving fairness with remote traffic).
     pub fn new(
         id: AgentId,
         inner: Vec<AwcAgent>,
-        owner_of: Vec<AgentId>,
+        owner_of: Arc<[AgentId]>,
         local_rounds: usize,
     ) -> Self {
         let local_index = inner
@@ -255,7 +257,7 @@ impl MultiAwcSolver {
         problem: &DistributedCsp,
         init: &Assignment,
     ) -> Result<Vec<MultiAwcAgent>, CoreError> {
-        let owner_of: Vec<AgentId> = problem.vars().map(|v| problem.owner(v)).collect();
+        let owner_of: Arc<[AgentId]> = problem.vars().map(|v| problem.owner(v)).collect();
         let mut agents = Vec::with_capacity(problem.num_agents());
         for a in 0..problem.num_agents() {
             let physical = AgentId::new(a as u32);
@@ -287,7 +289,7 @@ impl MultiAwcSolver {
             agents.push(MultiAwcAgent::new(
                 physical,
                 inner,
-                owner_of.clone(),
+                Arc::clone(&owner_of),
                 self.local_rounds,
             ));
         }
@@ -377,6 +379,21 @@ mod tests {
             grouped.outcome.metrics.total_messages(),
             flat.outcome.metrics.total_messages()
         );
+    }
+
+    #[test]
+    fn every_agent_of_a_build_shares_one_owner_table() {
+        let problem = ring_problem(3);
+        let init = Assignment::total(vec![Value::new(0); 9]);
+        let agents = MultiAwcSolver::new(AwcConfig::resolvent())
+            .build_agents(&problem, &init)
+            .unwrap();
+        assert_eq!(agents.len(), 3);
+        let first = &agents[0].owner_of;
+        assert_eq!(first.len(), 9);
+        assert!(agents
+            .iter()
+            .all(|agent| Arc::ptr_eq(&agent.owner_of, first)));
     }
 
     #[test]

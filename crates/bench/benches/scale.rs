@@ -12,8 +12,10 @@
 //! build + solve, above what the cell started with, divided by the
 //! population; a counting global allocator measures it, so one cell
 //! cannot reuse pages an earlier cell freed). The same allocator counts
-//! what building the agents costs: the build's seconds (part of the
-//! solve's) and its heap allocations per agent, reallocations included.
+//! what the two setup layers cost, apart: encoding the instance
+//! (`coloring_to_discsp`: its seconds and heap allocations per variable,
+//! outside the solve) and building the agents (its seconds, part of the
+//! solve's, and allocations per agent), reallocations included.
 //!
 //! The worker count must not change a run, so the bench fails unless
 //! every row of one population reports the same ticks and activations.
@@ -45,12 +47,12 @@ fn smoke() -> bool {
 /// and runs a 3×10^5 headline row; smoke keeps CI under a minute.
 ///
 /// Why the headline is not 10^6: the executor's per-activation cost is
-/// nearly flat (≈390k–430k activations/s at 10^5, ≈470k at 3×10^5 on a
+/// nearly flat (≈590k–660k activations/s at 10^5, ≈630k at 3×10^5 on a
 /// 2-vCPU host), but the *workload's* breakout wave count grows with
 /// the population (20 waves at 10^5, 100 at 3×10^5) and every wave
 /// activates all n agents, so a 10^6 solve would outlast the rest of
-/// the matrix many times over. Peak heap stays flat at ≈4.3 KB per
-/// agent, so 10^6 agents would need ≈4.3 GB.
+/// the matrix many times over. Peak heap stays flat at ≈3.8 KB per
+/// agent, so 10^6 agents would need ≈3.8 GB.
 fn matrix() -> Vec<(u32, usize)> {
     if smoke() {
         vec![(10_000, 1), (10_000, 4)]
@@ -124,16 +126,23 @@ struct Row {
     ticks: u64,
     activations: u64,
     solve_secs: f64,
+    encode_secs: f64,
     build_secs: f64,
     agents_per_sec: f64,
     activations_per_sec: f64,
     bytes_per_agent: f64,
+    encode_allocs_per_var: f64,
     build_allocs_per_agent: f64,
 }
 
 fn run_cell(agents: u32, workers: usize) -> Row {
     let instance = paper_coloring(agents, 11);
+    // The encode layer, outside the solve and its peak window.
+    let encode_base = ALLOCS.load(Ordering::Relaxed);
+    let encode_start = Instant::now();
     let problem = coloring_to_discsp(&instance).expect("encode");
+    let encode_secs = encode_start.elapsed().as_secs_f64();
+    let encode_allocs = ALLOCS.load(Ordering::Relaxed) - encode_base;
 
     // Perturb a deterministic 1-in-64 slice of the planted coloring.
     let mut rng = SplitMix64::new(agents as u64 ^ 0x5ca1_ab1e);
@@ -182,10 +191,12 @@ fn run_cell(agents: u32, workers: usize) -> Row {
         ticks: report.ticks,
         activations: report.activations,
         solve_secs,
+        encode_secs,
         build_secs,
         agents_per_sec: f64::from(agents) / solve_secs,
         activations_per_sec: report.activations as f64 / solve_secs,
         bytes_per_agent: peak as f64 / f64::from(agents),
+        encode_allocs_per_var: encode_allocs as f64 / f64::from(agents),
         build_allocs_per_agent: build_allocs as f64 / f64::from(agents),
     }
 }
@@ -198,18 +209,21 @@ fn write_snapshot(rows: &[Row]) {
         let sep = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"agents\": {}, \"workers\": {}, \"ticks\": {}, \"activations\": {}, \
-             \"solve_secs\": {:.3}, \"build_secs\": {:.3}, \"agents_per_sec\": {:.0}, \
-             \"activations_per_sec\": {:.0}, \"bytes_per_agent\": {:.0}, \
+             \"solve_secs\": {:.3}, \"encode_secs\": {:.3}, \"build_secs\": {:.3}, \
+             \"agents_per_sec\": {:.0}, \"activations_per_sec\": {:.0}, \
+             \"bytes_per_agent\": {:.0}, \"encode_allocs_per_var\": {:.1}, \
              \"build_allocs_per_agent\": {:.1}}}{sep}\n",
             r.agents,
             r.workers,
             r.ticks,
             r.activations,
             r.solve_secs,
+            r.encode_secs,
             r.build_secs,
             r.agents_per_sec,
             r.activations_per_sec,
             r.bytes_per_agent,
+            r.encode_allocs_per_var,
             r.build_allocs_per_agent
         ));
     }
@@ -225,16 +239,19 @@ fn main() {
     for (agents, workers) in matrix() {
         let row = run_cell(agents, workers);
         println!(
-            "scale/{}agents/{}workers: {:.3}s (build {:.3}s), {} ticks, {:.0} agents/s, \
-             {:.0} activations/s, {:.0} bytes/agent, {:.1} build allocations/agent",
+            "scale/{}agents/{}workers: {:.3}s (build {:.3}s; encode {:.3}s apart), {} ticks, \
+             {:.0} agents/s, {:.0} activations/s, {:.0} bytes/agent, \
+             {:.1} encode allocations/variable, {:.1} build allocations/agent",
             row.agents,
             row.workers,
             row.solve_secs,
             row.build_secs,
+            row.encode_secs,
             row.ticks,
             row.agents_per_sec,
             row.activations_per_sec,
             row.bytes_per_agent,
+            row.encode_allocs_per_var,
             row.build_allocs_per_agent
         );
         if let Some(first) = rows.iter().find(|r: &&Row| r.agents == row.agents) {

@@ -1,17 +1,25 @@
-//! Building an agent costs a fixed handful of heap allocations.
+//! Building and seating agents costs a fixed handful of heap
+//! allocations.
 //!
 //! The solvers hand each agent its constraints by reference, and
-//! `NogoodStore::with_nogoods` sizes the literal arena, the slot headers
-//! and the mutation log once, while dedup chains same-hash slots through
-//! their headers instead of keeping a bucket per nogood. A counting
-//! global allocator pins what `DbaSolver::build_agents` allocates per
-//! agent. The count is per thread, so the other tests of this binary,
-//! running alongside, do not reach it.
+//! `NogoodStore::with_nogoods` sizes the literal arena, the slot headers,
+//! the mutation log and the sorted mention table once, while dedup
+//! chains same-hash slots through their headers instead of keeping a
+//! bucket per nogood. An agent's `IncrementalEval` sizes its variable
+//! table, its per-slot state and its interleaved bit planes at the first
+//! sync, and `DistributedCsp` lays its per-variable tables flat. A
+//! counting global allocator pins what each of these layers allocates:
+//! encoding a coloring (per variable), building a DB or an AWC agent,
+//! and a DB agent's first evaluator refresh. The count is per thread, so
+//! the other tests of this binary, running alongside, do not reach it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use discsp_core::{Assignment, Nogood, NogoodIdx, NogoodStore, Value, VariableId};
+use discsp_awc::{AwcConfig, AwcSolver};
+use discsp_core::{
+    Assignment, DistributedCsp, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Value, VariableId,
+};
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
 
@@ -66,29 +74,125 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// Allocations one DB agent may cost at build, reallocations included:
-/// room above the 19.9 a store with reserved vectors and chained dedup
-/// costs here, while a heap object per nogood (67 per agent) fails.
-const DB_BUILD_BUDGET: f64 = 22.0;
+/// Runs `f` and returns its result with the allocations it cost this
+/// thread, reallocations included.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocs();
+    let result = f();
+    (result, allocs() - before)
+}
 
-#[test]
-fn building_db_agents_stays_within_the_allocation_budget() {
-    const AGENTS: u32 = 2_000;
+/// Agents (and variables) of the instance every budget is measured on.
+const AGENTS: u32 = 2_000;
+
+/// The paper-density 3-coloring the budgets are measured on, with its
+/// planted coloring as the initial values.
+fn instance() -> (DistributedCsp, Assignment) {
     let coloring = paper_coloring(AGENTS, 11);
     let problem = coloring_to_discsp(&coloring).expect("encode");
     let init = Assignment::total(coloring.planted.iter().map(|&c| Value::new(c)));
+    (problem, init)
+}
+
+/// Allocations encoding may cost per variable, about 10% above the 8.1
+/// measured: the nogoods' own literal vectors (about 8.1 nogoods per
+/// variable) plus the problem's flat tables, while a vector per variable
+/// and table (15.8) fails.
+const ENCODE_BUDGET: f64 = 8.9;
+
+/// Allocations one DB agent may cost at build, reallocations included,
+/// about 10% above the 9.0 measured: seating's neighbor list, the
+/// store's four reserved vectors and sorted mention table, and the
+/// agent's weights and two neighbor tables. A list per mentioned
+/// variable in the store (18.9) fails.
+const DB_BUILD_BUDGET: f64 = 9.9;
+
+/// Allocations one AWC agent may cost at build, about 10% above the 8.0
+/// measured: seating's neighbor list, the out-link set, and the store's
+/// four reserved vectors and sorted mention table.
+const AWC_BUILD_BUDGET: f64 = 8.8;
+
+/// Allocations a DB agent's first evaluator refresh may cost, about 10%
+/// above the 3.0 measured: the variable table, the per-slot state and
+/// the interleaved bit planes, each sized once. Growing them plane by
+/// plane (10.7) fails.
+const DB_FIRST_REFRESH_BUDGET: f64 = 3.3;
+
+#[test]
+fn encoding_a_coloring_stays_within_the_allocation_budget() {
+    let coloring = paper_coloring(AGENTS, 11);
+    let (problem, allocs) = counting(|| coloring_to_discsp(&coloring).expect("encode"));
+    let per_var = allocs as f64 / f64::from(AGENTS);
+
+    assert_eq!(problem.num_vars(), AGENTS as usize);
+    assert!(
+        per_var <= ENCODE_BUDGET,
+        "encoding took {per_var:.1} allocations per variable (budget {ENCODE_BUDGET})"
+    );
+}
+
+#[test]
+fn building_db_agents_stays_within_the_allocation_budget() {
+    let (problem, init) = instance();
     let solver = DbaSolver::new();
 
-    let before = allocs();
-    let agents = solver
-        .build_agents(&problem, &init)
-        .expect("one variable per agent");
-    let per_agent = (allocs() - before) as f64 / f64::from(AGENTS);
+    let (agents, allocs) = counting(|| {
+        solver
+            .build_agents(&problem, &init)
+            .expect("one variable per agent")
+    });
+    let per_agent = allocs as f64 / f64::from(AGENTS);
 
     assert_eq!(agents.len(), AGENTS as usize);
     assert!(
         per_agent <= DB_BUILD_BUDGET,
         "building a DB agent took {per_agent:.1} allocations (budget {DB_BUILD_BUDGET})"
+    );
+}
+
+#[test]
+fn building_awc_agents_stays_within_the_allocation_budget() {
+    let (problem, init) = instance();
+    let solver = AwcSolver::new(AwcConfig::resolvent());
+
+    let (agents, allocs) = counting(|| {
+        solver
+            .build_agents(&problem, &init)
+            .expect("one variable per agent")
+    });
+    let per_agent = allocs as f64 / f64::from(AGENTS);
+
+    assert_eq!(agents.len(), AGENTS as usize);
+    assert!(
+        per_agent <= AWC_BUILD_BUDGET,
+        "building an AWC agent took {per_agent:.1} allocations (budget {AWC_BUILD_BUDGET})"
+    );
+}
+
+/// What a DB agent's first wave asks of its evaluator: its store holds
+/// the variable's constraints and `refresh` reads the whole view of its
+/// neighbors.
+#[test]
+fn a_db_agents_first_refresh_stays_within_the_allocation_budget() {
+    let (problem, init) = instance();
+    let mut total = 0;
+    for var in problem.vars() {
+        let store = NogoodStore::with_nogoods(problem.nogoods_of(var));
+        let mut eval = IncrementalEval::new(var);
+        let view = problem
+            .neighbors(var)
+            .iter()
+            .map(|&other| (other, init.get(other).expect("total")));
+        let ((), allocs) = counting(|| eval.refresh(&store, view));
+        total += allocs;
+        let value = init.get(var).expect("total");
+        assert_eq!(eval.violation_count_with(value), 0, "{var}: planted");
+    }
+    let per_agent = total as f64 / f64::from(AGENTS);
+    assert!(
+        per_agent <= DB_FIRST_REFRESH_BUDGET,
+        "a DB agent's first refresh took {per_agent:.1} allocations \
+         (budget {DB_FIRST_REFRESH_BUDGET})"
     );
 }
 

@@ -4,6 +4,11 @@
 //! each agent's local CSP contains its variables and *all* nogoods relevant
 //! to them (including inter-agent nogoods). The paper's benchmarks assign
 //! exactly one variable per agent; the model supports any assignment.
+//!
+//! The per-variable and per-agent tables a problem answers from (relevant
+//! nogoods, neighbors, owned variables) are laid flat: one item vector
+//! and one offset vector each, built once, so encoding a problem costs a
+//! fixed handful of allocations beyond its nogoods' own literal vectors.
 
 use std::fmt;
 
@@ -49,15 +54,67 @@ pub struct DistributedCsp {
     owners: Vec<AgentId>,
     num_agents: usize,
     nogoods: Vec<Nogood>,
-    /// Per-variable indices into `nogoods` (the variable's *relevant*
-    /// nogoods).
-    relevant: Vec<Vec<usize>>,
-    /// Per-variable sorted list of variables sharing at least one nogood.
-    neighbors: Vec<Vec<VariableId>>,
-    /// Per-agent list of owned variables, in id order. Precomputed at
-    /// build time so `vars_of_agent` is O(own variables) — scanning all
+    /// Per variable, the ascending indices into `nogoods` of its
+    /// *relevant* nogoods.
+    relevant: Rows<usize>,
+    /// Per variable, the variables sharing at least one nogood with it,
+    /// sorted by id.
+    neighbors: Rows<VariableId>,
+    /// Per agent, its owned variables in id order. Precomputed at build
+    /// time so `vars_of_agent` is O(own variables) — scanning all
     /// variables per call made building n agents O(n²).
-    vars_of: Vec<Vec<VariableId>>,
+    vars_of: Rows<VariableId>,
+}
+
+/// A table of rows laid flat: row `i` is `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows<T> {
+    /// `offsets[0] == 0`; one more entry than there are rows.
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    /// Groups `(row, item)` pairs into `rows` rows, each keeping its
+    /// items in the order `pairs` yields them: a counting sort (one pass
+    /// counts each row's items, one places them), with no vector per row.
+    fn group<I>(rows: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (usize, T)> + Clone,
+    {
+        let mut offsets = vec![0; rows + 1];
+        for (row, _) in pairs.clone() {
+            offsets[row + 1] += 1;
+        }
+        for row in 0..rows {
+            offsets[row + 1] += offsets[row];
+        }
+        let mut items = match pairs.clone().next() {
+            Some((_, fill)) => vec![fill; offsets[rows]],
+            None => Vec::new(),
+        };
+        let mut next = offsets.clone();
+        for (row, item) in pairs {
+            items[next[row]] = item;
+            next[row] += 1;
+        }
+        Rows { offsets, items }
+    }
+
+    /// Row `row`, or `None` past the last row.
+    fn get(&self, row: usize) -> Option<&[T]> {
+        let end = *self.offsets.get(row + 1)?;
+        self.items.get(self.offsets[row]..end)
+    }
+
+    /// Row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    fn row(&self, row: usize) -> &[T] {
+        &self.items[self.offsets[row]..self.offsets[row + 1]]
+    }
 }
 
 impl DistributedCsp {
@@ -102,7 +159,10 @@ impl DistributedCsp {
     /// The variables owned by `agent`, in id order. Unknown agents own
     /// nothing.
     pub fn vars_of_agent(&self, agent: AgentId) -> Vec<VariableId> {
-        self.vars_of.get(agent.index()).cloned().unwrap_or_default()
+        self.vars_of
+            .get(agent.index())
+            .map(<[VariableId]>::to_vec)
+            .unwrap_or_default()
     }
 
     /// All original constraint nogoods.
@@ -117,7 +177,10 @@ impl DistributedCsp {
     ///
     /// Panics if `var` is out of range.
     pub fn nogoods_of(&self, var: VariableId) -> impl Iterator<Item = &Nogood> + Clone {
-        self.relevant[var.index()].iter().map(|&i| &self.nogoods[i])
+        self.relevant
+            .row(var.index())
+            .iter()
+            .map(|&i| &self.nogoods[i])
     }
 
     /// Variables sharing at least one nogood with `var`, sorted by id.
@@ -126,7 +189,7 @@ impl DistributedCsp {
     ///
     /// Panics if `var` is out of range.
     pub fn neighbors(&self, var: VariableId) -> &[VariableId] {
-        &self.neighbors[var.index()]
+        self.neighbors.row(var.index())
     }
 
     /// Seats a one-variable-per-agent population, in agent id order:
@@ -145,9 +208,10 @@ impl DistributedCsp {
         mut build: impl FnMut(AgentId, VariableId, Domain, Value, Vec<(VariableId, AgentId)>) -> A,
     ) -> Result<Vec<A>, CoreError> {
         let mut agents = Vec::with_capacity(self.num_agents);
-        for (a, vars) in self.vars_of.iter().enumerate() {
+        for a in 0..self.num_agents {
             let agent = AgentId::new(a as u32);
-            let &[var] = &vars[..] else {
+            let vars = self.vars_of.row(a);
+            let &[var] = vars else {
                 return Err(CoreError::WrongVariableCount {
                     agent,
                     count: vars.len(),
@@ -195,11 +259,8 @@ impl DistributedCsp {
     /// Mean number of nogoods per variable — a density measure used by
     /// reports.
     pub fn mean_relevant_nogoods(&self) -> f64 {
-        if self.relevant.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.relevant.iter().map(Vec::len).sum();
-        total as f64 / self.relevant.len() as f64
+        // `build` refuses a problem without variables.
+        self.relevant.items.len() as f64 / self.num_vars() as f64
     }
 }
 
@@ -330,28 +391,44 @@ impl DistributedCspBuilder {
             .unwrap_or(0)
             .max(self.owners.iter().map(|a| a.index() + 1).max().unwrap_or(0));
 
-        let mut relevant = vec![Vec::new(); num_vars];
-        let mut neighbors: Vec<Vec<VariableId>> = vec![Vec::new(); num_vars];
-        for (i, ng) in self.nogoods.iter().enumerate() {
-            for e in ng.elems() {
-                relevant[e.var.index()].push(i);
-                for other in ng.elems() {
-                    if other.var != e.var {
-                        neighbors[e.var.index()].push(other.var);
-                    }
-                }
-            }
+        let nogoods = &self.nogoods;
+        let relevant = Rows::group(
+            num_vars,
+            nogoods
+                .iter()
+                .enumerate()
+                .flat_map(|(i, ng)| ng.elems().iter().map(move |e| (e.var.index(), i))),
+        );
+        // One variable's neighbors at a time, sorted and deduplicated in
+        // a reused buffer, then appended as its row.
+        let mut neighbors = Rows {
+            offsets: Vec::with_capacity(num_vars + 1),
+            items: Vec::new(),
+        };
+        neighbors.offsets.push(0);
+        let mut row = Vec::new();
+        for var in 0..num_vars {
+            row.clear();
+            row.extend(
+                relevant
+                    .row(var)
+                    .iter()
+                    .flat_map(|&i| nogoods[i].vars())
+                    .filter(|other| other.index() != var),
+            );
+            row.sort_unstable();
+            row.dedup();
+            neighbors.items.extend_from_slice(&row);
+            neighbors.offsets.push(neighbors.items.len());
         }
-        for list in &mut neighbors {
-            list.sort();
-            list.dedup();
-        }
-        // Owners iterate in variable-id order, so each list comes out
-        // already sorted.
-        let mut vars_of: Vec<Vec<VariableId>> = vec![Vec::new(); num_agents];
-        for (i, agent) in self.owners.iter().enumerate() {
-            vars_of[agent.index()].push(VariableId::new(i as u32));
-        }
+        // Owners iterate in variable-id order, so each row comes out
+        // sorted.
+        let vars_of = Rows::group(
+            num_agents,
+            (0u32..)
+                .zip(&self.owners)
+                .map(|(var, agent)| (agent.index(), VariableId::new(var))),
+        );
 
         Ok(DistributedCsp {
             domains: std::mem::take(&mut self.domains),

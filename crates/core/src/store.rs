@@ -7,17 +7,23 @@
 //! `(offset, len)` slot headers — no per-nogood heap allocation — with a
 //! free list so forgetting a nogood recycles its slot without
 //! invalidating other [`NogoodIdx`] values. Dedup goes through a map
-//! from literal hash to one live slot, whose header chains to the other
-//! live slots of that hash, so a nogood costs no index allocation of its
-//! own. A per-variable index ([`NogoodStore::for_variable`]) supports
-//! incremental evaluation. [`NogoodStore::with_nogoods`] takes the
-//! initial constraints by reference and sizes the arena, the slots and
-//! the mutation log once.
+//! from a fixed multiplicative literal hash to one live slot, whose
+//! header chains to the other live slots of that hash, so a nogood costs
+//! no index allocation of its own. A per-variable index
+//! ([`NogoodStore::for_variable`]) supports incremental evaluation. It
+//! has two parts: the constraints the store was built with, whose
+//! `(variable, slot)` mentions sit in one table sorted once (they are
+//! never evicted, so it never changes), and one list per variable for
+//! the nogoods recorded later. [`NogoodStore::with_nogoods`] takes the
+//! initial constraints by reference and sizes the arena, the slots, the
+//! mutation log and that table once.
 //!
 //! [`IncrementalEval`] keeps each nogood's violation status and its
 //! higher/lower side (§2.2) against a view: a changed variable moves the
-//! tallies of exactly the nogoods mentioning it, at every store size.
-//! See DESIGN.md §11 for the layout and why this one strategy suffices.
+//! tallies of exactly the nogoods mentioning it, at every store size. Its
+//! per-slot state is one vector and its bitsets are interleaved in
+//! another, both sized at the first sync. See DESIGN.md §11 for the
+//! layout and why this one strategy suffices.
 //!
 //! Learned nogoods carry an activity score ([`NogoodStore::bump_activity`])
 //! and can be evicted deterministically with [`NogoodStore::forget`];
@@ -32,10 +38,9 @@
 
 use std::borrow::Borrow;
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::assignment::VarValue;
 use crate::ids::VariableId;
@@ -128,9 +133,14 @@ pub struct NogoodStore {
     /// that hash; the rest follow through `Slot::next_same_hash`.
     // lint: allow(unordered): point lookups keyed by hash only; the map
     // is never iterated, so map order cannot reach any output.
-    by_hash: HashMap<u64, u32>,
-    /// Per-variable index: every live nogood mentioning the variable, in
-    /// recording order.
+    by_hash: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// The mentions of the constraints the store was built with, one
+    /// `(variable, slot)` pair per literal, sorted: a variable's
+    /// mentions are one range, ascending by slot, which is recording
+    /// order. Those slots are never evicted, so the table never changes.
+    initial_mentions: Vec<(VariableId, u32)>,
+    /// Per-variable index of the nogoods recorded after construction:
+    /// every live one mentioning the variable, in recording order.
     // lint: allow(unordered): point lookups keyed by variable; values are
     // recording-ordered slot-id vectors, so map order cannot reach output.
     var_index: HashMap<VariableId, Vec<u32>>,
@@ -145,10 +155,39 @@ pub struct NogoodStore {
 /// End of a dedup chain.
 const NO_SLOT: u32 = u32::MAX;
 
+/// The dedup key of a canonical literal slice: a fixed multiplicative
+/// hash (no per-process seed), finished by folding the high half into
+/// the low one, so both the bucket bits and the tag bits of `by_hash`'s
+/// table are mixed.
 fn hash_lits(lits: &[VarValue]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    lits.hash(&mut hasher);
-    hasher.finish()
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+    let hash = lits.iter().fold(lits.len() as u64, |hash, lit| {
+        let word = u64::from(lit.var.raw()) << 16 | u64::from(lit.value.raw());
+        (hash.rotate_left(26) ^ word).wrapping_mul(MULTIPLIER)
+    });
+    hash ^ hash >> 32
+}
+
+/// The hasher of `by_hash`, whose keys are [`hash_lits`] values already:
+/// it hands a `u64` key through instead of hashing it again.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher; fold anything else in.
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
 }
 
 impl NogoodStore {
@@ -162,9 +201,11 @@ impl NogoodStore {
     ///
     /// Pass the nogoods by reference (`problem.nogoods_of(var)`, or
     /// `&[Nogood]`): the store copies their literals into its arena, and
-    /// walks `nogoods` twice — once to size the arena, the slots and the
-    /// mutation log, once to fill them — so building allocates each of
-    /// them once, however many nogoods there are.
+    /// walks `nogoods` twice — once to size the arena, the slots, the
+    /// mutation log and the dedup map, once to fill them — then sorts
+    /// the mentions of what it kept into one table. So building
+    /// allocates each of them once, however many nogoods and variables
+    /// there are.
     pub fn with_nogoods<I>(nogoods: I) -> Self
     where
         I: IntoIterator,
@@ -183,8 +224,17 @@ impl NogoodStore {
         };
         store.by_hash.reserve(count);
         for ng in nogoods {
-            store.insert_lits(ng.borrow().elems(), false);
+            let lits = ng.borrow().elems();
+            store.record(lits, hash_lits(lits), false);
         }
+        // The slots are 0..len and their ranges tile the arena in order.
+        let mut mentions = Vec::with_capacity(store.lits.len());
+        for (id, slot) in (0u32..).zip(&store.slots) {
+            let range = slot.offset as usize..(slot.offset + slot.len) as usize;
+            mentions.extend(store.lits[range].iter().map(|lit| (lit.var, id)));
+        }
+        mentions.sort_unstable();
+        store.initial_mentions = mentions;
         store
     }
 
@@ -224,10 +274,24 @@ impl NogoodStore {
     }
 
     /// Inserts canonical `lits` under `hash`, which is `hash_lits(lits)`
-    /// everywhere but in the tests that force hash collisions.
+    /// everywhere but in the tests that force hash collisions, and lists
+    /// the new slot under each of its variables.
     fn insert_hashed(&mut self, lits: &[VarValue], hash: u64, learned: bool) -> bool {
-        if self.find(lits, hash).is_some() {
+        let Some(slot_id) = self.record(lits, hash, learned) else {
             return false;
+        };
+        for lit in lits {
+            self.var_index.entry(lit.var).or_default().push(slot_id);
+        }
+        true
+    }
+
+    /// Stores canonical `lits` under `hash` in a free or a new slot and
+    /// returns the slot, or `None` if they are present already. Indexes
+    /// no variable: the caller lists the slot.
+    fn record(&mut self, lits: &[VarValue], hash: u64, learned: bool) -> Option<u32> {
+        if self.find(lits, hash).is_some() {
+            return None;
         }
         let n = lits.len();
         // lint: allow(panic-path): capacity guard — nogoods are bounded by
@@ -283,18 +347,18 @@ impl NogoodStore {
         };
         self.next_seq += 1;
         self.by_hash.insert(hash, slot_id);
-        for lit in lits {
-            self.var_index.entry(lit.var).or_default().push(slot_id);
-        }
         self.live += 1;
         if learned {
             self.learned_live += 1;
         }
         self.log.push(slot_id);
-        true
+        Some(slot_id)
     }
 
     /// Scrubs `slot_id` from every index and marks it dead/reusable.
+    /// Never called on a constructor slot, which only the sorted
+    /// mention table lists: [`NogoodStore::forget`] evicts learned
+    /// slots only.
     fn remove_slot(&mut self, slot_id: u32) {
         let idx = slot_id as usize;
         let (hash, next, learned, range) = {
@@ -464,16 +528,35 @@ impl NogoodStore {
     /// `var`, with their store indices. This is the index incremental
     /// evaluation uses: when a view changes by one assignment, only these
     /// nogoods can change violation status.
+    ///
+    /// The constructor's nogoods come first (a range of the sorted
+    /// mention table), then the ones recorded later (the variable's list).
     pub fn for_variable(
         &self,
         var: VariableId,
     ) -> impl Iterator<Item = (NogoodIdx, NogoodRef<'_>)> + '_ {
-        self.var_index
-            .get(&var)
-            .map(|indices| indices.as_slice())
-            .unwrap_or(&[])
+        let start = self.initial_mentions.partition_point(|&(v, _)| v < var);
+        let initial = self.initial_mentions[start..]
             .iter()
-            .map(move |&i| (i as NogoodIdx, self.slot_ref(i as usize)))
+            .take_while(move |&&(v, _)| v == var)
+            .map(|&(_, slot)| slot);
+        let later = self.var_index.get(&var).map_or(&[][..], Vec::as_slice);
+        initial
+            .chain(later.iter().copied())
+            .map(move |i| (i as NogoodIdx, self.slot_ref(i as usize)))
+    }
+
+    /// At most how many variables other than `except` the live nogoods
+    /// mention: exact while every nogood came through
+    /// [`NogoodStore::with_nogoods`]. [`IncrementalEval`] sizes its
+    /// variable table by it.
+    fn vars_other_than(&self, except: VariableId) -> usize {
+        let initial = self
+            .initial_mentions
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.first().is_some_and(|&(var, _)| var != except))
+            .count();
+        initial + self.var_index.len()
     }
 
     /// Evaluates one nogood against `lookup`, counting **one** nogood check.
@@ -621,28 +704,32 @@ pub struct IncrementalEval {
     /// O(population) vector, which is quadratic total memory at 10^5+
     /// agents.
     vars: Vec<VarState>,
-    /// Per slot: the own-variable value it prohibits, if it mentions
-    /// the own variable at all. Re-read whenever the slot mutates.
-    own_prohibited: Vec<Option<Value>>,
-    /// Per slot: the two tallies. Its length is the number of store
-    /// slots the caches cover.
-    tallies: Vec<Tally>,
-    /// Bit `i`: every foreign literal of slot `i` matches the view
-    /// (always clear for dead slots).
-    foreign_sat: Vec<u64>,
-    /// Bit `i`: slot `i` is a higher nogood (always clear for dead
-    /// slots).
-    higher: Vec<u64>,
-    /// Bit `i`: slot `i` has no own-variable literal (applies to every
-    /// own value).
-    applies_always: Vec<u64>,
-    /// `applies_by_value[v]` bit `i`: slot `i` prohibits own value `v`.
-    applies_by_value: Vec<Vec<u64>>,
+    /// Per slot: the two tallies and the own value the slot prohibits.
+    /// Its length is the number of store slots the caches cover.
+    slots: Vec<SlotState>,
+    /// The bit planes, interleaved word by word: word `w` of plane `p`
+    /// is `bits[w * stride + p]`. Planes [`FOREIGN_SAT`], [`HIGHER`] and
+    /// [`APPLIES_ALWAYS`] come first, then one per own value `v` at
+    /// `BY_VALUE + v`. Bits of dead slots are clear.
+    bits: Vec<u64>,
+    /// Planes per word: `BY_VALUE` plus the own values any synced slot
+    /// prohibits.
+    stride: usize,
     higher_count: usize,
     /// Cursor into [`NogoodStore::mutation_log`]: entries before this
     /// are already reflected in the caches.
     synced_mutations: usize,
 }
+
+/// Bit `i`: every foreign literal of slot `i` matches the view.
+const FOREIGN_SAT: usize = 0;
+/// Bit `i`: slot `i` is a higher nogood.
+const HIGHER: usize = 1;
+/// Bit `i`: slot `i` has no own-variable literal (applies to every own
+/// value).
+const APPLIES_ALWAYS: usize = 2;
+/// Plane `BY_VALUE + v`, bit `i`: slot `i` prohibits own value `v`.
+const BY_VALUE: usize = 3;
 
 /// What the evaluator last saw of one foreign variable.
 #[derive(Debug, Clone, Copy)]
@@ -661,39 +748,17 @@ struct VarState {
     seen: bool,
 }
 
-/// The per-slot tallies (see [`IncrementalEval`]).
+/// The cached state of one slot (see [`IncrementalEval`]).
 #[derive(Debug, Clone, Copy, Default)]
-struct Tally {
+struct SlotState {
     unmatched: u32,
     not_outranking: u32,
+    /// The own-variable value the slot prohibits, if it mentions the own
+    /// variable at all. Re-read whenever the slot mutates.
+    prohibited: Option<Value>,
 }
 
-#[inline]
-fn bit_get(bits: &[u64], idx: usize) -> bool {
-    bits.get(idx / 64)
-        .is_some_and(|word| word >> (idx % 64) & 1 == 1)
-}
-
-#[inline]
-fn bit_set(bits: &mut [u64], idx: usize) {
-    bits[idx / 64] |= 1 << (idx % 64);
-}
-
-#[inline]
-fn bit_clear(bits: &mut [u64], idx: usize) {
-    bits[idx / 64] &= !(1 << (idx % 64));
-}
-
-#[inline]
-fn bit_put(bits: &mut [u64], idx: usize, on: bool) {
-    if on {
-        bit_set(bits, idx);
-    } else {
-        bit_clear(bits, idx);
-    }
-}
-
-/// The slot ids of the set bits of `word` (word `w` of a bitset), in
+/// The slot ids of the set bits of `word` (word `w` of a plane), in
 /// ascending order.
 fn bit_indices(w: usize, mut word: u64) -> impl Iterator<Item = NogoodIdx> {
     std::iter::from_fn(move || {
@@ -704,6 +769,13 @@ fn bit_indices(w: usize, mut word: u64) -> impl Iterator<Item = NogoodIdx> {
         word &= word - 1;
         Some(w * 64 + bit)
     })
+}
+
+/// One word of the "applies to the queried own value" mask, from the
+/// planes of one word group; `value_plane` is the queried value's plane.
+#[inline]
+fn applies(group: &[u64], value_plane: Option<usize>) -> u64 {
+    group[APPLIES_ALWAYS] | value_plane.map_or(0, |plane| group[plane])
 }
 
 impl IncrementalEval {
@@ -720,12 +792,9 @@ impl IncrementalEval {
             own_var,
             own_priority: Priority::ZERO,
             vars: Vec::new(),
-            own_prohibited: Vec::new(),
-            tallies: Vec::new(),
-            foreign_sat: Vec::new(),
-            higher: Vec::new(),
-            applies_always: Vec::new(),
-            applies_by_value: Vec::new(),
+            slots: Vec::new(),
+            bits: Vec::new(),
+            stride: BY_VALUE,
             higher_count: 0,
             synced_mutations: 0,
         }
@@ -733,11 +802,67 @@ impl IncrementalEval {
 
     /// Number of store slots currently covered by the caches.
     pub fn synced_len(&self) -> usize {
-        self.tallies.len()
+        self.slots.len()
     }
 
     fn own_rank(&self) -> Rank {
         Rank::new(self.own_var, self.own_priority)
+    }
+
+    /// The plane of own value `value`, if any synced slot prohibits it
+    /// or a value above it.
+    fn value_plane(&self, value: Value) -> Option<usize> {
+        let plane = BY_VALUE + value.index();
+        (plane < self.stride).then_some(plane)
+    }
+
+    /// Bit `idx` of `plane`.
+    #[inline]
+    fn bit(&self, plane: usize, idx: usize) -> bool {
+        self.bits
+            .get(idx / 64 * self.stride + plane)
+            .is_some_and(|word| word >> (idx % 64) & 1 == 1)
+    }
+
+    /// Sets bit `idx` of `plane` to `on`.
+    #[inline]
+    fn put(&mut self, plane: usize, idx: usize, on: bool) {
+        let word = &mut self.bits[idx / 64 * self.stride + plane];
+        if on {
+            *word |= 1 << (idx % 64);
+        } else {
+            *word &= !(1 << (idx % 64));
+        }
+    }
+
+    /// The word groups of the planes, one per 64 slots.
+    fn groups(&self) -> impl Iterator<Item = (usize, &[u64])> + '_ {
+        self.bits.chunks_exact(self.stride).enumerate()
+    }
+
+    /// Covers `slot_count` slots with `stride` planes per word, keeping
+    /// every bit already set. Growing the slots appends words; adding
+    /// planes lays the words out again.
+    fn resize(&mut self, slot_count: usize, stride: usize) {
+        let words = slot_count.div_ceil(64);
+        if stride == self.stride {
+            if words * stride > self.bits.len() {
+                self.bits.resize(words * stride, 0);
+            }
+        } else {
+            let mut bits = vec![0; words.max(self.bits.len() / self.stride) * stride];
+            for (group, old) in bits
+                .chunks_exact_mut(stride)
+                .zip(self.bits.chunks_exact(self.stride))
+            {
+                group[..old.len()].copy_from_slice(old);
+            }
+            self.bits = bits;
+            self.stride = stride;
+        }
+        if slot_count > self.slots.len() {
+            self.slots.resize(slot_count, SlotState::default());
+        }
     }
 
     /// The position of `var` in `vars`, adding it as unknown to the view
@@ -878,43 +1003,43 @@ impl IncrementalEval {
         }
         for (idx, ng) in store.for_variable(old.var) {
             let lit = ng.value_of(old.var);
-            let tally = &mut self.tallies[idx];
+            let state = &mut self.slots[idx];
             match (old.value == lit, value == lit) {
-                (true, false) => tally.unmatched += 1,
-                (false, true) => tally.unmatched -= 1,
+                (true, false) => state.unmatched += 1,
+                (false, true) => state.unmatched -= 1,
                 _ => {}
             }
             match (old.outranks, outranks) {
-                (true, false) => tally.not_outranking += 1,
-                (false, true) => tally.not_outranking -= 1,
+                (true, false) => state.not_outranking += 1,
+                (false, true) => state.not_outranking -= 1,
                 _ => {}
             }
-            let Tally {
+            let SlotState {
                 unmatched,
                 not_outranking,
-            } = *tally;
-            bit_put(&mut self.foreign_sat, idx, unmatched == 0);
+                ..
+            } = *state;
+            self.put(FOREIGN_SAT, idx, unmatched == 0);
             self.set_higher(idx, not_outranking == 0);
         }
     }
 
-    /// Grows per-slot caches and replays the store's mutation log.
+    /// Grows the per-slot caches and replays the store's mutation log.
+    /// The first sync sizes the variable table, the slots and the
+    /// planes once from the store it meets.
     fn sync_store(&mut self, store: &NogoodStore) {
-        let slot_count = store.slot_count();
-        if slot_count > self.tallies.len() {
-            let words = slot_count.div_ceil(64);
-            for bits in [
-                &mut self.foreign_sat,
-                &mut self.higher,
-                &mut self.applies_always,
-            ] {
-                bits.resize(words, 0);
-            }
-            for mask in &mut self.applies_by_value {
-                mask.resize(words, 0);
-            }
-            self.own_prohibited.resize(slot_count, None);
-            self.tallies.resize(slot_count, Tally::default());
+        if self.slots.is_empty() {
+            let own = self.own_var;
+            let values = store
+                .for_variable(own)
+                .filter_map(|(_, ng)| ng.value_of(own))
+                .map(|value| value.index() + 1)
+                .max()
+                .unwrap_or(0);
+            self.vars.reserve_exact(store.vars_other_than(own));
+            self.resize(store.slot_count(), self.stride.max(BY_VALUE + values));
+        } else if store.slot_count() > self.slots.len() {
+            self.resize(store.slot_count(), self.stride);
         }
         let log = store.mutation_log();
         debug_assert!(
@@ -934,55 +1059,50 @@ impl IncrementalEval {
     fn resync_slot(&mut self, store: &NogoodStore, idx: usize) {
         // Undo.
         self.set_higher(idx, false);
-        bit_clear(&mut self.foreign_sat, idx);
-        bit_clear(&mut self.applies_always, idx);
-        if let Some(value) = self.own_prohibited[idx].take() {
-            bit_clear(&mut self.applies_by_value[value.index()], idx);
+        self.put(FOREIGN_SAT, idx, false);
+        self.put(APPLIES_ALWAYS, idx, false);
+        if let Some(value) = self.slots[idx].prohibited.take() {
+            self.put(BY_VALUE + value.index(), idx, false);
         }
         // Redo from the slot's current content (dead slots stay cleared).
         let Some(ng) = store.get(idx) else { return };
         let prohibited = ng.value_of(self.own_var);
-        self.own_prohibited[idx] = prohibited;
         match prohibited {
-            None => bit_set(&mut self.applies_always, idx),
+            None => self.put(APPLIES_ALWAYS, idx, true),
             Some(value) => {
-                let words = self.foreign_sat.len();
-                while self.applies_by_value.len() <= value.index() {
-                    self.applies_by_value.push(vec![0; words]);
+                let plane = BY_VALUE + value.index();
+                if plane >= self.stride {
+                    self.resize(self.slots.len(), plane + 1);
                 }
-                bit_set(&mut self.applies_by_value[value.index()], idx);
+                self.put(plane, idx, true);
             }
         }
-        let mut tally = Tally::default();
+        let mut state = SlotState {
+            prohibited,
+            ..SlotState::default()
+        };
         let own_var = self.own_var;
         for lit in ng.elems().iter().filter(|lit| lit.var != own_var) {
             let pos = self.var_or_insert(lit.var);
-            let state = self.vars[pos];
-            tally.unmatched += u32::from(state.value != Some(lit.value));
-            tally.not_outranking += u32::from(!state.outranks);
+            let var = self.vars[pos];
+            state.unmatched += u32::from(var.value != Some(lit.value));
+            state.not_outranking += u32::from(!var.outranks);
         }
-        self.tallies[idx] = tally;
-        bit_put(&mut self.foreign_sat, idx, tally.unmatched == 0);
-        self.set_higher(idx, tally.not_outranking == 0);
+        self.slots[idx] = state;
+        self.put(FOREIGN_SAT, idx, state.unmatched == 0);
+        self.set_higher(idx, state.not_outranking == 0);
     }
 
     fn set_higher(&mut self, idx: NogoodIdx, higher: bool) {
-        if bit_get(&self.higher, idx) == higher {
+        if self.bit(HIGHER, idx) == higher {
             return;
         }
+        self.put(HIGHER, idx, higher);
         if higher {
-            bit_set(&mut self.higher, idx);
             self.higher_count += 1;
         } else {
-            bit_clear(&mut self.higher, idx);
             self.higher_count -= 1;
         }
-    }
-
-    /// Word `w` of the "applies to own value" mask for `by_value`.
-    #[inline]
-    fn applies_word(&self, w: usize, by_value: Option<&Vec<u64>>) -> u64 {
-        self.applies_always[w] | by_value.map_or(0, |mask| mask[w])
     }
 
     /// Whether nogood `idx` is violated under the refreshed view with the
@@ -998,12 +1118,11 @@ impl IncrementalEval {
             "slot {idx} created after the last refresh (synced {})",
             self.synced_len()
         );
-        bit_get(&self.foreign_sat, idx)
-            && (bit_get(&self.applies_always, idx)
+        self.bit(FOREIGN_SAT, idx)
+            && (self.bit(APPLIES_ALWAYS, idx)
                 || self
-                    .applies_by_value
-                    .get(own_value.index())
-                    .is_some_and(|mask| bit_get(mask, idx)))
+                    .value_plane(own_value)
+                    .is_some_and(|plane| self.bit(plane, idx)))
     }
 
     /// The nogoods violated with the own variable at `own_value`,
@@ -1012,10 +1131,9 @@ impl IncrementalEval {
     /// nothing** — hot-path callers charge one check per stored nogood,
     /// which is what the paper's naive evaluator would count.
     pub fn violated_with(&self, own_value: Value) -> impl Iterator<Item = NogoodIdx> + '_ {
-        let by_value = self.applies_by_value.get(own_value.index());
-        (0..self.foreign_sat.len()).flat_map(move |w| {
-            bit_indices(w, self.foreign_sat[w] & self.applies_word(w, by_value))
-        })
+        let plane = self.value_plane(own_value);
+        self.groups()
+            .flat_map(move |(w, group)| bit_indices(w, group[FOREIGN_SAT] & applies(group, plane)))
     }
 
     /// Number of live *higher* nogoods: the nogoods the AWC review tests
@@ -1031,11 +1149,11 @@ impl IncrementalEval {
     /// ([`IncrementalEval::higher_len`]), which is what the paper's naive
     /// evaluator would count.
     pub fn violated_higher(&self, own_value: Value) -> impl Iterator<Item = NogoodIdx> + '_ {
-        let by_value = self.applies_by_value.get(own_value.index());
-        (0..self.foreign_sat.len()).flat_map(move |w| {
+        let plane = self.value_plane(own_value);
+        self.groups().flat_map(move |(w, group)| {
             bit_indices(
                 w,
-                self.foreign_sat[w] & self.higher[w] & self.applies_word(w, by_value),
+                group[FOREIGN_SAT] & group[HIGHER] & applies(group, plane),
             )
         })
     }
@@ -1045,11 +1163,10 @@ impl IncrementalEval {
     /// lower nogood (the store's live count less
     /// [`IncrementalEval::higher_len`]).
     pub fn lower_violation_count(&self, own_value: Value) -> usize {
-        let by_value = self.applies_by_value.get(own_value.index());
-        (0..self.foreign_sat.len())
-            .map(|w| {
-                (self.foreign_sat[w] & !self.higher[w] & self.applies_word(w, by_value))
-                    .count_ones() as usize
+        let plane = self.value_plane(own_value);
+        self.groups()
+            .map(|(_, group)| {
+                (group[FOREIGN_SAT] & !group[HIGHER] & applies(group, plane)).count_ones() as usize
             })
             .sum()
     }
@@ -1057,9 +1174,9 @@ impl IncrementalEval {
     /// Number of violated nogoods with the own variable at `own_value`.
     /// **Meters nothing**; callers charge one check per stored nogood.
     pub fn violation_count_with(&self, own_value: Value) -> usize {
-        let by_value = self.applies_by_value.get(own_value.index());
-        (0..self.foreign_sat.len())
-            .map(|w| (self.foreign_sat[w] & self.applies_word(w, by_value)).count_ones() as usize)
+        let plane = self.value_plane(own_value);
+        self.groups()
+            .map(|(_, group)| (group[FOREIGN_SAT] & applies(group, plane)).count_ones() as usize)
             .sum()
     }
 }
@@ -1705,7 +1822,7 @@ mod tests {
             }
             for (idx, ng) in store.entries() {
                 assert_eq!(
-                    bit_get(&eval.higher, idx),
+                    eval.bit(HIGHER, idx),
                     view.is_higher_nogood(ng, own_rank),
                     "step {step} idx {idx}"
                 );

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures, the generators,
 //! and the solvers.
 
-use discsp::core::{Nogood, Rank, VarValue};
+use discsp::core::{CoreError, Nogood, Rank, VarValue};
 use discsp::prelude::*;
 use proptest::prelude::*;
 
@@ -55,6 +55,9 @@ proptest! {
     #[test]
     fn incremental_eval_matches_naive_scan(
         own in 0u32..12,
+        // The constraints the store is built with (repeated below, and
+        // sharing one nogood with the learned ones).
+        initial_elems in proptest::collection::vec(arb_elements(), 0..5),
         nogood_elems in proptest::collection::vec(arb_elements(), 1..10),
         steps in proptest::collection::vec(
             (
@@ -75,10 +78,19 @@ proptest! {
         use discsp::core::{AgentId, AgentView, IncrementalEval, NogoodStore};
         let own = VariableId::new(own);
         let nogoods: Vec<Nogood> = nogood_elems.into_iter().map(Nogood::new).collect();
-        let mut store = NogoodStore::new();
+        let initial: Vec<Nogood> = initial_elems.into_iter().map(Nogood::new).collect();
+        let seeded: Vec<&Nogood> = initial
+            .iter()
+            .chain(&nogoods[..1])
+            .chain(initial.iter().rev())
+            .collect();
+        let mut store = NogoodStore::with_nogoods(seeded);
         let mut view = AgentView::new();
+        // The first sync meets the constructor's nogoods alone.
         let mut eval = IncrementalEval::new(own);
-        // DB's path: the same store and view, read whole at every step.
+        eval.refresh_changed(&store, &view, Priority::ZERO, &[]);
+        // DB's path: the same store and view, read whole at every step;
+        // its first sync meets learned nogoods too.
         let mut whole = IncrementalEval::new(own);
         let count = steps.len();
         for (step, (ops, own_priority, forget)) in steps.into_iter().enumerate() {
@@ -169,6 +181,12 @@ proptest! {
 
     #[test]
     fn store_dedup_matches_a_model_under_churn(
+        // The constraints the store is built with, over the same small
+        // universe as the operations, so repeats are frequent.
+        initial in proptest::collection::vec(
+            proptest::collection::btree_map(0u32..4, 0u16..2, 0..3),
+            0..8,
+        ),
         ops in proptest::collection::vec(
             (
                 // 0..4: initial insert, 4..8: learned insert, 8: forget
@@ -185,16 +203,28 @@ proptest! {
     ) {
         use discsp::core::NogoodStore;
         use std::collections::{BTreeMap, BTreeSet};
-        // Per live nogood: learned, insertion sequence, activity.
-        let mut model: BTreeMap<Nogood, (bool, u64, u64)> = BTreeMap::new();
-        let mut store = NogoodStore::new();
-        let (mut seq, mut peak) = (0u64, 0usize);
-        for (kind, elems, param) in ops {
-            let ng = Nogood::of(
+        let nogood = |elems: BTreeMap<u32, u16>| {
+            Nogood::of(
                 elems
                     .into_iter()
                     .map(|(var, value)| (VariableId::new(var), Value::new(value))),
-            );
+            )
+        };
+        let initial: Vec<Nogood> = initial.into_iter().map(nogood).collect();
+        // Per live nogood: learned, insertion sequence, activity.
+        let mut model: BTreeMap<Nogood, (bool, u64, u64)> = BTreeMap::new();
+        let mut seq = 0u64;
+        for ng in &initial {
+            if !model.contains_key(ng) {
+                model.insert(ng.clone(), (false, seq, 1));
+                seq += 1;
+            }
+        }
+        let mut store = NogoodStore::with_nogoods(&initial);
+        let mut peak = model.len();
+        prop_assert_eq!(store.slot_count(), peak);
+        for (kind, elems, param) in ops {
+            let ng = nogood(elems);
             match kind {
                 0..=7 => {
                     let learned = kind >= 4;
@@ -264,20 +294,138 @@ proptest! {
             prop_assert_eq!(live, model.keys().cloned().collect::<Vec<_>>());
             prop_assert_eq!(store.contains(&ng), model.contains_key(&ng));
             prop_assert!(model.keys().all(|ng| store.contains(ng)));
+            // `for_variable` lists a variable's live nogoods in recording
+            // order: the constructor's first, then the later ones.
             for var in (0..4).map(VariableId::new) {
                 let mut mentions: Vec<usize> = Vec::new();
                 for (i, ng) in store.for_variable(var) {
                     prop_assert_eq!(store.get(i), Some(ng));
                     mentions.push(i);
                 }
-                mentions.sort_unstable();
-                let expected: Vec<usize> = entries
+                let mut expected: Vec<(u64, usize)> = entries
                     .iter()
                     .filter(|(_, ng)| ng.contains_var(var))
-                    .map(|(i, _)| *i)
+                    .map(|(i, ng)| (model[ng].1, *i))
                     .collect();
-                prop_assert_eq!(mentions, expected);
+                expected.sort_unstable();
+                prop_assert_eq!(
+                    mentions,
+                    expected.into_iter().map(|(_, i)| i).collect::<Vec<_>>()
+                );
             }
+        }
+    }
+
+    #[test]
+    fn problem_index_matches_a_naive_recomputation(
+        spec in (1usize..10).prop_flat_map(|n| (
+            // Each variable's owner among a few agents, so some own
+            // several variables and some own nothing.
+            proptest::collection::vec(0u32..4, n),
+            // Unary, empty and wider nogoods; variables nothing mentions.
+            proptest::collection::vec(
+                proptest::collection::btree_map(0..n as u32, 0u16..3, 0..4),
+                0..12,
+            ),
+            (
+                // 0: one fresh agent per variable instead of `owners`.
+                0u16..3,
+                // Indices of nogoods added a second time.
+                proptest::collection::vec(0usize..12, 0..4),
+            ),
+        )),
+    ) {
+        use std::collections::BTreeSet;
+        let (owners, nogoods, (one_per_agent, repeats)) = spec;
+        let vars = owners.len();
+        let mut b = DistributedCsp::builder();
+        for &owner in &owners {
+            if one_per_agent == 0 {
+                b.variable(Domain::new(3));
+            } else {
+                b.variable_owned_by(Domain::new(3), AgentId::new(owner));
+            }
+        }
+        let nogoods: Vec<Nogood> = nogoods
+            .into_iter()
+            .map(|elems| {
+                Nogood::of(
+                    elems
+                        .into_iter()
+                        .map(|(var, value)| (VariableId::new(var), Value::new(value))),
+                )
+            })
+            .collect();
+        let repeated = repeats.iter().filter_map(|&i| nogoods.get(i));
+        for ng in nogoods.iter().chain(repeated) {
+            b.nogood(ng.clone()).expect("in range");
+        }
+        let problem = b.build().expect("has variables");
+
+        let all = problem.nogoods();
+        let mut mentions = 0;
+        for var in problem.vars() {
+            let expected: Vec<*const Nogood> = all
+                .iter()
+                .filter(|ng| ng.contains_var(var))
+                .map(|ng| ng as *const Nogood)
+                .collect();
+            let got: Vec<*const Nogood> =
+                problem.nogoods_of(var).map(|ng| ng as *const Nogood).collect();
+            prop_assert!(got == expected, "nogoods_of({}): {:?} != {:?}", var, got, expected);
+            mentions += expected.len();
+            let neighbors: BTreeSet<VariableId> = all
+                .iter()
+                .filter(|ng| ng.contains_var(var))
+                .flat_map(|ng| ng.vars())
+                .filter(|&other| other != var)
+                .collect();
+            let neighbors: Vec<VariableId> = neighbors.into_iter().collect();
+            prop_assert!(
+                problem.neighbors(var) == neighbors,
+                "neighbors({}): {:?} != {:?}", var, problem.neighbors(var), neighbors
+            );
+        }
+        prop_assert!(
+            (problem.mean_relevant_nogoods() - mentions as f64 / vars as f64).abs() < 1e-9
+        );
+
+        // One agent past the last owns nothing too.
+        let owned = |agent: AgentId| -> Vec<VariableId> {
+            problem.vars().filter(|&var| problem.owner(var) == agent).collect()
+        };
+        for agent in (0..=problem.num_agents() as u32).map(AgentId::new) {
+            prop_assert!(problem.vars_of_agent(agent) == owned(agent), "vars_of_agent({})", agent);
+        }
+
+        let init = Assignment::total(vec![Value::new(0); vars]);
+        let seated = problem.seat(&init, |agent, var, _, _, neighbors| (agent, var, neighbors));
+        let misfit = (0..problem.num_agents() as u32)
+            .map(AgentId::new)
+            .find(|&agent| owned(agent).len() != 1);
+        match (seated, misfit) {
+            (Ok(seats), None) => {
+                prop_assert_eq!(seats.len(), problem.num_agents());
+                for (agent, var, neighbors) in seats {
+                    prop_assert_eq!(owned(agent), vec![var]);
+                    let expected: Vec<(VariableId, AgentId)> = problem
+                        .neighbors(var)
+                        .iter()
+                        .map(|&other| (other, problem.owner(other)))
+                        .collect();
+                    prop_assert_eq!(neighbors, expected);
+                }
+            }
+            (Err(err), Some(agent)) => prop_assert_eq!(
+                err,
+                CoreError::WrongVariableCount { agent, count: owned(agent).len() }
+            ),
+            (seated, misfit) => prop_assert!(
+                false,
+                "seat returned {:?} with misfit {:?}",
+                seated.map(|seats| seats.len()),
+                misfit
+            ),
         }
     }
 
