@@ -10,15 +10,18 @@
 //! sync, and `DistributedCsp` lays its per-variable tables flat. A
 //! counting global allocator pins what each of these layers allocates:
 //! encoding a coloring (per variable), building a DB or an AWC agent,
-//! and a DB agent's first evaluator refresh. The count is per thread, so
-//! the other tests of this binary, running alongside, do not reach it.
+//! and a DB agent's first evaluator refresh. Once warm, an evaluator
+//! refresh over tracked variables and an update of a known view
+//! variable allocate nothing. The count is per thread, so the other
+//! tests of this binary, running alongside, do not reach it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use discsp_awc::{AwcConfig, AwcSolver};
 use discsp_core::{
-    Assignment, DistributedCsp, IncrementalEval, Nogood, NogoodIdx, NogoodStore, Value, VariableId,
+    AgentId, AgentView, Assignment, DistributedCsp, IncrementalEval, Nogood, NogoodIdx,
+    NogoodStore, Priority, Value, VariableId,
 };
 use discsp_dba::DbaSolver;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
@@ -193,6 +196,93 @@ fn a_db_agents_first_refresh_stays_within_the_allocation_budget() {
         per_agent <= DB_FIRST_REFRESH_BUDGET,
         "a DB agent's first refresh took {per_agent:.1} allocations \
          (budget {DB_FIRST_REFRESH_BUDGET})"
+    );
+}
+
+/// The view an AWC agent of `var` holds once every neighbor has
+/// announced its planted value, at priority 0.
+fn neighbor_view(problem: &DistributedCsp, init: &Assignment, var: VariableId) -> AgentView {
+    let mut view = AgentView::new();
+    for &other in problem.neighbors(var) {
+        let value = init.get(other).expect("total");
+        view.update(other, AgentId::new(other.raw()), value, Priority::ZERO);
+    }
+    view
+}
+
+/// A value other than `value` in a 3-coloring.
+fn recolor(value: Value) -> Value {
+    Value::new((value.raw() + 1) % 3)
+}
+
+/// Allocations an evaluator refresh may cost once it tracks every
+/// variable it is told about and has synced the store: none. The walk
+/// reads the mention rows, the tallies and the planes in place.
+const WARM_REFRESH_BUDGET: u64 = 0;
+
+/// Allocations an update of a variable the view already holds may cost:
+/// none. It overwrites the entry in place.
+const KNOWN_UPDATE_BUDGET: u64 = 0;
+
+/// What an AWC agent's review asks of its evaluator between store
+/// mutations: its neighbors announce new values and priorities, and it
+/// raises its own priority. The store holds the variable's constraints
+/// and a learned nogood over each two consecutive neighbors, so both
+/// kinds of mention row are walked.
+#[test]
+fn a_warm_change_driven_refresh_allocates_nothing() {
+    let (problem, init) = instance();
+    let mut total = 0;
+    for var in problem.vars() {
+        let neighbors = problem.neighbors(var);
+        let mut store = NogoodStore::with_nogoods(problem.nogoods_of(var));
+        for pair in neighbors.windows(2) {
+            let learned = pair
+                .iter()
+                .map(|&other| (other, init.get(other).expect("total")));
+            store.insert_learned(Nogood::of(learned));
+        }
+        let mut view = neighbor_view(&problem, &init, var);
+        let mut eval = IncrementalEval::new(var);
+        eval.refresh_changed(&store, &view, Priority::ZERO, neighbors);
+        for (round, priority) in (1..=3).map(Priority::new).enumerate() {
+            for &other in neighbors {
+                let value = recolor(view.value_of(other).expect("announced"));
+                let agent = AgentId::new(other.raw());
+                view.update(other, agent, value, Priority::new(round as u64));
+            }
+            let ((), allocs) =
+                counting(|| eval.refresh_changed(&store, &view, priority, neighbors));
+            total += allocs;
+        }
+        let own = init.get(var).expect("total");
+        let naive = store.violation_count(view.lookup_with(var, own));
+        assert_eq!(eval.violation_count_with(own), naive, "{var}");
+    }
+    assert_eq!(
+        total, WARM_REFRESH_BUDGET,
+        "allocations (budget {WARM_REFRESH_BUDGET})"
+    );
+}
+
+#[test]
+fn updating_a_known_view_variable_allocates_nothing() {
+    let (problem, init) = instance();
+    let mut total = 0;
+    for var in problem.vars() {
+        let mut view = neighbor_view(&problem, &init, var);
+        for &other in problem.neighbors(var) {
+            let value = recolor(view.value_of(other).expect("announced"));
+            let agent = AgentId::new(other.raw());
+            let (changed, allocs) = counting(|| view.update(other, agent, value, Priority::new(1)));
+            assert!(changed, "{var}: {other} moved");
+            total += allocs;
+        }
+        assert_eq!(view.len(), problem.neighbors(var).len());
+    }
+    assert_eq!(
+        total, KNOWN_UPDATE_BUDGET,
+        "allocations (budget {KNOWN_UPDATE_BUDGET})"
     );
 }
 

@@ -12,18 +12,22 @@
 //! no index allocation of its own. A per-variable index
 //! ([`NogoodStore::for_variable`]) supports incremental evaluation. It
 //! has two parts: the constraints the store was built with, whose
-//! `(variable, slot)` mentions sit in one table sorted once (they are
-//! never evicted, so it never changes), and one list per variable for
-//! the nogoods recorded later. [`NogoodStore::with_nogoods`] takes the
-//! initial constraints by reference and sizes the arena, the slots, the
+//! `(variable, slot, value)` mention rows sit in one table sorted once
+//! (they are never evicted, so it never changes), and one list of
+//! `(slot, value)` rows per variable for the nogoods recorded later.
+//! Each row carries the value its nogood gives the variable, so a walk
+//! over a variable's mentions reads the rows alone, never a slot header
+//! or the arena. [`NogoodStore::with_nogoods`] takes the initial
+//! constraints by reference and sizes the arena, the slots, the
 //! mutation log and that table once.
 //!
 //! [`IncrementalEval`] keeps each nogood's violation status and its
 //! higher/lower side (§2.2) against a view: a changed variable moves the
-//! tallies of exactly the nogoods mentioning it, at every store size. Its
-//! per-slot state is one vector and its bitsets are interleaved in
-//! another, both sized at the first sync. See DESIGN.md §11 for the
-//! layout and why this one strategy suffices.
+//! tallies of exactly the nogoods mentioning it, at every store size,
+//! reading only the variable's mention rows. Its per-slot state is one
+//! vector and its bitsets are interleaved in another, both sized at the
+//! first sync. See DESIGN.md §11 for the layout and why this one
+//! strategy suffices.
 //!
 //! Learned nogoods carry an activity score ([`NogoodStore::bump_activity`])
 //! and can be evicted deterministically with [`NogoodStore::forget`];
@@ -85,6 +89,26 @@ struct Slot {
     live: bool,
 }
 
+/// A row of the table of constructor mentions: slot `slot` gives `var`
+/// the value `value`. Packed to 10 bytes, so fields are read by copy.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct InitialMention {
+    var: VariableId,
+    slot: u32,
+    value: Value,
+}
+
+/// A row of one variable's list of later mentions: slot `slot` gives
+/// the variable the value `value`. Packed to 6 bytes, so fields are
+/// read by copy.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Mention {
+    slot: u32,
+    value: Value,
+}
+
 /// A deduplicating nogood set with an evaluation meter, flat literal
 /// storage, and activity-based forgetting of learned nogoods.
 ///
@@ -135,15 +159,16 @@ pub struct NogoodStore {
     // is never iterated, so map order cannot reach any output.
     by_hash: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
     /// The mentions of the constraints the store was built with, one
-    /// `(variable, slot)` pair per literal, sorted: a variable's
+    /// row per literal, sorted by variable, then slot: a variable's
     /// mentions are one range, ascending by slot, which is recording
     /// order. Those slots are never evicted, so the table never changes.
-    initial_mentions: Vec<(VariableId, u32)>,
+    initial_mentions: Vec<InitialMention>,
     /// Per-variable index of the nogoods recorded after construction:
-    /// every live one mentioning the variable, in recording order.
+    /// a row for every live one mentioning the variable, in recording
+    /// order.
     // lint: allow(unordered): point lookups keyed by variable; values are
-    // recording-ordered slot-id vectors, so map order cannot reach output.
-    var_index: HashMap<VariableId, Vec<u32>>,
+    // recording-ordered row vectors, so map order cannot reach output.
+    var_index: HashMap<VariableId, Vec<Mention>>,
     /// Mutation log: the slot id of every content change (insert *and*
     /// removal), in order. [`IncrementalEval`] keeps a cursor into this
     /// log and re-syncs exactly the slots that changed; replaying an
@@ -231,9 +256,14 @@ impl NogoodStore {
         let mut mentions = Vec::with_capacity(store.lits.len());
         for (id, slot) in (0u32..).zip(&store.slots) {
             let range = slot.offset as usize..(slot.offset + slot.len) as usize;
-            mentions.extend(store.lits[range].iter().map(|lit| (lit.var, id)));
+            mentions.extend(store.lits[range].iter().map(|lit| InitialMention {
+                var: lit.var,
+                slot: id,
+                value: lit.value,
+            }));
         }
-        mentions.sort_unstable();
+        // A nogood mentions a variable once, so the key is unique.
+        mentions.sort_unstable_by_key(|row| (row.var, row.slot));
         store.initial_mentions = mentions;
         store
     }
@@ -275,13 +305,17 @@ impl NogoodStore {
 
     /// Inserts canonical `lits` under `hash`, which is `hash_lits(lits)`
     /// everywhere but in the tests that force hash collisions, and lists
-    /// the new slot under each of its variables.
+    /// the new slot, with the value it gives, under each of its
+    /// variables.
     fn insert_hashed(&mut self, lits: &[VarValue], hash: u64, learned: bool) -> bool {
-        let Some(slot_id) = self.record(lits, hash, learned) else {
+        let Some(slot) = self.record(lits, hash, learned) else {
             return false;
         };
         for lit in lits {
-            self.var_index.entry(lit.var).or_default().push(slot_id);
+            self.var_index.entry(lit.var).or_default().push(Mention {
+                slot,
+                value: lit.value,
+            });
         }
         true
     }
@@ -390,7 +424,7 @@ impl NogoodStore {
         for li in range {
             let var = self.lits[li].var;
             if let Some(bucket) = self.var_index.get_mut(&var) {
-                bucket.retain(|&i| i != slot_id);
+                bucket.retain(|row| { row.slot } != slot_id);
                 if bucket.is_empty() {
                     self.var_index.remove(&var);
                 }
@@ -535,15 +569,28 @@ impl NogoodStore {
         &self,
         var: VariableId,
     ) -> impl Iterator<Item = (NogoodIdx, NogoodRef<'_>)> + '_ {
-        let start = self.initial_mentions.partition_point(|&(v, _)| v < var);
+        self.mentions(var)
+            .map(move |(idx, _)| (idx, self.slot_ref(idx)))
+    }
+
+    /// The live nogoods mentioning `var` with the value each gives it,
+    /// in [`NogoodStore::for_variable`]'s order, read from the mention
+    /// rows alone: no slot header, no literal.
+    pub(crate) fn mentions(
+        &self,
+        var: VariableId,
+    ) -> impl Iterator<Item = (NogoodIdx, Value)> + '_ {
+        let start = self
+            .initial_mentions
+            .partition_point(|row| { row.var } < var);
         let initial = self.initial_mentions[start..]
             .iter()
-            .take_while(move |&&(v, _)| v == var)
-            .map(|&(_, slot)| slot);
+            .take_while(move |row| { row.var } == var)
+            .map(|row| (row.slot, row.value));
         let later = self.var_index.get(&var).map_or(&[][..], Vec::as_slice);
         initial
-            .chain(later.iter().copied())
-            .map(move |i| (i as NogoodIdx, self.slot_ref(i as usize)))
+            .chain(later.iter().map(|row| (row.slot, row.value)))
+            .map(|(slot, value)| (slot as NogoodIdx, value))
     }
 
     /// At most how many variables other than `except` the live nogoods
@@ -553,8 +600,8 @@ impl NogoodStore {
     fn vars_other_than(&self, except: VariableId) -> usize {
         let initial = self
             .initial_mentions
-            .chunk_by(|a, b| a.0 == b.0)
-            .filter(|run| run.first().is_some_and(|&(var, _)| var != except))
+            .chunk_by(|a, b| { a.var } == { b.var })
+            .filter(|run| run.first().is_some_and(|row| { row.var } != except))
             .count();
         initial + self.var_index.len()
     }
@@ -650,7 +697,9 @@ impl Extend<Nogood> for NogoodStore {
 ///   [`Priority::ZERO`], as [`AgentView::priority_of`] says.
 ///
 /// Both tallies move by deltas. A view variable whose value or priority
-/// changed walks only its own mention list ([`NogoodStore::for_variable`]);
+/// changed walks only its own mention rows (the index behind
+/// [`NogoodStore::for_variable`]), which carry each nogood's value for
+/// it, so the walk reads no slot header and no literal;
 /// an own-priority change walks only the variables whose side of the
 /// owner flipped; a store mutation re-reads only the mutated slot. So a
 /// refresh costs what changed, not the store or the view size, and the
@@ -893,7 +942,7 @@ impl IncrementalEval {
     /// `changed` must name every variable whose [`AgentView`] entry
     /// changed (value, priority or removal) since the last refresh;
     /// repeats and unchanged variables are harmless. Work is the store
-    /// mutations since the last refresh, the mention lists of the
+    /// mutations since the last refresh, the mention rows of the
     /// variables whose value or side of the owner changed, and — when
     /// `own_priority` moved — one rank comparison per tracked variable.
     pub fn refresh_changed(
@@ -933,7 +982,7 @@ impl IncrementalEval {
     /// count as removed.
     ///
     /// Work is the view size, the store mutations since the last
-    /// refresh, and the mention lists of the variables that changed —
+    /// refresh, and the mention rows of the variables that changed —
     /// not the store size.
     pub fn refresh<I>(&mut self, store: &NogoodStore, view: I)
     where
@@ -982,7 +1031,8 @@ impl IncrementalEval {
 
     /// Records the view's new `value` and `priority` for the variable at
     /// `pos` and moves the tallies of the nogoods mentioning it by the
-    /// difference. The store must be synced.
+    /// difference, reading the store's mention rows, the tallies and the
+    /// planes only. The store must be synced.
     fn set_var(
         &mut self,
         store: &NogoodStore,
@@ -1001,8 +1051,8 @@ impl IncrementalEval {
         if old.value == value && old.outranks == outranks {
             return;
         }
-        for (idx, ng) in store.for_variable(old.var) {
-            let lit = ng.value_of(old.var);
+        for (idx, lit) in store.mentions(old.var) {
+            let lit = Some(lit);
             let state = &mut self.slots[idx];
             match (old.value == lit, value == lit) {
                 (true, false) => state.unmatched += 1,
@@ -1031,9 +1081,8 @@ impl IncrementalEval {
         if self.slots.is_empty() {
             let own = self.own_var;
             let values = store
-                .for_variable(own)
-                .filter_map(|(_, ng)| ng.value_of(own))
-                .map(|value| value.index() + 1)
+                .mentions(own)
+                .map(|(_, value)| value.index() + 1)
                 .max()
                 .unwrap_or(0);
             self.vars.reserve_exact(store.vars_other_than(own));
@@ -1372,6 +1421,44 @@ mod tests {
         assert_eq!(store.get(0).unwrap(), pair(0, 0, 1, 0));
         assert_eq!(store.len(), 3);
         assert_eq!(store.slot_count(), 3);
+    }
+
+    #[test]
+    fn mention_rows_stay_narrow() {
+        assert_eq!(std::mem::size_of::<InitialMention>(), 10);
+        assert_eq!(std::mem::size_of::<Mention>(), 6);
+    }
+
+    /// A forgotten slot's rows go with it, and the nogood that reuses the
+    /// slot writes its own: a variable it gives another value reads the
+    /// new value, and a variable it drops no longer lists the slot.
+    #[test]
+    fn slot_reuse_rewrites_the_mention_rows() {
+        let rows = |store: &NogoodStore, var| store.mentions(var).collect::<Vec<_>>();
+        let mut store = NogoodStore::with_nogoods([pair(0, 0, 1, 0)]); // slot 0
+        let old = Nogood::of([(x(1), v(1)), (x(2), v(0)), (x(3), v(2))]);
+        assert!(store.insert_learned(&old)); // slot 1
+        assert_eq!(rows(&store, x(2)), vec![(1, v(0))]);
+        assert_eq!(rows(&store, x(3)), vec![(1, v(2))]);
+        assert_eq!(store.forget(0), vec![1]);
+        assert_eq!(rows(&store, x(1)), vec![(0, v(0))]);
+        assert!(rows(&store, x(2)).is_empty());
+
+        // Slot 1 comes back holding x2 at another value and no x3.
+        let new = Nogood::of([(x(1), v(1)), (x(2), v(1))]);
+        assert!(store.insert_learned(&new));
+        assert_eq!(store.get(1).unwrap(), new);
+        assert_eq!(rows(&store, x(2)), vec![(1, v(1))]);
+        assert_eq!(rows(&store, x(1)), vec![(0, v(0)), (1, v(1))]);
+        assert!(rows(&store, x(3)).is_empty(), "x3 still lists slot 1");
+        // The rows agree with the literals they stand for.
+        for var in [x(0), x(1), x(2), x(3)] {
+            let literals: Vec<(NogoodIdx, Value)> = store
+                .for_variable(var)
+                .map(|(idx, ng)| (idx, ng.value_of(var).unwrap()))
+                .collect();
+            assert_eq!(rows(&store, var), literals, "{var}");
+        }
     }
 
     #[test]

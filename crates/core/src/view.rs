@@ -3,8 +3,13 @@
 //! In the AWC an *agent_view* is "a list of 3-tuples (agent's id, variable's
 //! id, variable's value)" (§1), extended here with each variable's last
 //! known priority, which the AWC transmits inside `ok?` messages.
+//!
+//! The entries sit in one vector sorted by variable id: a lookup is a
+//! binary search over contiguous entries, and an update of a known
+//! variable overwrites its entry in place. A view holds the variables
+//! its agent hears from, a neighborhood rather than the population, so
+//! inserting a new one shifts few entries. See DESIGN.md §11.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -51,13 +56,19 @@ pub struct ViewEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentView {
-    entries: BTreeMap<VariableId, ViewEntry>,
+    /// One entry per known variable, ascending by variable id.
+    entries: Vec<(VariableId, ViewEntry)>,
 }
 
 impl AgentView {
     /// Creates an empty view.
     pub fn new() -> Self {
         AgentView::default()
+    }
+
+    /// Where `var`'s entry is (`Ok`) or would go (`Err`).
+    fn position(&self, var: VariableId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&var, |&(known, _)| known)
     }
 
     /// Records (or refreshes) knowledge about `var`.
@@ -76,30 +87,37 @@ impl AgentView {
             value,
             priority,
         };
-        self.entries.insert(var, entry) != Some(entry)
+        match self.position(var) {
+            Ok(pos) => std::mem::replace(&mut self.entries[pos].1, entry) != entry,
+            Err(pos) => {
+                self.entries.insert(pos, (var, entry));
+                true
+            }
+        }
     }
 
     /// Forgets everything about `var`; returns the entry if there was
     /// one (i.e. when this changed the view).
     pub fn remove(&mut self, var: VariableId) -> Option<ViewEntry> {
-        self.entries.remove(&var)
+        let pos = self.position(var).ok()?;
+        Some(self.entries.remove(pos).1)
     }
 
     /// The full entry for `var`, if known.
     pub fn entry(&self, var: VariableId) -> Option<ViewEntry> {
-        self.entries.get(&var).copied()
+        let pos = self.position(var).ok()?;
+        Some(self.entries[pos].1)
     }
 
     /// The last known value of `var`.
     pub fn value_of(&self, var: VariableId) -> Option<Value> {
-        self.entries.get(&var).map(|e| e.value)
+        self.entry(var).map(|e| e.value)
     }
 
     /// The last known priority of `var`; unknown variables default to
     /// [`Priority::ZERO`], matching the paper's initialization.
     pub fn priority_of(&self, var: VariableId) -> Priority {
-        self.entries
-            .get(&var)
+        self.entry(var)
             .map(|e| e.priority)
             .unwrap_or(Priority::ZERO)
     }
@@ -111,7 +129,7 @@ impl AgentView {
 
     /// Whether `var` is known.
     pub fn knows(&self, var: VariableId) -> bool {
-        self.entries.contains_key(&var)
+        self.position(var).is_ok()
     }
 
     /// Number of known variables.
@@ -126,7 +144,7 @@ impl AgentView {
 
     /// Iterates over `(variable, entry)` pairs in variable-id order.
     pub fn iter(&self) -> impl Iterator<Item = (VariableId, ViewEntry)> + '_ {
-        self.entries.iter().map(|(k, v)| (*k, *v))
+        self.entries.iter().copied()
     }
 
     /// A nogood-evaluation lookup over this view alone.

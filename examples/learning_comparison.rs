@@ -1,6 +1,6 @@
 //! Learning-method comparison on a single instance — a miniature of the
-//! paper's Tables 1–3. A release build takes six to seven minutes on
-//! two vCPUs.
+//! paper's Tables 1–3. A release build takes about 70 seconds on two
+//! vCPUs.
 //!
 //! Generates one distributed 3-coloring instance and one unique-solution
 //! 3SAT instance, then runs the AWC under every learning configuration

@@ -317,6 +317,69 @@ proptest! {
     }
 
     #[test]
+    fn agent_view_matches_a_model_under_churn(
+        ops in proptest::collection::vec(
+            // A variable, then an update (agent, value, priority) or a
+            // removal. Few variables and values: repeats and no-op
+            // updates are frequent.
+            (0u32..10, proptest::option::of((0u32..3, 0u16..3, 0u64..3))),
+            1..60,
+        ),
+    ) {
+        use discsp::core::{AgentId, AgentView, ViewEntry};
+        use std::collections::BTreeMap;
+        let mut view = AgentView::new();
+        let mut model: BTreeMap<VariableId, ViewEntry> = BTreeMap::new();
+        for (var, op) in ops {
+            let var = VariableId::new(var);
+            match op {
+                Some((agent, value, priority)) => {
+                    let entry = ViewEntry {
+                        agent: AgentId::new(agent),
+                        value: Value::new(value),
+                        priority: Priority::new(priority),
+                    };
+                    let changed = view.update(var, entry.agent, entry.value, entry.priority);
+                    prop_assert_eq!(changed, model.insert(var, entry) != Some(entry));
+                }
+                None => prop_assert_eq!(view.remove(var), model.remove(&var)),
+            }
+            for probe in (0..11).map(VariableId::new) {
+                let known = model.get(&probe).copied();
+                prop_assert_eq!(view.entry(probe), known);
+                prop_assert_eq!(view.value_of(probe), known.map(|e| e.value));
+                prop_assert_eq!(
+                    view.priority_of(probe),
+                    known.map_or(Priority::ZERO, |e| e.priority)
+                );
+                prop_assert_eq!(view.knows(probe), known.is_some());
+            }
+            prop_assert_eq!(view.len(), model.len());
+            prop_assert_eq!(view.is_empty(), model.is_empty());
+            prop_assert_eq!(
+                view.iter().collect::<Vec<_>>(),
+                model.iter().map(|(&var, &e)| (var, e)).collect::<Vec<_>>()
+            );
+        }
+        // The same entries recorded in the opposite order make an equal
+        // view; one entry fewer makes an unequal one.
+        let mut reversed = AgentView::new();
+        for (&var, e) in model.iter().rev() {
+            prop_assert!(reversed.update(var, e.agent, e.value, e.priority));
+        }
+        prop_assert_eq!(&reversed, &view);
+        if let Some(&var) = model.keys().next() {
+            reversed.remove(var);
+            prop_assert_ne!(&reversed, &view);
+        }
+        let listed: Vec<String> = model
+            .iter()
+            .map(|(var, e)| format!("{}:{}={}@{}", e.agent, var, e.value, e.priority))
+            .collect();
+        prop_assert_eq!(view.to_string(), format!("view{{{}}}", listed.join(" ")));
+    }
+
+    #[test]
     fn problem_index_matches_a_naive_recomputation(
         spec in (1usize..10).prop_flat_map(|n| (
             // Each variable's owner among a few agents, so some own
