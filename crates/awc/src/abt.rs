@@ -272,7 +272,7 @@ impl DistributedAgent for AbtAgent {
                         self.insoluble = true;
                         continue;
                     }
-                    if self.store.insert_learned(&nogood) {
+                    if self.store.insert(&nogood) {
                         for &(var, owner) in &owners {
                             if var != self.var && !self.view.knows(var) {
                                 out.send(owner, AbtMessage::AddLink);

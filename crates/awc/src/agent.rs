@@ -25,13 +25,6 @@ pub struct AwcConfig {
     /// When `false`, recipients do not record received nogoods at all —
     /// the `Rslv/norec` mode of the Table 4 redundancy study.
     pub record_received: bool,
-    /// Activity-based forgetting: when `Some(n)`, each review starts by
-    /// evicting the coldest learned nogoods until at most `n` remain
-    /// (initial constraints are never evicted). `None` — the paper's
-    /// configurations — never forgets. Defaults to `None`, including
-    /// when deserializing configs written before this field existed.
-    #[serde(default)]
-    pub forget_limit: Option<usize>,
 }
 
 impl AwcConfig {
@@ -41,7 +34,6 @@ impl AwcConfig {
             learning: Learning::Resolvent,
             record_bound: None,
             record_received: true,
-            forget_limit: None,
         }
     }
 
@@ -81,42 +73,25 @@ impl AwcConfig {
     /// Whether this configuration retains AWC's completeness guarantee.
     /// The termination proof needs every generated nogood recorded and
     /// kept: bounded recording (`kthRslv`), disabled recording
-    /// (`/norec`), mcs minimization's restricted store, no learning, and
-    /// forgetting all allow the search to revisit dead ends forever.
+    /// (`/norec`), mcs minimization's restricted store and no learning
+    /// all allow the search to revisit dead ends forever.
     /// Oracles (the fault-schedule explorer) treat a cutoff on a
     /// solvable instance as a bug only when this returns true.
     pub fn is_complete(&self) -> bool {
-        self.learning == Learning::Resolvent
-            && self.record_bound.is_none()
-            && self.record_received
-            && self.forget_limit.is_none()
-    }
-
-    /// Caps the learned-nogood store at `limit` entries, evicting the
-    /// least active learned nogoods at the start of each review.
-    pub fn with_forget_limit(self, limit: usize) -> Self {
-        AwcConfig {
-            forget_limit: Some(limit),
-            ..self
-        }
+        self.learning == Learning::Resolvent && self.record_bound.is_none() && self.record_received
     }
 
     /// The label used in the paper's tables (`Rslv`, `Mcs`, `No`,
-    /// `3rdRslv`, `Rslv/norec`, …). Forgetting configurations — which
-    /// the paper does not study — append `/f<limit>`.
+    /// `3rdRslv`, `Rslv/norec`, …).
     pub fn label(&self) -> String {
         let base = match (self.learning, self.record_bound) {
             (Learning::Resolvent, Some(k)) => format!("{}Rslv", ordinal(k)),
             (learning, _) => learning.short_name().to_string(),
         };
-        let base = if self.record_received {
+        if self.record_received {
             base
         } else {
             format!("{base}/norec")
-        };
-        match self.forget_limit {
-            Some(limit) => format!("{base}/f{limit}"),
-            None => base,
         }
     }
 }
@@ -287,10 +262,7 @@ impl AwcAgent {
                     return false;
                 }
                 let within_bound = self.config.record_bound.is_none_or(|k| nogood.len() <= k);
-                if self.config.record_received
-                    && within_bound
-                    && self.store.insert_learned(&nogood)
-                {
+                if self.config.record_received && within_bound && self.store.insert(&nogood) {
                     // §2.2: "If the new nogood includes an unknown
                     // variable, the agent has to request the
                     // corresponding agent to send its value."
@@ -342,35 +314,19 @@ impl AwcAgent {
         if self.insoluble {
             return;
         }
-        // Forget before syncing the cache, so the review evaluates the
-        // post-eviction store. Eviction is unmetered: forgetting removes
-        // work, it must not charge checks.
-        if let Some(limit) = self.config.forget_limit {
-            let evicted = self.store.forget(limit);
-            if !evicted.is_empty() {
-                self.notes.push(AgentNote::NogoodsForgotten {
-                    count: evicted.len() as u64,
-                });
-            }
-        }
         // Sync the incremental cache once per review; the store and view
         // are stable for the rest of the evaluation (learning only
         // *reads* the store, and generated nogoods are sent, not
         // self-recorded). The cache also keeps the store's higher/lower
         // partition, so the refresh costs what changed since the last
-        // review: the new and forgotten nogoods, the changed view
-        // variables' mentions, and a re-partition after a priority raise.
+        // review: the recorded nogoods, the changed view variables'
+        // mentions, and a re-partition after a priority raise.
         self.eval
             .refresh_changed(&self.store, &self.view, self.priority, &self.changed);
         self.changed.clear();
 
         // Is the current value consistent with all higher nogoods?
         let current_violated = self.charged_violated_higher(self.value);
-        // Violation hits make a nogood hot: forgetting keeps the nogoods
-        // that actually prune the current search region.
-        for &i in &current_violated {
-            self.store.bump_activity(i);
-        }
         if current_violated.is_empty() {
             return; // "an agent does nothing"
         }
@@ -607,14 +563,6 @@ mod tests {
         assert_eq!(AwcConfig::kth_resolvent(5).label(), "5thRslv");
         assert_eq!(AwcConfig::kth_resolvent(11).label(), "11thRslv");
         assert_eq!(AwcConfig::resolvent_norec().label(), "Rslv/norec");
-        assert_eq!(
-            AwcConfig::resolvent().with_forget_limit(100).label(),
-            "Rslv/f100"
-        );
-        assert_eq!(
-            AwcConfig::kth_resolvent(3).with_forget_limit(50).label(),
-            "3rdRslv/f50"
-        );
         assert_eq!(AwcConfig::default(), AwcConfig::resolvent());
     }
 
@@ -892,30 +840,6 @@ mod tests {
         }
         assert!(agent.store().contains(&small));
         assert!(!agent.store().contains(&big));
-    }
-
-    #[test]
-    fn forget_limit_evicts_learned_nogoods_and_notes_it() {
-        let mut agent = toy_agent(AwcConfig::resolvent().with_forget_limit(0));
-        let mut out = Outbox::new(agent.id());
-        let ng = Nogood::of([(VariableId::new(0), Value::new(1))]);
-        agent.on_batch(
-            vec![Envelope::new(
-                AgentId::new(1),
-                AgentId::new(0),
-                AwcMessage::Nogood {
-                    nogood: ng.clone(),
-                    owners: vec![(VariableId::new(0), AgentId::new(0))],
-                },
-            )],
-            &mut out,
-        );
-        // The review following ingestion forgets the freshly recorded
-        // nogood (limit 0); the initial constraint always survives.
-        assert!(!agent.store().contains(&ng));
-        assert_eq!(agent.store().len(), 1);
-        let notes = agent.drain_notes();
-        assert!(notes.contains(&AgentNote::NogoodsForgotten { count: 1 }));
     }
 
     #[test]

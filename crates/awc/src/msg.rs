@@ -138,7 +138,6 @@ impl Wire for AwcConfig {
         self.learning.encode(out);
         self.record_bound.map(|b| b as u64).encode(out);
         self.record_received.encode(out);
-        self.forget_limit.map(|l| l as u64).encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -150,17 +149,10 @@ impl Wire for AwcConfig {
             })?),
         };
         let record_received = bool::decode(r)?;
-        let forget_limit = match Option::<u64>::decode(r)? {
-            None => None,
-            Some(limit) => Some(usize::try_from(limit).map_err(|_| WireError::Invalid {
-                context: "AwcConfig.forget_limit",
-            })?),
-        };
         Ok(AwcConfig {
             learning,
             record_bound,
             record_received,
-            forget_limit,
         })
     }
 }
@@ -233,8 +225,6 @@ mod tests {
             AwcConfig::no_learning(),
             AwcConfig::kth_resolvent(3),
             AwcConfig::resolvent_norec(),
-            AwcConfig::resolvent().with_forget_limit(100),
-            AwcConfig::kth_resolvent(3).with_forget_limit(0),
         ] {
             assert_eq!(AwcConfig::from_bytes(&config.to_bytes()), Ok(config));
         }

@@ -92,11 +92,6 @@ impl MultiAwcAgent {
         }
     }
 
-    /// Number of hosted virtual agents (owned variables).
-    pub fn num_variables(&self) -> usize {
-        self.inner.len()
-    }
-
     /// Routes one virtual envelope: local targets queue for the next
     /// local round, remote targets are wrapped onto the wire.
     fn route(

@@ -107,7 +107,8 @@ impl<'a> Backtracker<'a> {
             RunEnd::Exhausted => SolveResult::Unsatisfiable,
             RunEnd::Limit => SolveResult::LimitReached,
             RunEnd::Collected => {
-                SolveResult::Solution(search.collected.pop().expect("one solution collected")) // lint: allow(panic-path): `Collected` is only returned after pushing a solution
+                let solution = search.collected.pop().expect("one solution collected"); // lint: allow(panic-path): `Collected` is only returned after pushing a solution
+                SolveResult::Solution(solution)
             }
         }
     }

@@ -228,9 +228,6 @@ where
                 population: n,
             })?;
         conn.send(&SetupFrame::Assign {
-            n_agents: n as u32,
-            seed: config.base.seed,
-            policy: config.base.link,
             record_trace: config.base.record_trace,
             slice,
         })?;

@@ -46,7 +46,6 @@ pub fn run_agent(addr: SocketAddr, index: u32, io_timeout: Duration) -> Result<(
         SetupFrame::Assign {
             slice,
             record_trace,
-            ..
         } => (slice, record_trace),
         SetupFrame::Hello { .. } => return Err(NetError::UnexpectedFrame { expected: "Assign" }),
     };

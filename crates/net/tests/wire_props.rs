@@ -11,7 +11,7 @@ use discsp_core::{
 use discsp_dba::{DbaMessage, WeightMode};
 use discsp_net::{
     AgentSlice, AlgoSpec, Mux, RejectReason, RunFrame, ServiceFrame, SessionOutcome, SetupFrame,
-    SubmitSpec, SESSION_NONE, WIRE_VERSION,
+    SubmitSpec, WIRE_VERSION,
 };
 use discsp_runtime::{AgentStats, Envelope, LinkPolicy, LinkStats, SplitMix64};
 use discsp_trace::{FaultKind, RuntimeKind, TraceEvent};
@@ -177,9 +177,6 @@ fn gen_setup_frame(rng: &mut SplitMix64) -> SetupFrame {
             index: rng.next_below(1 << 16) as u32,
         },
         _ => SetupFrame::Assign {
-            n_agents: 1 + rng.next_below(64) as u32,
-            seed: rng.next_u64(),
-            policy: gen_policy(rng),
             record_trace: rng.next_below(2) == 0,
             slice: gen_slice(rng),
         },
@@ -451,9 +448,6 @@ fn standalone_wire_impls_roundtrip_and_reject_damage() {
 fn truncation_errors_are_typed_not_panics() {
     let mut rng = SplitMix64::new(7);
     let frame = SetupFrame::Assign {
-        n_agents: 5,
-        seed: 99,
-        policy: gen_policy(&mut rng),
         record_trace: true,
         slice: gen_slice(&mut rng),
     };
@@ -543,7 +537,7 @@ fn service_frames_roundtrip_and_reject_damage() {
 
 #[test]
 fn mux_session_ids_roundtrip_and_reject_damage() {
-    // The v3 header carries the session id for every frame family; the
+    // The header carries the session id for every frame family; the
     // codec properties must hold for arbitrary ids, including huge ones.
     let mut rng = SplitMix64::new(0xC0DE_3030);
     for _ in 0..TRIALS / 2 {
@@ -551,27 +545,6 @@ fn mux_session_ids_roundtrip_and_reject_damage() {
         assert_codec_properties(&Mux::new(session, gen_service_frame(&mut rng)));
         assert_codec_properties(&Mux::new(session, gen_setup_frame(&mut rng)));
         assert_codec_properties(&Mux::new(session, gen_awc_run_frame(&mut rng)));
-    }
-}
-
-#[test]
-fn v2_encodings_cross_decode_as_session_none() {
-    // A v3 encoding is `[3, tag, session:8, body]`; the v2 encoding of
-    // the same frame is `[2, tag, body]`. Every v2 frame must decode on
-    // a v3 endpoint with the reserved session id 0.
-    let mut rng = SplitMix64::new(0xC0DE_0202);
-    for _ in 0..TRIALS {
-        let frame = gen_setup_frame(&mut rng);
-        let v3 = frame.to_bytes();
-        let mut v2 = Vec::with_capacity(v3.len() - 8);
-        v2.push(2u8);
-        v2.push(v3[1]);
-        v2.extend_from_slice(&v3[10..]);
-        let decoded = Mux::<SetupFrame>::from_bytes(&v2).expect("v2 cross-decode");
-        assert_eq!(decoded.session, SESSION_NONE);
-        assert_eq!(decoded.frame, frame);
-        // The plain impl agrees.
-        assert_eq!(SetupFrame::from_bytes(&v2).expect("plain decode"), frame);
     }
 }
 

@@ -148,11 +148,6 @@ pub enum AgentNote {
         /// Element count of the learned nogood.
         size: u64,
     },
-    /// The agent's forgetting pass evicted `count` learned nogoods.
-    NogoodsForgotten {
-        /// How many learned nogoods were evicted.
-        count: u64,
-    },
 }
 
 /// A message-driven DisCSP agent, executable on every runtime.

@@ -160,18 +160,6 @@ pub enum TraceEvent {
         /// Element count of the learned nogood.
         size: u64,
     },
-    /// An agent evicted `count` learned nogoods from its store during a
-    /// forgetting pass (activity-based; initial constraints are never
-    /// evicted). Forgetting changes no metric the paper measures, so the
-    /// auditor tallies these events informationally only.
-    NogoodForgotten {
-        /// Cycle / tick of the forgetting pass.
-        cycle: u64,
-        /// The forgetting agent.
-        agent: AgentId,
-        /// How many learned nogoods were evicted.
-        count: u64,
-    },
     /// A synchronization barrier: every agent activation since the
     /// previous barrier belonged to one concurrent wave. `maxcck` is the
     /// sum over barriers of the maximum [`TraceEvent::AgentStep`] check
@@ -206,7 +194,6 @@ impl TraceEvent {
             | TraceEvent::ValueChanged { cycle, .. }
             | TraceEvent::PriorityChanged { cycle, .. }
             | TraceEvent::NogoodLearned { cycle, .. }
-            | TraceEvent::NogoodForgotten { cycle, .. }
             | TraceEvent::CycleBarrier { cycle }
             | TraceEvent::RunEnd { cycle, .. } => *cycle,
         }
@@ -256,13 +243,6 @@ impl fmt::Display for TraceEvent {
             } => write!(f, "[{cycle:>4}] {agent} priority ← {priority}"),
             TraceEvent::NogoodLearned { cycle, agent, size } => {
                 write!(f, "[{cycle:>4}] {agent} learned nogood (size {size})")
-            }
-            TraceEvent::NogoodForgotten {
-                cycle,
-                agent,
-                count,
-            } => {
-                write!(f, "[{cycle:>4}] {agent} forgot {count} nogoods")
             }
             TraceEvent::CycleBarrier { cycle } => write!(f, "[{cycle:>4}] ─ barrier ─"),
             TraceEvent::RunEnd {
@@ -338,11 +318,6 @@ fn sort_key(event: &TraceEvent) -> (u64, u8, u64, u64, u64, u64) {
         TraceEvent::NogoodLearned { cycle, agent, size } => {
             (*cycle, 4, u64::from(agent.raw()), *size, 0, 0)
         }
-        TraceEvent::NogoodForgotten {
-            cycle,
-            agent,
-            count,
-        } => (*cycle, 5, u64::from(agent.raw()), *count, 0, 0),
         TraceEvent::Sent {
             cycle,
             from,
@@ -350,7 +325,7 @@ fn sort_key(event: &TraceEvent) -> (u64, u8, u64, u64, u64, u64) {
             class,
         } => (
             *cycle,
-            6,
+            5,
             u64::from(from.raw()),
             u64::from(to.raw()),
             class_rank(*class),
@@ -364,20 +339,20 @@ fn sort_key(event: &TraceEvent) -> (u64, u8, u64, u64, u64, u64) {
             kind,
         } => (
             *cycle,
-            7,
+            6,
             u64::from(from.raw()),
             u64::from(to.raw()),
             class_rank(*class),
             fault_rank(*kind),
         ),
-        TraceEvent::CycleBarrier { cycle } => (*cycle, 8, 0, 0, 0, 0),
-        TraceEvent::RunEnd { cycle, .. } => (*cycle, 9, 0, 0, 0, 0),
+        TraceEvent::CycleBarrier { cycle } => (*cycle, 7, 0, 0, 0, 0),
+        TraceEvent::RunEnd { cycle, .. } => (*cycle, 8, 0, 0, 0, 0),
     }
 }
 
 /// Sorts a trace into the canonical order: by cycle, then by a fixed
-/// event-kind rank (deliveries → steps → state changes → forgets →
-/// sends → faults → barrier → run end), then by the event's own fields.
+/// event-kind rank (deliveries → steps → state changes → sends →
+/// faults → barrier → run end), then by the event's own fields.
 ///
 /// Two traces of the same run taken by executors with different
 /// interleaving freedom (e.g. the virtual and net runtimes) compare
@@ -476,13 +451,6 @@ mod tests {
             size: 2,
         };
         assert_eq!(learned.to_string(), "[   3] a1 learned nogood (size 2)");
-        let forgotten = TraceEvent::NogoodForgotten {
-            cycle: 5,
-            agent: AgentId::new(2),
-            count: 7,
-        };
-        assert_eq!(forgotten.to_string(), "[   5] a2 forgot 7 nogoods");
-        assert_eq!(forgotten.cycle(), 5);
     }
 
     #[test]

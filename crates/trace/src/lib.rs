@@ -13,8 +13,8 @@
 //!   learned nogoods, wave barriers, and a terminal [`TraceEvent::RunEnd`]
 //!   carrying the runtime-reported [`RunMetrics`](discsp_core::RunMetrics));
 //! * [`TraceSink`] — where events go: an in-memory [`RingBuffer`]
-//!   (optionally bounded, evictions counted), a streaming
-//!   [`JsonlWriter`], or [`NullSink`];
+//!   (optionally bounded, evictions counted) or [`NullSink`]; a trace
+//!   becomes JSONL one [`event_to_json`] line per event;
 //! * [`audit`] — independently recomputes `cycle`, `maxcck`,
 //!   `total_checks`, and the message-conservation identity
 //!   `total == sent − dropped + duplicated + retransmitted` from a
@@ -40,5 +40,5 @@ mod wire;
 pub use audit::{audit, Audit, AuditError, AuditFailure, AuditField};
 pub use event::{canonical_sort, render_trace, FaultKind, RuntimeKind, TraceEvent};
 pub use jsonl::{event_to_json, parse_line, parse_trace, JsonlError};
-pub use sink::{JsonlWriter, NullSink, RingBuffer, TraceSink};
+pub use sink::{NullSink, RingBuffer, TraceSink};
 pub use summary::summarize;

@@ -1,16 +1,13 @@
 //! Trace sinks: where runtimes put events.
 //!
 //! Every executor records through the [`TraceSink`] trait so the choice
-//! of storage (in-memory ring buffer, streaming JSONL file, nothing at
-//! all) is the caller's, not the runtime's. `record` is infallible by
-//! design — a tracing failure must never abort a solve — so fallible
-//! sinks latch their first error and surface it at `finish` time.
+//! of storage (in-memory ring buffer or nothing at all) is the caller's,
+//! not the runtime's. `record` is infallible by design: a tracing
+//! failure must never abort a solve.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 
 use crate::event::TraceEvent;
-use crate::jsonl::event_to_json;
 
 /// A destination for trace events.
 pub trait TraceSink {
@@ -140,52 +137,6 @@ impl TraceSink for RingBuffer {
     }
 }
 
-/// A streaming sink writing one JSONL line per event (the format read
-/// back by [`crate::jsonl::parse_trace`] and the `discsp-trace` binary).
-///
-/// I/O errors latch: the first failure stops further writes and is
-/// returned by [`JsonlWriter::finish`].
-#[derive(Debug)]
-pub struct JsonlWriter<W: Write> {
-    out: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlWriter<W> {
-    /// Wraps a writer. Buffering is the caller's choice (pass a
-    /// `BufWriter` for files).
-    pub fn new(out: W) -> Self {
-        JsonlWriter { out, error: None }
-    }
-
-    /// Flushes and returns the inner writer, or the first error any
-    /// `record` hit.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(err) = self.error.take() {
-            return Err(err);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-impl<W: Write> TraceSink for JsonlWriter<W> {
-    fn record(&mut self, event: TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event_to_json(&event);
-        line.push('\n');
-        if let Err(err) = self.out.write_all(line.as_bytes()) {
-            self.error = Some(err);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,43 +200,5 @@ mod tests {
         let mut sink = NullSink;
         sink.record(step(1));
         assert!(!sink.enabled());
-    }
-
-    #[test]
-    fn jsonl_writer_streams_lines() {
-        let mut sink = JsonlWriter::new(Vec::new());
-        sink.record(step(1));
-        sink.record(step(2));
-        let bytes = sink.finish().expect("no io error on Vec");
-        let text = String::from_utf8(bytes).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("{\"ev\":\"agent_step\""));
-    }
-
-    struct FailAfter(usize);
-
-    impl Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.0 == 0 {
-                return Err(io::Error::other("disk full"));
-            }
-            self.0 -= 1;
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_writer_latches_first_error() {
-        let mut sink = JsonlWriter::new(FailAfter(1));
-        sink.record(step(1));
-        assert!(sink.enabled());
-        sink.record(step(2));
-        assert!(!sink.enabled());
-        sink.record(step(3));
-        assert!(sink.finish().is_err());
     }
 }

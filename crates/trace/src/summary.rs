@@ -13,7 +13,6 @@ struct AgentRow {
     sent: u64,
     received: u64,
     nogoods: u64,
-    forgotten: u64,
 }
 
 /// Renders a multi-line summary of a trace: run header, per-agent
@@ -80,9 +79,6 @@ pub fn summarize(events: &[TraceEvent]) -> String {
             TraceEvent::NogoodLearned { agent, .. } => {
                 agents.entry(agent.raw()).or_default().nogoods += 1;
             }
-            TraceEvent::NogoodForgotten { agent, count, .. } => {
-                agents.entry(agent.raw()).or_default().forgotten += count;
-            }
             TraceEvent::ValueChanged { .. } => value_changes += 1,
             TraceEvent::PriorityChanged { .. } => priority_changes += 1,
             TraceEvent::CycleBarrier { .. } => {}
@@ -108,20 +104,19 @@ pub fn summarize(events: &[TraceEvent]) -> String {
     let _ = writeln!(out, "\nper-agent activity:");
     let _ = writeln!(
         out,
-        "  {:>6} {:>7} {:>9} {:>6} {:>6} {:>8} {:>7}",
-        "agent", "steps", "checks", "sent", "recv", "nogoods", "forgot"
+        "  {:>6} {:>7} {:>9} {:>6} {:>6} {:>8}",
+        "agent", "steps", "checks", "sent", "recv", "nogoods"
     );
     for (agent, row) in &agents {
         let _ = writeln!(
             out,
-            "  {:>6} {:>7} {:>9} {:>6} {:>6} {:>8} {:>7}",
+            "  {:>6} {:>7} {:>9} {:>6} {:>6} {:>8}",
             format!("a{agent}"),
             row.steps,
             row.checks,
             row.sent,
             row.received,
-            row.nogoods,
-            row.forgotten
+            row.nogoods
         );
     }
 

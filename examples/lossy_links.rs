@@ -153,47 +153,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Forgetting-enabled AWC under the hostile policy: evictions emit
-    // NogoodForgotten events, and the audit must stay green — forgetting
-    // changes no counter the paper measures.
-    let (_, hostile) = policies().pop().expect("nonempty");
-    let forgetful = AwcSolver::new(AwcConfig::resolvent().with_forget_limit(4));
-    println!("\n== hostile + forgetting (Rslv/f4) ==");
-    for seed in 0..sweep {
-        let config = VirtualConfig {
-            seed,
-            link: hostile,
-            record_trace: true,
-            ..VirtualConfig::default()
-        };
-        let first = forgetful.solve_virtual(&problem, &init, &config)?;
-        let replay = forgetful.solve_virtual(&problem, &init, &config)?;
-        assert_eq!(
-            first.trace, replay.trace,
-            "forgetting replay diverged — eviction is not deterministic"
-        );
-        let m = &first.outcome.metrics;
-        assert!(m.termination.is_solved(), "forgetful seed {seed} unsolved");
-        audit_and_dump(
-            &first.trace,
-            m,
-            &format!("awc_forget_hostile_seed{seed}"),
-            trace_dir.as_deref(),
-        )?;
-        let forgotten: u64 = first
-            .trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::NogoodForgotten { count, .. } => Some(*count),
-                _ => None,
-            })
-            .sum();
-        println!(
-            "awc/f4 seed {seed:>2}: solved in {} ticks — {} nogoods learned, {} forgotten",
-            first.ticks, m.nogoods_generated, forgotten,
-        );
-    }
-
     println!(
         "\nall faulty-link runs solved, every deterministic replay was bit-identical, \
          and every trace audit confirmed the reported metrics ✓"

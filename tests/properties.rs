@@ -69,8 +69,6 @@ proptest! {
                 ),
                 // The owner's priority: rises and drops.
                 0u64..4,
-                // 0: forget half the learned nogoods.
-                0u16..4,
             ),
             1..8,
         ),
@@ -93,15 +91,12 @@ proptest! {
         // its first sync meets learned nogoods too.
         let mut whole = IncrementalEval::new(own);
         let count = steps.len();
-        for (step, (ops, own_priority, forget)) in steps.into_iter().enumerate() {
+        for (step, (ops, own_priority)) in steps.into_iter().enumerate() {
             // Grow the store progressively so append-sync is exercised
-            // alongside view changes, and forget now and then.
+            // alongside view changes.
             let grown = ((step + 1) * nogoods.len()).div_ceil(count);
             for ng in &nogoods[..grown] {
-                store.insert_learned(ng.clone());
-            }
-            if forget == 0 {
-                store.forget(store.learned_len() / 2);
+                store.insert(ng.clone());
             }
             let mut changed = Vec::new();
             for (var, entry) in ops {
@@ -187,22 +182,15 @@ proptest! {
             proptest::collection::btree_map(0u32..4, 0u16..2, 0..3),
             0..8,
         ),
+        // Nogoods over four variables and two values, inserted one by
+        // one: repeats are frequent.
         ops in proptest::collection::vec(
-            (
-                // 0..4: initial insert, 4..8: learned insert, 8: forget
-                // down to `param` learned nogoods, 9: bump the activity
-                // of the `param`-th live nogood.
-                0u16..10,
-                // Nogoods over four variables and two values: repeats
-                // are frequent.
-                proptest::collection::btree_map(0u32..4, 0u16..2, 0..3),
-                0usize..6,
-            ),
+            proptest::collection::btree_map(0u32..4, 0u16..2, 0..3),
             1..80,
         ),
     ) {
         use discsp::core::NogoodStore;
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeMap;
         let nogood = |elems: BTreeMap<u32, u16>| {
             Nogood::of(
                 elems
@@ -211,77 +199,26 @@ proptest! {
             )
         };
         let initial: Vec<Nogood> = initial.into_iter().map(nogood).collect();
-        // Per live nogood: learned, insertion sequence, activity.
-        let mut model: BTreeMap<Nogood, (bool, u64, u64)> = BTreeMap::new();
-        let mut seq = 0u64;
+        // Per stored nogood: its insertion sequence.
+        let mut model: BTreeMap<Nogood, u64> = BTreeMap::new();
         for ng in &initial {
             if !model.contains_key(ng) {
-                model.insert(ng.clone(), (false, seq, 1));
-                seq += 1;
+                model.insert(ng.clone(), model.len() as u64);
             }
         }
         let mut store = NogoodStore::with_nogoods(&initial);
-        let mut peak = model.len();
-        prop_assert_eq!(store.slot_count(), peak);
-        for (kind, elems, param) in ops {
+        prop_assert_eq!(store.slot_count(), model.len());
+        for elems in ops {
             let ng = nogood(elems);
-            match kind {
-                0..=7 => {
-                    let learned = kind >= 4;
-                    let fresh = !model.contains_key(&ng);
-                    let inserted = if learned {
-                        store.insert_learned(ng.clone())
-                    } else {
-                        store.insert(ng.clone())
-                    };
-                    prop_assert_eq!(inserted, fresh);
-                    if fresh {
-                        model.insert(ng.clone(), (learned, seq, 1));
-                        seq += 1;
-                    }
-                }
-                8 => {
-                    // Coldest first, oldest first at equal activity; a
-                    // pass that evicts halves the survivors' activity.
-                    let mut learned: Vec<(u64, u64, Nogood)> = model
-                        .iter()
-                        .filter(|(_, entry)| entry.0)
-                        .map(|(ng, &(_, seq, activity))| (activity, seq, ng.clone()))
-                        .collect();
-                    learned.sort();
-                    let evict = learned.len().saturating_sub(param);
-                    let expected: BTreeSet<Nogood> =
-                        learned[..evict].iter().map(|(_, _, ng)| ng.clone()).collect();
-                    let before: BTreeMap<usize, Nogood> =
-                        store.entries().map(|(i, ng)| (i, ng.to_nogood())).collect();
-                    let evicted = store.forget(param);
-                    prop_assert!(evicted.windows(2).all(|w| w[0] < w[1]));
-                    let got: BTreeSet<Nogood> =
-                        evicted.iter().map(|i| before[i].clone()).collect();
-                    prop_assert_eq!(got, expected.clone());
-                    if evict > 0 {
-                        model.retain(|ng, _| !expected.contains(ng));
-                        for entry in model.values_mut().filter(|entry| entry.0) {
-                            entry.2 /= 2;
-                        }
-                    }
-                }
-                _ => {
-                    let hit = store.entries().nth(param).map(|(i, ng)| (i, ng.to_nogood()));
-                    if let Some((idx, live)) = hit {
-                        store.bump_activity(idx);
-                        if let Some(entry) = model.get_mut(&live) {
-                            entry.2 += 1;
-                        }
-                    }
-                }
+            let fresh = !model.contains_key(&ng);
+            prop_assert_eq!(store.insert(ng.clone()), fresh);
+            if fresh {
+                model.insert(ng.clone(), model.len() as u64);
             }
-            peak = peak.max(model.len());
 
             prop_assert_eq!(store.len(), model.len());
-            prop_assert_eq!(store.learned_len(), model.values().filter(|e| e.0).count());
-            // Freed slots are reused before the store takes a new one.
-            prop_assert_eq!(store.slot_count(), peak);
+            // Append-only: one slot per stored nogood.
+            prop_assert_eq!(store.slot_count(), model.len());
             let entries: Vec<(usize, Nogood)> =
                 store.entries().map(|(i, ng)| (i, ng.to_nogood())).collect();
             prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
@@ -289,12 +226,12 @@ proptest! {
                 store.indices().collect::<Vec<_>>(),
                 entries.iter().map(|(i, _)| *i).collect::<Vec<_>>()
             );
-            let mut live: Vec<Nogood> = entries.iter().map(|(_, ng)| ng.clone()).collect();
-            live.sort();
-            prop_assert_eq!(live, model.keys().cloned().collect::<Vec<_>>());
+            let mut stored: Vec<Nogood> = entries.iter().map(|(_, ng)| ng.clone()).collect();
+            stored.sort();
+            prop_assert_eq!(stored, model.keys().cloned().collect::<Vec<_>>());
             prop_assert_eq!(store.contains(&ng), model.contains_key(&ng));
             prop_assert!(model.keys().all(|ng| store.contains(ng)));
-            // `for_variable` lists a variable's live nogoods in recording
+            // `for_variable` lists a variable's nogoods in recording
             // order: the constructor's first, then the later ones.
             for var in (0..4).map(VariableId::new) {
                 let mut mentions: Vec<usize> = Vec::new();
@@ -305,7 +242,7 @@ proptest! {
                 let mut expected: Vec<(u64, usize)> = entries
                     .iter()
                     .filter(|(_, ng)| ng.contains_var(var))
-                    .map(|(i, ng)| (model[ng].1, *i))
+                    .map(|(i, ng)| (model[ng], *i))
                     .collect();
                 expected.sort_unstable();
                 prop_assert_eq!(
