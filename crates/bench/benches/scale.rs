@@ -230,7 +230,8 @@ fn write_snapshot(rows: &[Row]) {
     json.push_str("  ]\n}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     let mut f = std::fs::File::create(path).expect("create BENCH_scale.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_scale.json");
+    f.write_all(json.as_bytes())
+        .expect("write BENCH_scale.json");
     println!("[wrote {path}]");
 }
 

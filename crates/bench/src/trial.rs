@@ -70,9 +70,12 @@ impl Algorithm {
     pub fn run(&self, problem: &DistributedCsp, init: &Assignment, cycle_limit: u64) -> RunMetrics {
         match *self {
             Algorithm::Awc(config) => run_sync(&AwcSolver::new(config), problem, init, cycle_limit),
-            Algorithm::Db(mode) => {
-                run_sync(&DbaSolver::new().weight_mode(mode), problem, init, cycle_limit)
-            }
+            Algorithm::Db(mode) => run_sync(
+                &DbaSolver::new().weight_mode(mode),
+                problem,
+                init,
+                cycle_limit,
+            ),
             Algorithm::Abt => run_sync(&AbtSolver::new(), problem, init, cycle_limit),
         }
     }

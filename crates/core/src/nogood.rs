@@ -234,7 +234,9 @@ impl<'a> NogoodRef<'a> {
     /// only ever wrap slices taken from a canonical [`Nogood`].
     pub(crate) fn from_canonical(elems: &'a [VarValue]) -> Self {
         debug_assert!(
-            elems.windows(2).all(|w| matches!(w, [a, b] if a.var < b.var)),
+            elems
+                .windows(2)
+                .all(|w| matches!(w, [a, b] if a.var < b.var)),
             "NogoodRef slice must be canonical"
         );
         NogoodRef { elems }

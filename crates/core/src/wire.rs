@@ -87,7 +87,10 @@ impl fmt::Display for WireError {
                 write!(f, "{remaining} trailing bytes after a complete value")
             }
             WireError::BadVersion { got, expected } => {
-                write!(f, "wire version {got} not supported (this build speaks {expected})")
+                write!(
+                    f,
+                    "wire version {got} not supported (this build speaks {expected})"
+                )
             }
         }
     }
@@ -129,10 +132,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Consumes exactly `N` bytes into an array, or reports truncation.
-    fn take_array<const N: usize>(
-        &mut self,
-        context: &'static str,
-    ) -> Result<[u8; N], WireError> {
+    fn take_array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], WireError> {
         let bytes = self.take(N, context)?;
         let mut out = [0u8; N];
         for (dst, src) in out.iter_mut().zip(bytes) {
@@ -528,7 +528,10 @@ mod tests {
         assert_eq!(T::from_bytes(&bytes).as_ref(), Ok(&value));
         // Every strict prefix of an exact encoding must fail cleanly.
         for cut in 0..bytes.len() {
-            assert!(T::from_bytes(&bytes[..cut]).is_err(), "prefix {cut} decoded");
+            assert!(
+                T::from_bytes(&bytes[..cut]).is_err(),
+                "prefix {cut} decoded"
+            );
         }
     }
 
@@ -557,9 +560,9 @@ mod tests {
             value: Value::new(1),
         });
         roundtrip(Domain::new(3));
-        roundtrip(Nogood::of([(0u32, 1u16), (2, 0)].map(|(v, x)| {
-            (VariableId::new(v), Value::new(x))
-        })));
+        roundtrip(Nogood::of(
+            [(0u32, 1u16), (2, 0)].map(|(v, x)| (VariableId::new(v), Value::new(x))),
+        ));
         roundtrip(Nogood::empty());
         let mut partial = Assignment::empty(3);
         partial.set(VariableId::new(1), Value::new(2));
@@ -652,7 +655,11 @@ mod tests {
         }
         .to_string();
         assert!(text.contains("Nogood"));
-        let text = WireError::BadVersion { got: 9, expected: 1 }.to_string();
+        let text = WireError::BadVersion {
+            got: 9,
+            expected: 1,
+        }
+        .to_string();
         assert!(text.contains('9'));
     }
 }

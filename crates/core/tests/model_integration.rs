@@ -107,7 +107,10 @@ fn store_and_view_interact_like_an_agent_turn() {
 
     // Evaluate value 1 against higher nogoods only.
     let lookup = view.lookup_with(own, v(1));
-    let violated: Vec<_> = higher.iter().filter(|&&ng| store.eval(ng, &lookup)).collect();
+    let violated: Vec<_> = higher
+        .iter()
+        .filter(|&&ng| store.eval(ng, &lookup))
+        .collect();
     assert_eq!(violated.len(), 1);
     assert_eq!(store.take_checks(), 2);
 }

@@ -132,7 +132,10 @@ mod tests {
                 var: VariableId::new(4),
                 value: Value::new(1),
             },
-            DbaMessage::Improve { improve: 6, eval: 9 },
+            DbaMessage::Improve {
+                improve: 6,
+                eval: 9,
+            },
         ];
         for msg in samples {
             assert_eq!(DbaMessage::from_bytes(&msg.to_bytes()), Ok(msg));

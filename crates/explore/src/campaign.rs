@@ -206,7 +206,9 @@ pub fn policy_grid() -> Vec<(&'static str, LinkPolicy)> {
         ("reorder3", LinkPolicy::reordering(3)),
         (
             "dup_delay",
-            LinkPolicy::perfect().with_duplication(200_000).with_delay(0, 4),
+            LinkPolicy::perfect()
+                .with_duplication(200_000)
+                .with_delay(0, 4),
         ),
         (
             "hostile",
@@ -220,7 +222,11 @@ pub fn policy_grid() -> Vec<(&'static str, LinkPolicy)> {
 
 /// Judges one report against every oracle. `config` must have had
 /// `record_trace` set (the campaign always does).
-pub fn violations(subject: &Subject, config: &VirtualConfig, report: &VirtualReport) -> Vec<Violation> {
+pub fn violations(
+    subject: &Subject,
+    config: &VirtualConfig,
+    report: &VirtualReport,
+) -> Vec<Violation> {
     let mut out = Vec::new();
 
     match audit(&report.trace) {
@@ -474,7 +480,10 @@ mod tests {
         );
         let solvable = Subject::coloring(Algo::AwcRslv, 10, 5).unwrap();
         let found = violations(&solvable, &config, &report);
-        assert!(found.iter().any(|v| v.class() == "wrong-answer"), "{found:?}");
+        assert!(
+            found.iter().any(|v| v.class() == "wrong-answer"),
+            "{found:?}"
+        );
     }
 
     #[test]
@@ -483,7 +492,9 @@ mod tests {
             .unwrap()
             .with_sabotage(Sabotage::UnderreportDuplicates);
         let config = VirtualConfig {
-            link: LinkPolicy::perfect().with_duplication(400_000).with_delay(0, 2),
+            link: LinkPolicy::perfect()
+                .with_duplication(400_000)
+                .with_delay(0, 2),
             record_trace: true,
             ..VirtualConfig::default()
         };
@@ -505,13 +516,20 @@ mod tests {
             .unwrap()
             .with_sabotage(Sabotage::UnderreportDuplicates);
         let config = VirtualConfig {
-            link: LinkPolicy::perfect().with_duplication(400_000).with_delay(0, 2),
+            link: LinkPolicy::perfect()
+                .with_duplication(400_000)
+                .with_delay(0, 2),
             record_trace: true,
             ..VirtualConfig::default()
         };
         let report = subject.run(&config).unwrap();
         assert!(!report.fault_log.is_empty());
-        assert!(reproduces(&subject, &config, &report.fault_log, "conservation"));
+        assert!(reproduces(
+            &subject,
+            &config,
+            &report.fault_log,
+            "conservation"
+        ));
         // An all-delays schedule (no duplicates) cannot trip the
         // duplicate-undercount bug.
         let delays_only = FaultSchedule::new(
@@ -588,10 +606,7 @@ mod tests {
         };
         let virtual_report = run_campaign(&base).unwrap();
         assert!(virtual_report.clean(), "{:?}", virtual_report.findings);
-        let sharded = CampaignConfig {
-            workers: 4,
-            ..base
-        };
+        let sharded = CampaignConfig { workers: 4, ..base };
         let sharded_report = run_campaign(&sharded).unwrap();
         assert!(sharded_report.clean(), "{:?}", sharded_report.findings);
         assert_eq!(sharded_report.trials_run, virtual_report.trials_run);

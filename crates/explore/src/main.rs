@@ -48,9 +48,8 @@ fn parse_args() -> Result<Args, String> {
                 if v == "all" {
                     args.algos = Algo::all().to_vec();
                 } else {
-                    args.algos.push(
-                        Algo::parse(&v).ok_or(format!("unknown algorithm `{v}`"))?,
-                    );
+                    args.algos
+                        .push(Algo::parse(&v).ok_or(format!("unknown algorithm `{v}`"))?);
                 }
             }
             "--trials" => {
@@ -157,7 +156,8 @@ fn main() -> ExitCode {
                     finding.policy,
                     repro.to_text()
                 );
-                if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body))
+                if let Err(e) =
+                    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body))
                 {
                     eprintln!("cannot write {}: {e}", path.display());
                     return ExitCode::from(2);

@@ -123,7 +123,14 @@ mod tests {
 
     fn noise(n: u64) -> Vec<FaultEvent> {
         (0..n)
-            .map(|i| event((i % 5) as u32, ((i + 1) % 5) as u32, i, FaultAction::Delay(1 + i % 3)))
+            .map(|i| {
+                event(
+                    (i % 5) as u32,
+                    ((i + 1) % 5) as u32,
+                    i,
+                    FaultAction::Delay(1 + i % 3),
+                )
+            })
             .collect()
     }
 

@@ -215,7 +215,10 @@ mod tests {
     fn sample() -> Repro {
         Repro {
             algo: Algo::AwcRslv,
-            instance: Instance::Coloring { agents: 10, seed: 3 },
+            instance: Instance::Coloring {
+                agents: 10,
+                seed: 3,
+            },
             run_seed: 7,
             max_ticks: 200_000,
             max_nudges: 200,
@@ -231,7 +234,10 @@ mod tests {
                     from: AgentId::new(2),
                     to: AgentId::new(0),
                     call: 0,
-                    action: FaultAction::Duplicate { first: 0, second: 2 },
+                    action: FaultAction::Duplicate {
+                        first: 0,
+                        second: 2,
+                    },
                 },
             ]),
         }

@@ -140,7 +140,14 @@ impl Subject {
     pub fn coloring(algo: Algo, agents: u32, instance_seed: u64) -> Result<Subject, String> {
         let inst = paper_coloring(agents, instance_seed);
         let problem = coloring_to_discsp(&inst).map_err(|e| e.to_string())?;
-        Subject::assemble(algo, Instance::Coloring { agents, seed: instance_seed }, problem)
+        Subject::assemble(
+            algo,
+            Instance::Coloring {
+                agents,
+                seed: instance_seed,
+            },
+            problem,
+        )
     }
 
     /// Builds a subject on K₄ with 3 colors (insoluble).
@@ -172,8 +179,15 @@ impl Subject {
         }
     }
 
-    fn assemble(algo: Algo, instance: Instance, problem: DistributedCsp) -> Result<Subject, String> {
-        let truth = match Backtracker::new(&problem).node_limit(TRUTH_NODE_LIMIT).solve() {
+    fn assemble(
+        algo: Algo,
+        instance: Instance,
+        problem: DistributedCsp,
+    ) -> Result<Subject, String> {
+        let truth = match Backtracker::new(&problem)
+            .node_limit(TRUTH_NODE_LIMIT)
+            .solve()
+        {
             SolveResult::Solution(_) => GroundTruth::Solvable,
             SolveResult::Unsatisfiable => GroundTruth::Insoluble,
             SolveResult::LimitReached => GroundTruth::Unknown,
@@ -303,7 +317,9 @@ mod tests {
     fn sabotage_underreports_exactly_one_duplicate() {
         let s = Subject::coloring(Algo::AwcRslv, 10, 3).unwrap();
         let config = VirtualConfig {
-            link: LinkPolicy::perfect().with_duplication(400_000).with_delay(0, 2),
+            link: LinkPolicy::perfect()
+                .with_duplication(400_000)
+                .with_delay(0, 2),
             record_trace: true,
             ..VirtualConfig::default()
         };

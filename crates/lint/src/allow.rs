@@ -218,17 +218,25 @@ mod tests {
 
     #[test]
     fn unused_entries_become_errors() {
-        let (al, _) = Allowlist::parse("x", "P1 | never.rs | unwrap | this never matches anything\n");
+        let (al, _) = Allowlist::parse(
+            "x",
+            "P1 | never.rs | unwrap | this never matches anything\n",
+        );
         assert_eq!(al.unused_entries().len(), 1);
         assert_eq!(al.unused_entries()[0].severity, Severity::Error);
     }
 
     #[test]
     fn unknown_rule_code_is_an_error() {
-        let (al, errs) = Allowlist::parse("x", "Q9 | a.rs | HashMap | maps are fine here honestly\n");
+        let (al, errs) =
+            Allowlist::parse("x", "Q9 | a.rs | HashMap | maps are fine here honestly\n");
         assert!(al.entries.is_empty());
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].message.contains("unknown rule code `Q9`"), "{}", errs[0].message);
+        assert!(
+            errs[0].message.contains("unknown rule code `Q9`"),
+            "{}",
+            errs[0].message
+        );
         assert!(errs[0].message.contains("W1"), "{}", errs[0].message);
     }
 

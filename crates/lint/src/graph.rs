@@ -109,7 +109,13 @@ impl CallGraph {
                 let Some(candidates) = by_name.get(site.callee.as_str()) else {
                     continue; // external (std or dependency) call
                 };
-                let resolved = resolve(&fns, caller, candidates, site.method, site.qualifier.as_deref());
+                let resolved = resolve(
+                    &fns,
+                    caller,
+                    candidates,
+                    site.method,
+                    site.qualifier.as_deref(),
+                );
                 for callee in resolved {
                     if callee == caller {
                         continue; // self-recursion adds nothing to reachability
@@ -134,7 +140,11 @@ impl CallGraph {
             }
         }
 
-        CallGraph { fns, calls, callers }
+        CallGraph {
+            fns,
+            calls,
+            callers,
+        }
     }
 
     /// Multi-source BFS over outgoing edges. Returns, for every
@@ -368,7 +378,10 @@ mod tests {
     #[test]
     fn module_qualified_calls_resolve_to_the_file() {
         let g = graph(&[
-            ("crates/a/src/lib.rs", "fn top() { jsonl::parse_line(x); }\n"),
+            (
+                "crates/a/src/lib.rs",
+                "fn top() { jsonl::parse_line(x); }\n",
+            ),
             ("crates/a/src/jsonl.rs", "pub fn parse_line(s: &str) {}\n"),
             ("crates/b/src/lib.rs", "pub fn parse_line(s: &str) {}\n"),
         ]);
@@ -417,8 +430,14 @@ mod tests {
         let reached = g.reach_backward(&[deep]);
         let chain = g.caller_chain(&reached, entry).expect("chain exists");
         let rendered = g.render_chain(&chain);
-        assert!(rendered.starts_with("`entry` (crates/a/src/lib.rs:2)"), "{rendered}");
-        assert!(rendered.contains("`mid` (crates/a/src/lib.rs:5)"), "{rendered}");
+        assert!(
+            rendered.starts_with("`entry` (crates/a/src/lib.rs:2)"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("`mid` (crates/a/src/lib.rs:5)"),
+            "{rendered}"
+        );
         assert!(rendered.ends_with("`deep`"), "{rendered}");
     }
 

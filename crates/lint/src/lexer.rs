@@ -159,8 +159,7 @@ pub fn lex(src: &str) -> Vec<Token> {
             c if c.is_ascii_digit() => {
                 let mut text = String::new();
                 while let Some(ch) = lx.peek(0) {
-                    let fraction_dot =
-                        ch == '.' && lx.peek(1).is_some_and(|d| d.is_ascii_digit());
+                    let fraction_dot = ch == '.' && lx.peek(1).is_some_and(|d| d.is_ascii_digit());
                     if is_ident_continue(ch) || fraction_dot {
                         text.push(ch);
                         lx.bump();
@@ -275,7 +274,9 @@ fn lex_raw_hash_string(lx: &mut Lexer) -> String {
     }
     text.push('"');
     lx.bump();
-    let closer: String = std::iter::once('"').chain("#".repeat(hashes).chars()).collect();
+    let closer: String = std::iter::once('"')
+        .chain("#".repeat(hashes).chars())
+        .collect();
     let mut tail = String::new();
     while let Some(ch) = lx.peek(0) {
         tail.push(ch);
@@ -355,9 +356,7 @@ mod tests {
     #[test]
     fn words_in_strings_and_comments_are_not_idents() {
         let toks = kinds("\"HashMap\" // HashMap\n/* HashMap */ r#\"HashMap\"#");
-        assert!(toks
-            .iter()
-            .all(|(k, _)| !matches!(k, TokenKind::Ident)));
+        assert!(toks.iter().all(|(k, _)| !matches!(k, TokenKind::Ident)));
     }
 
     #[test]

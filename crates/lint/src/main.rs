@@ -62,8 +62,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--max-millis" => {
                 i += 1;
                 let n = args.get(i).ok_or("--max-millis needs a number argument")?;
-                opts.max_millis =
-                    Some(n.parse().map_err(|_| format!("bad --max-millis value `{n}`"))?);
+                opts.max_millis = Some(
+                    n.parse()
+                        .map_err(|_| format!("bad --max-millis value `{n}`"))?,
+                );
             }
             "--root" => {
                 i += 1;
@@ -118,8 +120,8 @@ fn run_on_files(opts: &Options) -> Result<Vec<Finding>, String> {
         None => (Allowlist::empty(), Vec::new()),
     };
     for file in &opts.files {
-        let src = fs::read_to_string(file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        let src =
+            fs::read_to_string(file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         let rel = file.to_string_lossy().replace('\\', "/");
         findings.extend(analyze_source(&rel, &src, &FILE_RULES, &allowlist));
     }
@@ -203,7 +205,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
+    let errors = findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count();
     let warnings = findings.len() - errors;
 
     if opts.json {

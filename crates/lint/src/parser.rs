@@ -543,9 +543,18 @@ impl<'a> Parser<'a> {
             Some(t) => t,
             None => return,
         };
-        let prev = self.pos.checked_sub(1).and_then(|p| self.toks.get(p).copied());
-        let prev2 = self.pos.checked_sub(2).and_then(|p| self.toks.get(p).copied());
-        let prev3 = self.pos.checked_sub(3).and_then(|p| self.toks.get(p).copied());
+        let prev = self
+            .pos
+            .checked_sub(1)
+            .and_then(|p| self.toks.get(p).copied());
+        let prev2 = self
+            .pos
+            .checked_sub(2)
+            .and_then(|p| self.toks.get(p).copied());
+        let prev3 = self
+            .pos
+            .checked_sub(3)
+            .and_then(|p| self.toks.get(p).copied());
 
         if t.kind == TokenKind::Ident {
             let after_dot = prev.is_some_and(|p| p.text == ".");
@@ -557,11 +566,10 @@ impl<'a> Parser<'a> {
             // `Enum::Variant` references (both capitalized) for W1.
             if after_colons {
                 if let Some(q) = prev3 {
-                    if q.kind == TokenKind::Ident
-                        && starts_upper(&q.text)
-                        && starts_upper(&t.text)
+                    if q.kind == TokenKind::Ident && starts_upper(&q.text) && starts_upper(&t.text)
                     {
-                        item.variant_refs.push((q.text.clone(), t.text.clone(), t.line));
+                        item.variant_refs
+                            .push((q.text.clone(), t.text.clone(), t.line));
                     }
                 }
             }
@@ -609,7 +617,10 @@ impl<'a> Parser<'a> {
                     col: t.col,
                 });
             } else if next_is_bang
-                && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
+                && matches!(
+                    t.text.as_str(),
+                    "panic" | "unreachable" | "todo" | "unimplemented"
+                )
             {
                 item.facts.push(Fact {
                     kind: FactKind::Panic,
@@ -626,7 +637,10 @@ impl<'a> Parser<'a> {
                 && self.at(2).is_some_and(|n| n.kind == TokenKind::Number)
                 && self.text(3) == ")"
             {
-                if let Ok(tag) = self.text(2).trim_end_matches(|c: char| c.is_alphabetic()).parse()
+                if let Ok(tag) = self
+                    .text(2)
+                    .trim_end_matches(|c: char| c.is_alphabetic())
+                    .parse()
                 {
                     item.tag_pushes.push((tag, t.line));
                 }
@@ -650,9 +664,8 @@ impl<'a> Parser<'a> {
             }
         } else if t.text == "[" {
             // Literal indexing `xs[0]` (P1/P2's panic shape).
-            let indexee = prev.is_some_and(|p| {
-                p.kind == TokenKind::Ident || p.text == ")" || p.text == "]"
-            });
+            let indexee =
+                prev.is_some_and(|p| p.kind == TokenKind::Ident || p.text == ")" || p.text == "]");
             if indexee
                 && self.at(1).is_some_and(|n| n.kind == TokenKind::Number)
                 && self.text(2) == "]"
@@ -740,11 +753,17 @@ mod tests {
             .collect();
         assert_eq!(panics, vec![2, 3, 4, 5]);
         assert_eq!(
-            f.facts.iter().filter(|x| x.kind == FactKind::Unordered).count(),
+            f.facts
+                .iter()
+                .filter(|x| x.kind == FactKind::Unordered)
+                .count(),
             2
         );
         assert_eq!(
-            f.facts.iter().filter(|x| x.kind == FactKind::Timing).count(),
+            f.facts
+                .iter()
+                .filter(|x| x.kind == FactKind::Timing)
+                .count(),
             1
         );
     }
@@ -778,7 +797,11 @@ mod tests {
                    }\n";
         let pf = parse(src);
         assert_eq!(pf.enums.len(), 1);
-        let names: Vec<&str> = pf.enums[0].variants.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = pf.enums[0]
+            .variants
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
         assert_eq!(names, vec!["A", "B", "C", "D"]);
     }
 
@@ -787,7 +810,10 @@ mod tests {
         let src = "fn encode(&self) { match self { Event::Go { .. } => out.push(7), } }\n";
         let pf = parse(src);
         let f = &pf.fns[0];
-        assert_eq!(f.variant_refs, vec![("Event".to_string(), "Go".to_string(), 1)]);
+        assert_eq!(
+            f.variant_refs,
+            vec![("Event".to_string(), "Go".to_string(), 1)]
+        );
         assert_eq!(f.tag_pushes, vec![(7, 1)]);
     }
 

@@ -147,10 +147,8 @@ pub const D2_EXEMPT_NET_TRANSPORT: &[&str] = &["crates/net/src/transport.rs"];
 /// number). Everything underneath — session drivers, the table, the
 /// sweep scheduler — reasons purely in sweeps and virtual ticks and
 /// stays under D2.
-pub const D2_EXEMPT_SERVICE_REALTIME: &[&str] = &[
-    "crates/service/src/server.rs",
-    "crates/service/src/main.rs",
-];
+pub const D2_EXEMPT_SERVICE_REALTIME: &[&str] =
+    &["crates/service/src/server.rs", "crates/service/src/main.rs"];
 
 pub fn rules_for(rel_path: &str) -> Vec<Rule> {
     let p = rel_path.replace('\\', "/");
@@ -340,7 +338,9 @@ fn parse_annotations(tokens: &[Token], rel_path: &str) -> (Vec<Annotation>, Vec<
         };
         let rest = tok.text[at + "lint:".len()..].trim_start();
         let Some(name_and_rest) = rest.strip_prefix("allow(") else {
-            findings.push(a0("malformed lint annotation: expected `allow(<name>)`".to_string()));
+            findings.push(a0(
+                "malformed lint annotation: expected `allow(<name>)`".to_string()
+            ));
             continue;
         };
         let Some(close) = name_and_rest.find(')') else {
@@ -482,7 +482,13 @@ fn skip_item(toks: &[&Token], mut i: usize) -> usize {
     i
 }
 
-fn finding(rule: Rule, path: &str, tok: &Token, lines: &[&str], message: String) -> (Rule, Finding) {
+fn finding(
+    rule: Rule,
+    path: &str,
+    tok: &Token,
+    lines: &[&str],
+    message: String,
+) -> (Rule, Finding) {
     (
         rule,
         Finding {
@@ -509,7 +515,10 @@ fn check_d1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
                 path,
                 t,
                 lines,
-                format!("iteration-order-unstable collection `{}` in deterministic code", t.text),
+                format!(
+                    "iteration-order-unstable collection `{}` in deterministic code",
+                    t.text
+                ),
             ));
         }
     }
@@ -653,9 +662,8 @@ fn check_p1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
                 ));
             }
         } else if t.text == "[" {
-            let indexee = prev.is_some_and(|p| {
-                p.kind == TokenKind::Ident || p.text == ")" || p.text == "]"
-            });
+            let indexee =
+                prev.is_some_and(|p| p.kind == TokenKind::Ident || p.text == ")" || p.text == "]");
             if indexee
                 && next.is_some_and(|n| n.kind == TokenKind::Number)
                 && next2.is_some_and(|n| n.text == "]")
@@ -780,7 +788,9 @@ mod tests {
     fn allow_without_justification_is_a0_error() {
         let src = "// lint: allow(unordered)\nstruct S { a: HashMap<u64, u8> }\n";
         let fs = run(&[Rule::D1], src);
-        assert!(fs.iter().any(|f| f.rule == "A0" && f.severity == Severity::Error));
+        assert!(fs
+            .iter()
+            .any(|f| f.rule == "A0" && f.severity == Severity::Error));
         assert!(fs.iter().any(|f| f.rule == "D1"));
     }
 
@@ -854,7 +864,10 @@ mod tests {
                    }\n";
         let fs = run(&[Rule::P1], src);
         assert_eq!(codes(&fs), vec!["P1", "P1", "P1", "P1"]);
-        assert_eq!(fs.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(
+            fs.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
         assert!(fs[0].message.contains("range-slicing"), "{}", fs[0].message);
     }
 
@@ -897,7 +910,10 @@ mod tests {
             rules_for("crates/awc/src/agent.rs"),
             vec![Rule::D1, Rule::D2, Rule::M1, Rule::P1]
         );
-        assert_eq!(rules_for("crates/awc/src/solver.rs"), vec![Rule::D1, Rule::D2, Rule::M1]);
+        assert_eq!(
+            rules_for("crates/awc/src/solver.rs"),
+            vec![Rule::D1, Rule::D2, Rule::M1]
+        );
         assert_eq!(
             rules_for("crates/runtime/src/sync.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
@@ -920,7 +936,10 @@ mod tests {
             rules_for("crates/runtime/src/engine.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/cspsolve/src/backtrack.rs"), vec![Rule::D1]);
+        assert_eq!(
+            rules_for("crates/cspsolve/src/backtrack.rs"),
+            vec![Rule::D1]
+        );
         assert_eq!(rules_for("crates/probgen/src/lib.rs"), vec![Rule::D1]);
         assert_eq!(rules_for("crates/lint/src/main.rs"), Vec::<Rule>::new());
         // Protocol paths in the net crate are determinism- and
@@ -930,7 +949,10 @@ mod tests {
             rules_for("crates/net/src/coordinator.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/net/src/main.rs"), vec![Rule::D1, Rule::D2]);
+        assert_eq!(
+            rules_for("crates/net/src/main.rs"),
+            vec![Rule::D1, Rule::D2]
+        );
         // The trace crate is a metrics auditor: determinism- and
         // panic-policed like the runtime, with the same main.rs carve-out
         // for the CLI's loud exits.
@@ -938,7 +960,10 @@ mod tests {
             rules_for("crates/trace/src/audit.rs"),
             vec![Rule::D1, Rule::D2, Rule::P1]
         );
-        assert_eq!(rules_for("crates/trace/src/main.rs"), vec![Rule::D1, Rule::D2]);
+        assert_eq!(
+            rules_for("crates/trace/src/main.rs"),
+            vec![Rule::D1, Rule::D2]
+        );
         // The explorer judges runs and minimizes schedules: ordered
         // containers and virtual time only, panic-policed library code,
         // with the usual main.rs carve-out for the CLI.
@@ -988,7 +1013,13 @@ mod tests {
             rules_for("crates/net/src/transport.rs"),
             vec![Rule::D1, Rule::P1]
         );
-        for policed in ["coordinator.rs", "endpoint.rs", "frame.rs", "solve.rs", "lib.rs"] {
+        for policed in [
+            "coordinator.rs",
+            "endpoint.rs",
+            "frame.rs",
+            "solve.rs",
+            "lib.rs",
+        ] {
             let path = format!("crates/net/src/{policed}");
             assert!(rules_for(&path).contains(&Rule::D2), "{path} must keep D2");
         }

@@ -338,7 +338,11 @@ fn check_sync_points(
 /// Every `out.push(<tag>)` in `TraceEvent::encode` must use a distinct
 /// tag, or two variants alias on the wire and decode picks one of them.
 fn check_wire_tags(input: &WorkspaceInput<'_>, out: &mut Vec<(Rule, Finding)>) {
-    let Some(file) = input.files.iter().find(|f| f.rel == "crates/trace/src/wire.rs") else {
+    let Some(file) = input
+        .files
+        .iter()
+        .find(|f| f.rel == "crates/trace/src/wire.rs")
+    else {
         return; // already reported by the sync-point pass
     };
     let Some(encode) = file
@@ -429,7 +433,10 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
-    fn run(files: &[(&str, &str)], wire_props: Option<&str>) -> (Vec<(Rule, Finding)>, Vec<String>) {
+    fn run(
+        files: &[(&str, &str)],
+        wire_props: Option<&str>,
+    ) -> (Vec<(Rule, Finding)>, Vec<String>) {
         let parsed: Vec<ParsedFile> = files
             .iter()
             .map(|(rel, src)| parse_file(rel, &lex(src)))
@@ -437,12 +444,7 @@ mod tests {
         let graph = CallGraph::build(&parsed);
         let lines: BTreeMap<String, Vec<String>> = files
             .iter()
-            .map(|(rel, src)| {
-                (
-                    rel.to_string(),
-                    src.lines().map(str::to_string).collect(),
-                )
-            })
+            .map(|(rel, src)| (rel.to_string(), src.lines().map(str::to_string).collect()))
             .collect();
         let input = WorkspaceInput {
             files: &parsed,
@@ -476,7 +478,12 @@ mod tests {
         let f = &fs[0].1;
         assert_eq!(f.path, "crates/core/src/util.rs");
         assert_eq!(f.line, 2);
-        assert!(f.message.contains("`run_cycle` (crates/runtime/src/sync.rs:2)"), "{}", f.message);
+        assert!(
+            f.message
+                .contains("`run_cycle` (crates/runtime/src/sync.rs:2)"),
+            "{}",
+            f.message
+        );
         assert!(f.message.ends_with("`helper`"), "{}", f.message);
     }
 
@@ -514,7 +521,12 @@ mod tests {
         let f = &fs[0].1;
         assert_eq!(f.path, "crates/net/src/transport.rs");
         assert!(f.message.contains("Instant::now"));
-        assert!(f.message.contains("`session` (crates/net/src/endpoint.rs:2)"), "{}", f.message);
+        assert!(
+            f.message
+                .contains("`session` (crates/net/src/endpoint.rs:2)"),
+            "{}",
+            f.message
+        );
     }
 
     #[test]
@@ -598,7 +610,12 @@ mod tests {
         assert_eq!(codes(&fs), vec!["W1"]);
         let f = &fs[0].1;
         assert_eq!(f.path, "crates/trace/src/jsonl.rs");
-        assert!(f.message.contains("`TraceEvent::B` has no JSONL encode arm"), "{}", f.message);
+        assert!(
+            f.message
+                .contains("`TraceEvent::B` has no JSONL encode arm"),
+            "{}",
+            f.message
+        );
     }
 
     #[test]
@@ -608,7 +625,11 @@ mod tests {
         let refs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (*r, s.as_str())).collect();
         let (fs, _) = run(&refs, None);
         assert_eq!(codes(&fs), vec!["W1"]);
-        assert!(fs[0].1.message.contains("wire tag 0 is pushed twice"), "{}", fs[0].1.message);
+        assert!(
+            fs[0].1.message.contains("wire tag 0 is pushed twice"),
+            "{}",
+            fs[0].1.message
+        );
     }
 
     #[test]
@@ -618,7 +639,10 @@ mod tests {
         let refs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (*r, s.as_str())).collect();
         let (fs, _) = run(&refs, None);
         assert_eq!(codes(&fs), vec!["W1"]);
-        assert!(fs[0].1.message.contains("crates/trace/src/summary.rs is missing"));
+        assert!(fs[0]
+            .1
+            .message
+            .contains("crates/trace/src/summary.rs is missing"));
         assert_eq!(fs[0].1.path, TRACE_EVENT_FILE);
     }
 

@@ -89,9 +89,7 @@ fn net_transport_d2_exemption_is_path_scoped() {
     // name, not by code shape.
     let src = fixture("d2_net_transport.rs");
     let allow = Allowlist::empty();
-    let at = |path: &str| {
-        analyze_source(path, &src, &discsp_lint::rules::rules_for(path), &allow)
-    };
+    let at = |path: &str| analyze_source(path, &src, &discsp_lint::rules::rules_for(path), &allow);
     let exempt = at("crates/net/src/transport.rs");
     assert!(
         rule_lines(&exempt, "D2").is_empty(),
@@ -113,9 +111,7 @@ fn service_realtime_d2_exemption_is_path_scoped() {
     // by file name, not by code shape.
     let src = fixture("d2_service_realtime.rs");
     let allow = Allowlist::empty();
-    let at = |path: &str| {
-        analyze_source(path, &src, &discsp_lint::rules::rules_for(path), &allow)
-    };
+    let at = |path: &str| analyze_source(path, &src, &discsp_lint::rules::rules_for(path), &allow);
     for exempt_path in ["crates/service/src/server.rs", "crates/service/src/main.rs"] {
         let exempt = at(exempt_path);
         assert!(
@@ -181,8 +177,15 @@ fn unknown_rule_code_in_allowlist_is_a_pointed_error() {
     assert_eq!(errs.len(), 1);
     assert_eq!(errs[0].rule, "A0");
     assert_eq!(errs[0].severity, Severity::Error);
-    assert!(errs[0].message.contains("unknown rule code `Q9`"), "{}", errs[0].message);
-    assert!(errs[0].message.contains("W1"), "message should list valid codes");
+    assert!(
+        errs[0].message.contains("unknown rule code `Q9`"),
+        "{}",
+        errs[0].message
+    );
+    assert!(
+        errs[0].message.contains("W1"),
+        "message should list valid codes"
+    );
 }
 
 #[test]
@@ -212,14 +215,19 @@ fn fixture_workspace(name: &str) -> discsp_lint::WorkspaceReport {
 #[test]
 fn ws_p2_bad_reports_the_reachable_panic_with_a_blame_chain() {
     let report = fixture_workspace("ws_p2_bad");
-    assert!(report.internal_errors.is_empty(), "{:?}", report.internal_errors);
+    assert!(
+        report.internal_errors.is_empty(),
+        "{:?}",
+        report.internal_errors
+    );
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     let f = &report.findings[0];
     assert_eq!(f.rule, "P2");
     assert_eq!(f.path, "crates/core/src/util.rs");
     assert_eq!(f.line, 4);
     assert!(
-        f.message.contains("`run_cycle` (crates/runtime/src/sync.rs:4)"),
+        f.message
+            .contains("`run_cycle` (crates/runtime/src/sync.rs:4)"),
         "blame chain names the entry point and call site: {}",
         f.message
     );
@@ -241,7 +249,8 @@ fn ws_d3_bad_reports_the_tainted_seed_at_its_source() {
     assert_eq!(f.path, "crates/probgen/src/seed.rs");
     assert_eq!(f.line, 4);
     assert!(
-        f.message.contains("`reseed` (crates/runtime/src/sched.rs:4)"),
+        f.message
+            .contains("`reseed` (crates/runtime/src/sched.rs:4)"),
         "chain names the policed consumer: {}",
         f.message
     );
@@ -261,7 +270,9 @@ fn ws_w1_bad_catches_the_removed_jsonl_arm_and_the_duplicate_wire_tag() {
     assert_eq!(jsonl.rule, "W1");
     assert_eq!(jsonl.path, "crates/trace/src/jsonl.rs");
     assert!(
-        jsonl.message.contains("`TraceEvent::NogoodLearned` has no JSONL decode arm"),
+        jsonl
+            .message
+            .contains("`TraceEvent::NogoodLearned` has no JSONL decode arm"),
         "{}",
         jsonl.message
     );
@@ -269,7 +280,11 @@ fn ws_w1_bad_catches_the_removed_jsonl_arm_and_the_duplicate_wire_tag() {
     assert_eq!(tag.rule, "W1");
     assert_eq!(tag.path, "crates/trace/src/wire.rs");
     assert_eq!(tag.line, 8);
-    assert!(tag.message.contains("wire tag 1 is pushed twice"), "{}", tag.message);
+    assert!(
+        tag.message.contains("wire tag 1 is pushed twice"),
+        "{}",
+        tag.message
+    );
 }
 
 #[test]
@@ -279,17 +294,27 @@ fn workspace_self_run_is_clean_at_head() {
         .canonicalize()
         .expect("workspace root resolves");
     let report = analyze_workspace(&root);
-    assert!(report.files_scanned > 40, "walker should see the whole workspace");
+    assert!(
+        report.files_scanned > 40,
+        "walker should see the whole workspace"
+    );
     assert!(
         report.findings.is_empty(),
         "workspace must lint clean at HEAD, got:\n{}",
         report
             .findings
             .iter()
-            .map(|f| format!("{}[{}] {}:{} {}", match f.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            }, f.rule, f.path, f.line, f.message))
+            .map(|f| format!(
+                "{}[{}] {}:{} {}",
+                match f.severity {
+                    Severity::Error => "error",
+                    Severity::Warning => "warning",
+                },
+                f.rule,
+                f.path,
+                f.line,
+                f.message
+            ))
             .collect::<Vec<_>>()
             .join("\n")
     );
@@ -357,8 +382,17 @@ fn binary_timing_prints_the_phase_table() {
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for phase in ["read + lex", "per-file rules", "parse + call graph", "workspace rules", "total"] {
-        assert!(stdout.contains(phase), "timing table lists `{phase}`:\n{stdout}");
+    for phase in [
+        "read + lex",
+        "per-file rules",
+        "parse + call graph",
+        "workspace rules",
+        "total",
+    ] {
+        assert!(
+            stdout.contains(phase),
+            "timing table lists `{phase}`:\n{stdout}"
+        );
     }
 }
 

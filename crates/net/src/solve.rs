@@ -119,7 +119,9 @@ where
     M: Wire + Classify + Clone,
 {
     let listener = TcpListener::bind("127.0.0.1:0").map_err(io("binding the session listener"))?;
-    let addr = listener.local_addr().map_err(io("reading the listener address"))?;
+    let addr = listener
+        .local_addr()
+        .map_err(io("reading the listener address"))?;
     let n = slices.len();
     match launch {
         AgentLaunch::Threads => {

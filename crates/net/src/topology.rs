@@ -161,7 +161,10 @@ mod tests {
             assert_eq!(slice.agent, AgentId::new(i as u32));
             assert_eq!(slice.neighbors.len(), 2, "triangle: two neighbors each");
             assert!(!slice.nogoods.is_empty());
-            assert_eq!(AgentSlice::from_bytes(&slice.to_bytes()).as_ref(), Ok(slice));
+            assert_eq!(
+                AgentSlice::from_bytes(&slice.to_bytes()).as_ref(),
+                Ok(slice)
+            );
         }
     }
 

@@ -247,8 +247,7 @@ pub fn connect_with_retry(
     }
     Err(NetError::Io {
         context: "connecting to the coordinator",
-        error: last
-            .unwrap_or_else(|| std::io::Error::other("no connection attempts made")),
+        error: last.unwrap_or_else(|| std::io::Error::other("no connection attempts made")),
     })
 }
 
@@ -326,7 +325,8 @@ mod tests {
     fn io_timeout_can_be_rearmed_on_a_live_connection() {
         let (client, server) = loopback_pair();
         let mut rx = FrameConn::new(server, Duration::ZERO).expect("rx conn");
-        rx.set_io_timeout(Duration::from_millis(50)).expect("re-arm");
+        rx.set_io_timeout(Duration::from_millis(50))
+            .expect("re-arm");
         // No frame ever arrives: the bounded read must fail, not block.
         let got = rx.recv::<SetupFrame>();
         assert!(matches!(got, Err(NetError::Io { .. })));

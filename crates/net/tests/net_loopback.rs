@@ -58,18 +58,36 @@ fn assert_metrics_match(net: &RunMetrics, virt: &RunMetrics) {
     assert_eq!(net.ok_messages, virt.ok_messages, "ok_messages");
     assert_eq!(net.nogood_messages, virt.nogood_messages, "nogood_messages");
     assert_eq!(net.other_messages, virt.other_messages, "other_messages");
-    assert_eq!(net.nogoods_generated, virt.nogoods_generated, "nogoods_generated");
-    assert_eq!(net.redundant_nogoods, virt.redundant_nogoods, "redundant_nogoods");
+    assert_eq!(
+        net.nogoods_generated, virt.nogoods_generated,
+        "nogoods_generated"
+    );
+    assert_eq!(
+        net.redundant_nogoods, virt.redundant_nogoods,
+        "redundant_nogoods"
+    );
     assert_eq!(net.largest_nogood, virt.largest_nogood, "largest_nogood");
     assert_eq!(net.messages_sent, virt.messages_sent, "messages_sent");
-    assert_eq!(net.messages_dropped, virt.messages_dropped, "messages_dropped");
-    assert_eq!(net.messages_duplicated, virt.messages_duplicated, "messages_duplicated");
-    assert_eq!(net.messages_reordered, virt.messages_reordered, "messages_reordered");
+    assert_eq!(
+        net.messages_dropped, virt.messages_dropped,
+        "messages_dropped"
+    );
+    assert_eq!(
+        net.messages_duplicated, virt.messages_duplicated,
+        "messages_duplicated"
+    );
+    assert_eq!(
+        net.messages_reordered, virt.messages_reordered,
+        "messages_reordered"
+    );
     assert_eq!(
         net.messages_retransmitted, virt.messages_retransmitted,
         "messages_retransmitted"
     );
-    assert_eq!(net.max_delivery_delay, virt.max_delivery_delay, "max_delivery_delay");
+    assert_eq!(
+        net.max_delivery_delay, virt.max_delivery_delay,
+        "max_delivery_delay"
+    );
 }
 
 /// A trace without its `RunEnd` stamp (whose runtime kind differs
@@ -119,7 +137,10 @@ fn awc_processes_match_virtual_run() {
     assert_metrics_match(m, &virt.outcome.metrics);
     assert_eq!(report.activations, virt.activations, "activations");
     assert_eq!(report.nudges, virt.nudges, "nudges");
-    assert_eq!(report.outcome.solution, virt.outcome.solution, "same solution");
+    assert_eq!(
+        report.outcome.solution, virt.outcome.solution,
+        "same solution"
+    );
 }
 
 #[test]
@@ -214,7 +235,11 @@ fn lossy_net_trace_matches_virtual_trace_and_passes_audit() {
 
     // Both traces must independently reproduce their own metrics.
     let net_audit = audit(&net_report.trace).expect("net trace audits");
-    assert!(net_audit.passed(), "net audit failed: {:?}", net_audit.failures);
+    assert!(
+        net_audit.passed(),
+        "net audit failed: {:?}",
+        net_audit.failures
+    );
     assert_eq!(net_audit.metrics, net_report.outcome.metrics);
     let virt_audit = audit(&virt_report.trace).expect("virtual trace audits");
     assert!(

@@ -49,7 +49,10 @@ impl fmt::Display for RuntimeError {
                 write!(f, "message addressed to unknown agent {agent}")
             }
             RuntimeError::ShardWorkerDied { shard } => {
-                write!(f, "worker of shard {shard} died mid-run; its results are lost")
+                write!(
+                    f,
+                    "worker of shard {shard} died mid-run; its results are lost"
+                )
             }
         }
     }

@@ -53,9 +53,9 @@ mod message;
 mod pool;
 mod recorder;
 mod router;
-mod shard;
 mod schedule;
 mod seed;
+mod shard;
 mod solver;
 mod sync;
 mod wire;
@@ -77,8 +77,8 @@ pub use message::{Classify, Envelope, MessageClass};
 pub use pool::ShardPlan;
 pub use recorder::StepRecorder;
 pub use router::Router;
-pub use shard::{run_sharded, ShardConfig};
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, ScheduleParseError};
 pub use seed::{derive_seed, SplitMix64};
+pub use shard::{run_sharded, ShardConfig};
 pub use solver::{SolveError, Solver};
 pub use sync::{CycleRecord, SyncRun, SyncSimulator};

@@ -344,7 +344,8 @@ impl Link {
             // copy, first copy first.
             let first = self.base_delay();
             let second = self.base_delay();
-            self.log.push((call, FaultAction::Duplicate { first, second }));
+            self.log
+                .push((call, FaultAction::Duplicate { first, second }));
             let deliveries = Deliveries::Twice([
                 self.assign(now, first, &mut faults),
                 self.assign(now, second, &mut faults),
@@ -387,7 +388,8 @@ impl Link {
             Some(FaultAction::Duplicate { first, second }) => {
                 self.stats.duplicated += 1;
                 faults.push(FaultKind::Duplicated);
-                self.log.push((call, FaultAction::Duplicate { first, second }));
+                self.log
+                    .push((call, FaultAction::Duplicate { first, second }));
                 Deliveries::Twice([
                     self.assign(now, first, &mut faults),
                     self.assign(now, second, &mut faults),
@@ -432,9 +434,8 @@ impl Link {
 /// with `run_seed`. Distinct links get unrelated streams; the same
 /// `(run_seed, from, to)` always yields the same stream.
 pub fn derive_link_seed(run_seed: u64, from: AgentId, to: AgentId) -> u64 {
-    let mut a = SplitMix64::new(
-        run_seed ^ u64::from(from.raw()).wrapping_mul(0xD192_ED03_3709_27AD),
-    );
+    let mut a =
+        SplitMix64::new(run_seed ^ u64::from(from.raw()).wrapping_mul(0xD192_ED03_3709_27AD));
     let mixed = a.next_u64();
     let mut b = SplitMix64::new(mixed ^ u64::from(to.raw()).wrapping_mul(0x8864_A2F4_0E72_7F91));
     b.next_u64()
@@ -651,7 +652,9 @@ mod tests {
         let problem = all_true_problem(6);
         let config = VirtualConfig {
             seed: 13,
-            link: LinkPolicy::lossy(200_000).with_delay(0, 4).with_reordering(2),
+            link: LinkPolicy::lossy(200_000)
+                .with_delay(0, 4)
+                .with_reordering(2),
             ..VirtualConfig::default()
         };
         let a = run_virtual(ring(6), &problem, &config).expect("runs");
@@ -680,9 +683,7 @@ mod tests {
         assert_eq!(m.messages_dropped, m.messages_sent, "every send dropped");
         assert_eq!(
             m.total_messages(),
-            m.messages_sent - m.messages_dropped
-                + m.messages_duplicated
-                + m.messages_retransmitted,
+            m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
             "class counters count exactly the enqueued copies"
         );
     }
@@ -741,8 +742,14 @@ mod tests {
                 ..VirtualConfig::default()
             };
             let replay = run_virtual(ring(6), &problem, &replay_config).expect("runs");
-            assert_eq!(original.outcome.metrics, replay.outcome.metrics, "seed {seed}");
-            assert_eq!(original.outcome.solution, replay.outcome.solution, "seed {seed}");
+            assert_eq!(
+                original.outcome.metrics, replay.outcome.metrics,
+                "seed {seed}"
+            );
+            assert_eq!(
+                original.outcome.solution, replay.outcome.solution,
+                "seed {seed}"
+            );
             assert_eq!(original.ticks, replay.ticks, "seed {seed}");
             assert_eq!(original.activations, replay.activations, "seed {seed}");
             assert_eq!(original.nudges, replay.nudges, "seed {seed}");
@@ -759,7 +766,13 @@ mod tests {
         let mut script = BTreeMap::new();
         script.insert(0, FaultAction::Drop);
         script.insert(1, FaultAction::Delay(4));
-        script.insert(2, FaultAction::Duplicate { first: 0, second: 2 });
+        script.insert(
+            2,
+            FaultAction::Duplicate {
+                first: 0,
+                second: 2,
+            },
+        );
         let mut link = Link::scripted(script);
 
         let d0 = link.route(0);
@@ -812,13 +825,15 @@ mod tests {
         let dropped = report
             .trace
             .iter()
-            .filter(|e| matches!(
-                e,
-                TraceEvent::Fault {
-                    kind: FaultKind::Dropped,
-                    ..
-                }
-            ))
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Fault {
+                        kind: FaultKind::Dropped,
+                        ..
+                    }
+                )
+            })
             .count() as u64;
         assert_eq!(dropped, report.outcome.metrics.messages_dropped);
     }

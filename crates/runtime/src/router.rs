@@ -44,11 +44,8 @@ use crate::seed::SplitMix64;
 /// the link's fault stream (different mixing constants), constant per
 /// link, and a pure function of `(run_seed, from, to)`.
 fn derive_order_rank(run_seed: u64, index: u64) -> u64 {
-    SplitMix64::new(
-        run_seed
-            ^ 0x6A09_E667_F3BC_C909u64.wrapping_mul(index.wrapping_add(1)),
-    )
-    .next_u64()
+    SplitMix64::new(run_seed ^ 0x6A09_E667_F3BC_C909u64.wrapping_mul(index.wrapping_add(1)))
+        .next_u64()
 }
 
 /// How a router materializes the link for an ordered agent pair the
@@ -164,12 +161,7 @@ impl<M: Classify + Clone> Router<M> {
     /// `run_seed` still fixes the same-tick delivery order, so a
     /// recorded fault log replays its originating run under the seed
     /// that produced it.
-    pub fn scripted(
-        n: usize,
-        schedule: &FaultSchedule,
-        run_seed: u64,
-        record_trace: bool,
-    ) -> Self {
+    pub fn scripted(n: usize, schedule: &FaultSchedule, run_seed: u64, record_trace: bool) -> Self {
         let mode = LinkMode::Scripted(schedule.clone());
         Router::build(n, run_seed, record_trace, mode, false)
     }
@@ -524,7 +516,9 @@ mod tests {
 
     #[test]
     fn two_routers_fed_identically_agree() {
-        let policy = LinkPolicy::lossy(300_000).with_delay(0, 3).with_duplication(100_000);
+        let policy = LinkPolicy::lossy(300_000)
+            .with_delay(0, 3)
+            .with_duplication(100_000);
         let mut a: Router<Note> = Router::new(3, policy, 42, false);
         let mut b: Router<Note> = Router::new(3, policy, 42, false);
         for now in 0..50 {
@@ -597,10 +591,24 @@ mod tests {
         for seed in 0..8u64 {
             let mut router: Router<Note> = Router::new(2, LinkPolicy::perfect(), seed, false);
             router
-                .route(0, Envelope { from: AgentId::new(0), to: AgentId::new(1), payload: Note(Value::new(1)) })
+                .route(
+                    0,
+                    Envelope {
+                        from: AgentId::new(0),
+                        to: AgentId::new(1),
+                        payload: Note(Value::new(1)),
+                    },
+                )
                 .expect("routes");
             router
-                .route(0, Envelope { from: AgentId::new(0), to: AgentId::new(1), payload: Note(Value::new(2)) })
+                .route(
+                    0,
+                    Envelope {
+                        from: AgentId::new(0),
+                        to: AgentId::new(1),
+                        payload: Note(Value::new(2)),
+                    },
+                )
                 .expect("routes");
             let inboxes = router.take_due(1, 1);
             let [(1, inbox)] = inboxes.as_slice() else {

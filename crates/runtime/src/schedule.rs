@@ -252,7 +252,15 @@ mod tests {
         let s = FaultSchedule::new(vec![
             ev(0, 1, 3, FaultAction::Drop),
             ev(2, 0, 0, FaultAction::Delay(7)),
-            ev(1, 2, 5, FaultAction::Duplicate { first: 0, second: 4 }),
+            ev(
+                1,
+                2,
+                5,
+                FaultAction::Duplicate {
+                    first: 0,
+                    second: 4,
+                },
+            ),
         ]);
         let text = s.to_text();
         assert_eq!(FaultSchedule::parse(&text), Ok(s.clone()));
@@ -287,9 +295,7 @@ mod tests {
         let map = s.actions_for(AgentId::new(0), AgentId::new(1));
         assert_eq!(map.len(), 2);
         assert_eq!(map.get(&4), Some(&FaultAction::Delay(2)));
-        assert!(s
-            .actions_for(AgentId::new(2), AgentId::new(0))
-            .is_empty());
+        assert!(s.actions_for(AgentId::new(2), AgentId::new(0)).is_empty());
         assert!(FaultSchedule::default().is_empty());
     }
 }

@@ -160,6 +160,9 @@ mod tests {
         let env = Envelope::new(AgentId::new(2), AgentId::new(5), Value::new(3));
         let bytes = env.to_bytes();
         let back = Envelope::<Value>::from_bytes(&bytes).expect("decodes");
-        assert_eq!((back.from, back.to, back.payload), (env.from, env.to, env.payload));
+        assert_eq!(
+            (back.from, back.to, back.payload),
+            (env.from, env.to, env.payload)
+        );
     }
 }

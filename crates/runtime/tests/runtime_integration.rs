@@ -302,7 +302,9 @@ fn class_counters_equal_enqueued_copies_under_duplication() {
 #[test]
 fn virtual_run_solves_under_faults_with_exact_identity() {
     let problem = all_hold(6, 9, 10);
-    let policy = LinkPolicy::lossy(100_000).with_delay(0, 2).with_reordering(2);
+    let policy = LinkPolicy::lossy(100_000)
+        .with_delay(0, 2)
+        .with_reordering(2);
     let config = VirtualConfig {
         seed: 21,
         link: policy,

@@ -149,8 +149,7 @@ fn mix_of(index: u64) -> (&'static str, AlgoSpec, LinkPolicy) {
 fn build_spec(args: &Args, index: u64) -> Result<SessionSpec, String> {
     let (_, algo, link) = mix_of(index);
     let instance = paper_coloring(args.vars, args.seed.wrapping_add(index));
-    let problem =
-        coloring_to_discsp(&instance).map_err(|e| format!("session {index}: {e}"))?;
+    let problem = coloring_to_discsp(&instance).map_err(|e| format!("session {index}: {e}"))?;
     let init = Assignment::total((0..args.vars).map(|_| Value::new(0)));
     Ok(SessionSpec {
         problem,
@@ -175,7 +174,11 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 
 fn run() -> Result<String, String> {
     let args = parse_args();
-    let budget = if args.budget == 0 { u64::MAX } else { args.budget };
+    let budget = if args.budget == 0 {
+        u64::MAX
+    } else {
+        args.budget
+    };
     let mut service = SolveService::new(ServiceConfig {
         max_active: args.active.max(1),
         max_pending: args.sessions as usize,

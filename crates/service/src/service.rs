@@ -138,7 +138,9 @@ impl SolveService {
         if self.table.draining() {
             return Err(ServiceError::Draining);
         }
-        if self.table.contains(id) || self.completed.contains_key(&id) || self.failed.contains_key(&id)
+        if self.table.contains(id)
+            || self.completed.contains_key(&id)
+            || self.failed.contains_key(&id)
         {
             return Err(ServiceError::DuplicateSession { id });
         }
@@ -235,11 +237,17 @@ impl SolveService {
     /// The admission errors of [`Self::submit`], plus
     /// [`ServiceError::RestoreDiverged`] when the replayed log differs
     /// from the recorded one.
-    pub fn restore(&mut self, id: SessionId, snapshot: &SessionSnapshot) -> Result<(), ServiceError> {
+    pub fn restore(
+        &mut self,
+        id: SessionId,
+        snapshot: &SessionSnapshot,
+    ) -> Result<(), ServiceError> {
         if self.table.draining() {
             return Err(ServiceError::Draining);
         }
-        if self.table.contains(id) || self.completed.contains_key(&id) || self.failed.contains_key(&id)
+        if self.table.contains(id)
+            || self.completed.contains_key(&id)
+            || self.failed.contains_key(&id)
         {
             return Err(ServiceError::DuplicateSession { id });
         }

@@ -12,24 +12,16 @@ use discsp_dba::WeightMode;
 use discsp_net::AlgoSpec;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
 use discsp_runtime::{LinkPolicy, Solver, TraceEvent, VirtualConfig, VirtualReport};
-use discsp_service::{
-    ServiceConfig, ServiceError, SessionSpec, SolveService,
-};
+use discsp_service::{ServiceConfig, ServiceError, SessionSpec, SolveService};
 use discsp_trace::RuntimeKind;
 
 /// A mixed-workload spec: algorithm, link policy, and seed all vary by
 /// index — the same mix `discsp-load` generates.
 fn spec(index: u64) -> SessionSpec {
     let (algo, link) = match index % 4 {
-        0 => (
-            AlgoSpec::Awc(AwcConfig::resolvent()),
-            LinkPolicy::perfect(),
-        ),
+        0 => (AlgoSpec::Awc(AwcConfig::resolvent()), LinkPolicy::perfect()),
         1 => (AlgoSpec::Awc(AwcConfig::mcs()), LinkPolicy::perfect()),
-        2 => (
-            AlgoSpec::Dba(WeightMode::PerNogood),
-            LinkPolicy::perfect(),
-        ),
+        2 => (AlgoSpec::Dba(WeightMode::PerNogood), LinkPolicy::perfect()),
         _ => (
             AlgoSpec::Awc(AwcConfig::resolvent()),
             LinkPolicy::lossy(30_000),
@@ -128,7 +120,11 @@ fn interleaved_sessions_are_bit_identical_to_solo_runs() {
     for index in 0..12u64 {
         let result = &results[&(index + 1)];
         let reference = solo(&spec(index));
-        assert_reports_match(&format!("session {}", index + 1), &result.report, &reference);
+        assert_reports_match(
+            &format!("session {}", index + 1),
+            &result.report,
+            &reference,
+        );
     }
 }
 
@@ -155,7 +151,11 @@ fn session_results_are_independent_of_company_and_order() {
     crowded.run_until_idle();
     let crowded_result = crowded.take_result(42).expect("crowded result");
 
-    assert_reports_match("crowded vs alone", &crowded_result.report, &alone_result.report);
+    assert_reports_match(
+        "crowded vs alone",
+        &crowded_result.report,
+        &alone_result.report,
+    );
 }
 
 #[test]
@@ -178,7 +178,11 @@ fn worker_count_does_not_change_any_result() {
     assert_eq!(results_1.len(), results_8.len());
     for (id, result) in &results_1 {
         let other = &results_8[id];
-        assert_reports_match(&format!("session {id} across worker counts"), &result.report, &other.report);
+        assert_reports_match(
+            &format!("session {id} across worker counts"),
+            &result.report,
+            &other.report,
+        );
         assert_eq!(result.submitted_sweep, other.submitted_sweep);
         assert_eq!(result.completed_sweep, other.completed_sweep);
     }
@@ -233,7 +237,8 @@ fn cancel_snapshot_restore_resumes_exactly() {
     assert!(a.is_idle(), "cancelled session left the table");
 
     let mut b = SolveService::new(ServiceConfig::default());
-    b.restore(7, &snapshot).expect("restore verifies and admits");
+    b.restore(7, &snapshot)
+        .expect("restore verifies and admits");
     b.run_until_idle();
     let resumed = b.take_result(7).expect("resumed result");
 
@@ -251,9 +256,10 @@ fn tampered_snapshots_are_refused() {
     }
     let mut snapshot = a.cancel(7).expect("snapshot");
     // Corrupt one recorded event: the replay must notice.
-    let tampered = snapshot.events.iter().position(|e| {
-        matches!(e, TraceEvent::AgentStep { .. })
-    });
+    let tampered = snapshot
+        .events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::AgentStep { .. }));
     let index = tampered.expect("a partial run has agent steps");
     if let TraceEvent::AgentStep { checks, .. } = &mut snapshot.events[index] {
         *checks += 1;

@@ -14,7 +14,8 @@ use std::process::ExitCode;
 
 use discsp_trace::{audit, parse_trace, summarize, TraceEvent};
 
-const USAGE: &str = "usage:\n  discsp-trace audit <trace.jsonl>...\n  discsp-trace summarize <trace.jsonl>";
+const USAGE: &str =
+    "usage:\n  discsp-trace audit <trace.jsonl>...\n  discsp-trace summarize <trace.jsonl>";
 
 fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -37,7 +38,10 @@ fn run_audit(paths: &[String]) -> ExitCode {
                 println!(
                     "✓ {path}: {} run, {} events — cycle {}, maxcck {}, total_checks {} \
                      all confirmed",
-                    report.runtime, report.events, report.cycles, report.maxcck,
+                    report.runtime,
+                    report.events,
+                    report.cycles,
+                    report.maxcck,
                     report.total_checks
                 );
             }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, complete test suite, lints.
+# Full offline verification: release build, complete test suite, lints,
+# formatting.
 #
 # Everything runs --offline — external dependencies are vendored as
 # stubs under vendor/ (see Cargo.toml), so no network is required.
@@ -15,6 +16,9 @@ cargo test -q --offline --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo fmt --all -- --check (no formatting drift)"
+cargo fmt --all -- --check
 
 echo "==> discsp-lint (workspace invariants: determinism, metrics, panic safety, schema sync)"
 cargo run --release --offline -q -p discsp-lint -- --timing --max-millis 1000

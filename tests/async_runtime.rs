@@ -147,15 +147,16 @@ fn awc_virtual_solves_coloring_over_faulty_links_across_seeds() {
             link: faulty(),
             ..VirtualConfig::default()
         };
-        let report = solver.solve_virtual(&problem, &init, &config).expect("fits");
+        let report = solver
+            .solve_virtual(&problem, &init, &config)
+            .expect("fits");
         let m = &report.outcome.metrics;
         assert_eq!(m.termination, Termination::Solved, "seed {seed}");
         assert!(problem.is_solution(&report.outcome.solution.clone().expect("solved")));
         assert!(m.messages_dropped > 0, "seed {seed}: lottery never fired");
         assert_eq!(
             m.total_messages(),
-            m.messages_sent - m.messages_dropped + m.messages_duplicated
-                + m.messages_retransmitted,
+            m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
             "seed {seed}: enqueued-copies identity"
         );
     }
@@ -172,7 +173,9 @@ fn db_virtual_solves_coloring_over_faulty_links_across_seeds() {
             link: faulty(),
             ..VirtualConfig::default()
         };
-        let report = solver.solve_virtual(&problem, &init, &config).expect("fits");
+        let report = solver
+            .solve_virtual(&problem, &init, &config)
+            .expect("fits");
         assert_eq!(
             report.outcome.metrics.termination,
             Termination::Solved,
@@ -195,8 +198,12 @@ fn virtual_faulty_runs_replay_bit_identically() {
         link: faulty(),
         ..VirtualConfig::default()
     };
-    let a = solver.solve_virtual(&problem, &init, &config).expect("fits");
-    let b = solver.solve_virtual(&problem, &init, &config).expect("fits");
+    let a = solver
+        .solve_virtual(&problem, &init, &config)
+        .expect("fits");
+    let b = solver
+        .solve_virtual(&problem, &init, &config)
+        .expect("fits");
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(a.ticks, b.ticks);
     assert_eq!(a.activations, b.activations);

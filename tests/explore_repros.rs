@@ -25,8 +25,7 @@ fn fixtures() -> Vec<(PathBuf, Repro)> {
             continue;
         }
         let text = fs::read_to_string(&path).expect("readable fixture");
-        let repro =
-            Repro::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let repro = Repro::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         out.push((path, repro));
     }
     assert!(!out.is_empty(), "no fixtures under {}", dir.display());
@@ -89,7 +88,9 @@ fn planted_accounting_bug_is_flagged_and_minimizes_to_few_events() {
         .with_sabotage(Sabotage::UnderreportDuplicates);
     let config = VirtualConfig {
         seed: 5,
-        link: LinkPolicy::perfect().with_duplication(300_000).with_delay(0, 2),
+        link: LinkPolicy::perfect()
+            .with_duplication(300_000)
+            .with_delay(0, 2),
         record_trace: true,
         ..VirtualConfig::default()
     };
@@ -112,6 +113,11 @@ fn planted_accounting_bug_is_flagged_and_minimizes_to_few_events() {
     // Deterministic reproduction: the minimized script must show the
     // violation on every replay, not just once.
     for _ in 0..2 {
-        assert!(reproduces(&subject, &config, &minimized.schedule, "conservation"));
+        assert!(reproduces(
+            &subject,
+            &config,
+            &minimized.schedule,
+            "conservation"
+        ));
     }
 }

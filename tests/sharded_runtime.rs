@@ -223,8 +223,7 @@ fn sharded_message_conservation_holds_under_faults() {
         assert!(m.messages_dropped > 0, "seed {seed}: lottery never fired");
         assert_eq!(
             m.total_messages(),
-            m.messages_sent - m.messages_dropped + m.messages_duplicated
-                + m.messages_retransmitted,
+            m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
             "seed {seed}: enqueued-copies identity"
         );
     }
@@ -252,10 +251,7 @@ fn sharded_replays_a_recorded_fault_schedule() {
         .expect("fits");
     assert_eq!(replay.outcome, first.outcome);
     assert_eq!(replay.ticks, first.ticks);
-    assert_eq!(
-        strip_run_end(&replay.trace),
-        strip_run_end(&first.trace)
-    );
+    assert_eq!(strip_run_end(&replay.trace), strip_run_end(&first.trace));
 }
 
 #[test]
@@ -291,8 +287,7 @@ fn sharded_reports_insoluble_without_losing_messages() {
         let m = &run.outcome.metrics;
         assert_eq!(
             m.total_messages(),
-            m.messages_sent - m.messages_dropped + m.messages_duplicated
-                + m.messages_retransmitted,
+            m.messages_sent - m.messages_dropped + m.messages_duplicated + m.messages_retransmitted,
             "workers {workers}: conservation at early exit"
         );
         outcomes.push(run.outcome);

@@ -209,18 +209,17 @@ fn jsonl_roundtrip_preserves_the_trace_and_its_audit() {
         )
         .expect("virtual run");
 
-    let text: String = run
-        .trace
-        .iter()
-        .map(|e| event_to_json(e) + "\n")
-        .collect();
+    let text: String = run.trace.iter().map(|e| event_to_json(e) + "\n").collect();
     let parsed = parse_trace(&text).expect("every emitted line parses back");
     assert_eq!(parsed, run.trace, "JSONL roundtrip must be lossless");
     assert_audit_exact(&parsed, &run.outcome.metrics, "parsed jsonl");
 
     // The human summary renders without panicking and names the runtime.
     let summary = summarize(&parsed);
-    assert!(summary.contains("virtual"), "summary names the runtime: {summary}");
+    assert!(
+        summary.contains("virtual"),
+        "summary names the runtime: {summary}"
+    );
 }
 
 #[test]
