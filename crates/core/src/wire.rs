@@ -20,7 +20,6 @@ use std::fmt;
 use crate::assignment::{Assignment, VarValue};
 use crate::domain::Domain;
 use crate::ids::{AgentId, VariableId};
-use crate::message::MessageClass;
 use crate::metrics::{RunMetrics, Termination};
 use crate::nogood::Nogood;
 use crate::priority::Priority;
@@ -301,9 +300,9 @@ impl<T: Wire> Wire for Option<T> {
 /// Bytes a decoding `Vec` reserves before any element has decoded.
 ///
 /// A length prefix is bounded only by the bytes left in the frame, and
-/// an element may be far larger in memory than on the wire (a
-/// `TraceEvent` is 152 bytes in memory and may encode to one byte on
-/// the wire). Reserving the claimed length outright would let one
+/// an element may be larger in memory than on the wire (an
+/// `Option<Value>` is 4 bytes in memory, and `None` encodes to one
+/// byte). Reserving the claimed length outright would let one
 /// malformed 16 MiB frame reserve gigabytes; past this budget the
 /// vector grows only as elements actually decode.
 pub const VEC_RESERVE_BYTES: usize = 64 * 1024;
@@ -432,29 +431,6 @@ impl Wire for Assignment {
     }
 }
 
-impl Wire for MessageClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            MessageClass::Ok => 0,
-            MessageClass::Nogood => 1,
-            MessageClass::Other => 2,
-        };
-        out.push(tag);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8("MessageClass")? {
-            0 => Ok(MessageClass::Ok),
-            1 => Ok(MessageClass::Nogood),
-            2 => Ok(MessageClass::Other),
-            tag => Err(WireError::BadTag {
-                context: "MessageClass",
-                tag,
-            }),
-        }
-    }
-}
-
 impl Wire for Termination {
     fn encode(&self, out: &mut Vec<u8>) {
         let tag: u8 = match self {
@@ -569,9 +545,6 @@ mod tests {
         roundtrip(partial);
         roundtrip(Assignment::total([Value::new(0), Value::new(2)]));
         roundtrip(Termination::Insoluble);
-        roundtrip(MessageClass::Ok);
-        roundtrip(MessageClass::Nogood);
-        roundtrip(MessageClass::Other);
         let mut metrics = RunMetrics::new(Termination::Solved);
         metrics.cycles = 42;
         metrics.messages_dropped = 7;

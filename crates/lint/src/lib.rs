@@ -25,8 +25,9 @@
 //!   points, anywhere in the workspace, with per-edge blame chains.
 //! - **D3** — no value derived from a D1/D2 forbidden source flowing
 //!   through the call graph into determinism-policed code.
-//! - **W1** — the `TraceEvent` schema stays in sync across its four
-//!   hand-written codecs and the `Wire` codec property tests.
+//! - **W1** — the `TraceEvent` schema stays in sync across its JSONL
+//!   codec, auditor and summary, and every `Wire` impl appears in the
+//!   codec property tests.
 //!
 //! Violations can be exempted inline
 //! (`// lint: allow(<name>): <justification>`) or via the workspace

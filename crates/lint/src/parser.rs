@@ -75,9 +75,6 @@ pub struct FnItem {
     /// `Enum::Variant` path references in the body (for schema
     /// exhaustiveness checks), with their lines.
     pub variant_refs: Vec<(String, String, u32)>,
-    /// Integer arguments of `.push(<int>)` calls in the body, in source
-    /// order (W1 uses these as the wire tags of an `encode` body).
-    pub tag_pushes: Vec<(u64, u32)>,
 }
 
 impl FnItem {
@@ -497,7 +494,6 @@ impl<'a> Parser<'a> {
             calls: Vec::new(),
             facts: Vec::new(),
             variant_refs: Vec::new(),
-            tag_pushes: Vec::new(),
         };
         self.fn_body(&mut item);
         self.out.fns.push(item);
@@ -628,22 +624,6 @@ impl<'a> Parser<'a> {
                     line: t.line,
                     col: t.col,
                 });
-            }
-
-            // `.push(<int>)` — wire-tag collection for W1.
-            if t.text == "push"
-                && after_dot
-                && next_is_paren
-                && self.at(2).is_some_and(|n| n.kind == TokenKind::Number)
-                && self.text(3) == ")"
-            {
-                if let Ok(tag) = self
-                    .text(2)
-                    .trim_end_matches(|c: char| c.is_alphabetic())
-                    .parse()
-                {
-                    item.tag_pushes.push((tag, t.line));
-                }
             }
 
             // Call sites.
@@ -806,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn variant_refs_and_tag_pushes() {
+    fn variant_refs_are_collected() {
         let src = "fn encode(&self) { match self { Event::Go { .. } => out.push(7), } }\n";
         let pf = parse(src);
         let f = &pf.fns[0];
@@ -814,7 +794,6 @@ mod tests {
             f.variant_refs,
             vec![("Event".to_string(), "Go".to_string(), 1)]
         );
-        assert_eq!(f.tag_pushes, vec![(7, 1)]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum Rule {
     /// D1/D2 taint flowing through the call graph into policed code
     /// (workspace rule; see [`crate::wrules`]).
     D3,
-    /// Trace schema drift across its hand-written codecs (workspace
+    /// Trace schema drift across its hand-written mirrors (workspace
     /// rule; see [`crate::wrules`]).
     W1,
 }
@@ -124,8 +124,8 @@ impl Rule {
                  state or metrics>`"
             }
             Rule::W1 => {
-                "add the missing arm/tag/test alongside the other variants so every \
-                 TraceEvent codec and the Wire property tests stay exhaustive"
+                "add the missing arm/test alongside the other variants so the \
+                 TraceEvent mirrors and the Wire property tests stay exhaustive"
             }
         }
     }
@@ -572,9 +572,8 @@ const M1_WINDOW: u32 = 8;
 /// M1: every nogood-store consultation must be visible in the check
 /// counter, or maxcck undercounts and the paper's Figures 3–5 cannot be
 /// reproduced faithfully. Positional loops over the store are a second
-/// trigger: since the arena rebuild, slot indices have holes, so
-/// `0..store.len()` iteration is wrong as well as unmetered —
-/// `entries()` / `indices()` are the only valid iteration.
+/// trigger, metered or not: `entries()` / `indices()` is the store's one
+/// iteration surface, so `0..store.len()` iteration is flagged.
 fn check_m1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Finding)>) {
     for (i, t) in code.iter().enumerate() {
         if t.kind == TokenKind::Number
@@ -588,8 +587,8 @@ fn check_m1(path: &str, code: &[&Token], lines: &[&str], out: &mut Vec<(Rule, Fi
                 path,
                 t,
                 lines,
-                "positional loop `0..<store>.len()` over the arena-backed nogood store; \
-                 slot indices have holes — iterate entries() or indices() instead"
+                "positional loop `0..<store>.len()` over the nogood store; \
+                 entries() / indices() is the store's one iteration surface — iterate those instead"
                     .to_string(),
             ));
         }
@@ -876,8 +875,8 @@ mod tests {
         let bad = "fn f(&self) { for i in 0..self.store.len() { use_slot(i); } }\n";
         assert_eq!(codes(&run(&[Rule::M1], bad)), vec!["M1"]);
 
-        // Metering does not excuse positional iteration: slot indices
-        // have holes after forgetting.
+        // Metering does not excuse positional iteration: entries() /
+        // indices() is the store's one iteration surface.
         let metered = "fn f(&mut self) {\n\
                        self.metrics.charge_checks(1);\n\
                        for i in 0..self.nogood_store.len() { use_slot(i); }\n}\n";

@@ -4,7 +4,7 @@
 //! |------|--------------|----------------------------------------------------|
 //! | P2   | `panic-path` | no panic site transitively reachable from runtime  |
 //! | D3   | `taint`      | no D1/D2-forbidden value flows into policed code   |
-//! | W1   | `schema`     | `TraceEvent` stays in sync across its four codecs  |
+//! | W1   | `schema`     | `TraceEvent` stays in sync across its mirrors      |
 //!
 //! Unlike D1/D2/M1/P1, these rules see the whole workspace at once:
 //! they run on the symbol table and call graph built by [`crate::parser`]
@@ -57,16 +57,6 @@ struct SyncPoint {
 }
 
 const W1_SYNC_POINTS: &[SyncPoint] = &[
-    SyncPoint {
-        file: "crates/trace/src/wire.rs",
-        func: Some(("encode", Some("TraceEvent"))),
-        what: "wire encode arm (no tag is ever written)",
-    },
-    SyncPoint {
-        file: "crates/trace/src/wire.rs",
-        func: Some(("decode", Some("TraceEvent"))),
-        what: "wire decode arm (its tag cannot be read back)",
-    },
     SyncPoint {
         file: "crates/trace/src/jsonl.rs",
         func: Some(("event_to_json", None)),
@@ -242,10 +232,10 @@ fn check_d3(input: &WorkspaceInput<'_>, out: &mut Vec<(Rule, Finding)>) {
     }
 }
 
-/// W1: the trace schema is mirrored in four hand-written codecs (wire
-/// tags, JSONL, audit, summary) plus the codec property tests; PR 6
-/// synchronized them by hand for `NogoodForgotten`, and this rule makes
-/// that sync mechanical for every variant after it.
+/// W1: the trace schema is mirrored by hand in its one codec (JSONL
+/// encode and decode), the auditor and the summary; this rule makes
+/// adding a variant to all four mechanical. It also holds every `Wire`
+/// impl to the codec property tests.
 fn check_w1(
     input: &WorkspaceInput<'_>,
     out: &mut Vec<(Rule, Finding)>,
@@ -260,7 +250,6 @@ fn check_w1(
             return;
         };
         check_sync_points(input, schema, out);
-        check_wire_tags(input, out);
     }
     check_wire_coverage(input, out, internal);
 }
@@ -331,43 +320,6 @@ fn check_sync_points(
                     ),
                 ));
             }
-        }
-    }
-}
-
-/// Every `out.push(<tag>)` in `TraceEvent::encode` must use a distinct
-/// tag, or two variants alias on the wire and decode picks one of them.
-fn check_wire_tags(input: &WorkspaceInput<'_>, out: &mut Vec<(Rule, Finding)>) {
-    let Some(file) = input
-        .files
-        .iter()
-        .find(|f| f.rel == "crates/trace/src/wire.rs")
-    else {
-        return; // already reported by the sync-point pass
-    };
-    let Some(encode) = file
-        .fns
-        .iter()
-        .find(|f| f.name == "encode" && f.owner.as_deref() == Some(TRACE_EVENT_ENUM))
-    else {
-        return; // already reported by the sync-point pass
-    };
-    let mut seen: BTreeMap<u64, u32> = BTreeMap::new();
-    for &(tag, line) in &encode.tag_pushes {
-        if let Some(&first) = seen.get(&tag) {
-            out.push(finding(
-                input,
-                Rule::W1,
-                &file.rel,
-                line,
-                1,
-                format!(
-                    "wire tag {tag} is pushed twice in `TraceEvent::encode` \
-                     (first at line {first}); tags must be unique per variant"
-                ),
-            ));
-        } else {
-            seen.insert(tag, line);
         }
     }
 }
@@ -561,15 +513,6 @@ mod tests {
         vec![
             ("crates/trace/src/event.rs", MINI_EVENT.to_string()),
             (
-                "crates/trace/src/wire.rs",
-                "impl Wire for TraceEvent {\n\
-                 fn encode(&self) { match self { TraceEvent::A { .. } => out.push(0), \
-                 TraceEvent::B { .. } => out.push(1), } }\n\
-                 fn decode(r: &mut R) -> T { match t { 0 => TraceEvent::A { cycle: 0 }, \
-                 _ => TraceEvent::B { cycle: 0 } } }\n}\n"
-                    .to_string(),
-            ),
-            (
                 "crates/trace/src/jsonl.rs",
                 format!(
                     "pub fn event_to_json(e: &TraceEvent) {{ match e {{ \
@@ -615,20 +558,6 @@ mod tests {
                 .contains("`TraceEvent::B` has no JSONL encode arm"),
             "{}",
             f.message
-        );
-    }
-
-    #[test]
-    fn w1_catches_duplicate_wire_tag() {
-        let mut files = mini_trace_files(true);
-        files[1].1 = files[1].1.replace("out.push(1)", "out.push(0)");
-        let refs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (*r, s.as_str())).collect();
-        let (fs, _) = run(&refs, None);
-        assert_eq!(codes(&fs), vec!["W1"]);
-        assert!(
-            fs[0].1.message.contains("wire tag 0 is pushed twice"),
-            "{}",
-            fs[0].1.message
         );
     }
 

@@ -1,6 +1,6 @@
-//! M1 positional-loop fixture: indexing the store by raw position was
-//! only valid before the arena gained holes; `entries()`/`indices()`
-//! are the supported iteration surface, metered or not.
+//! M1 positional-loop fixture: `entries()`/`indices()` is the store's
+//! one iteration surface, metered or not, so indexing the store by raw
+//! position is flagged.
 
 pub fn sweep(&mut self) -> u32 {
     let mut hits = 0;

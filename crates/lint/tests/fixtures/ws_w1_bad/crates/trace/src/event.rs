@@ -1,4 +1,4 @@
-//! Fixture trace schema: three variants, two codecs out of sync.
+//! Fixture trace schema: three variants, the JSONL decoder out of sync.
 
 pub enum TraceEvent {
     AgentStep { cycle: u64, checks: u64 },

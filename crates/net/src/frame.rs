@@ -11,7 +11,7 @@
 //!   and `Assign` (coordinator → agent), exchanged once per connection;
 //! * **run** ([`RunFrame`], tags 2–7): `Start`/`Deliver`/`Nudge`/`Stop`
 //!   from the coordinator, answered by `Step`/`Final` from the agent;
-//! * **service** ([`ServiceFrame`], tags 8–15): the multi-session solve
+//! * **service** ([`ServiceFrame`], tags 8–16): the multi-session solve
 //!   service's request/response vocabulary (see [`crate::service`]).
 //!
 //! Decoding a frame from the wrong phase fails with a typed
@@ -30,12 +30,21 @@
 //! wrapper; the plain [`Wire`] impls delegate to them with session 0,
 //! so single-session code never names a session.
 //!
+//! ## Traces
+//!
+//! A frame that carries an event trace (`RunFrame::Final`, and the
+//! service's `SessionOutcome`) holds it as one length-prefixed UTF-8
+//! string of JSONL text, the same bytes a trace file holds
+//! ([`discsp_trace::trace_to_jsonl`]), so the trace schema has one
+//! codec. Text that is not UTF-8 or not a trace decodes to
+//! [`WireError::Invalid`].
+//!
 //! [`FrameConn`]: crate::transport::FrameConn
 //! [`ServiceFrame`]: crate::service::ServiceFrame
 
 use discsp_core::{VarValue, Wire, WireError, WireReader};
 use discsp_runtime::{AgentStats, Envelope};
-use discsp_trace::TraceEvent;
+use discsp_trace::{parse_trace, trace_to_jsonl, TraceEvent};
 
 use crate::topology::AgentSlice;
 
@@ -46,8 +55,9 @@ use crate::topology::AgentSlice;
 /// Version 3 added the `u64` session ID to the header.
 /// Version 4 dropped `n_agents`, `seed` and `policy` from `Assign` and
 /// the forget limit from `AwcConfig`, and retired trace event tag 9.
+/// Version 5 carries a trace as JSONL text, not as binary events.
 /// Decoding accepts this version only.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// The session ID used by single-session peers: "not multiplexed".
 pub const SESSION_NONE: u64 = 0;
@@ -77,6 +87,26 @@ pub(crate) fn decode_header(
     let tag = r.u8(context)?;
     let session = r.u64(context)?;
     Ok((tag, session))
+}
+
+/// Appends a trace as one length-prefixed string of JSONL text.
+pub(crate) fn encode_trace(trace: &[TraceEvent], out: &mut Vec<u8>) {
+    let text = trace_to_jsonl(trace);
+    (text.len() as u32).encode(out);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Reads a trace written by [`encode_trace`]. Text that is not UTF-8,
+/// or a line that is not an event, is [`WireError::Invalid`] against
+/// `context`.
+pub(crate) fn decode_trace(
+    r: &mut WireReader<'_>,
+    context: &'static str,
+) -> Result<Vec<TraceEvent>, WireError> {
+    let len = r.len_prefix(context)?;
+    let text =
+        std::str::from_utf8(r.take(len, context)?).map_err(|_| WireError::Invalid { context })?;
+    parse_trace(text).map_err(|_| WireError::Invalid { context })
 }
 
 /// Frame types that carry a session ID in their header.
@@ -276,7 +306,7 @@ impl<M: Wire> MuxWire for RunFrame<M> {
                 encode_header(7, session, out);
                 stats.encode(out);
                 leftover_checks.encode(out);
-                trace.encode(out);
+                encode_trace(trace, out);
             }
         }
     }
@@ -308,7 +338,7 @@ impl<M: Wire> MuxWire for RunFrame<M> {
             7 => {
                 let stats = AgentStats::decode(r)?;
                 let leftover_checks = r.u64("RunFrame.Final.leftover_checks")?;
-                let trace = Vec::<TraceEvent>::decode(r)?;
+                let trace = decode_trace(r, "RunFrame.Final.trace")?;
                 Ok(RunFrame::Final {
                     stats,
                     leftover_checks,
@@ -413,8 +443,8 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        // Versions 2 and 3 are retired: no peer speaks them.
-        for bad in [WIRE_VERSION + 1, 3, 2, 0] {
+        // Versions 2 to 4 are retired: no peer speaks them.
+        for bad in [WIRE_VERSION + 1, 4, 3, 2, 0] {
             let mut bytes = RunFrame::<AwcMessage>::Start.to_bytes();
             if let Some(first) = bytes.first_mut() {
                 *first = bad;
@@ -424,6 +454,29 @@ mod tests {
                 Err(WireError::BadVersion {
                     got: bad,
                     expected: WIRE_VERSION,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_final_trace_that_is_not_jsonl_is_a_typed_error() {
+        let mut bytes = Vec::new();
+        encode_header(7, SESSION_NONE, &mut bytes);
+        AgentStats::default().encode(&mut bytes);
+        3u64.encode(&mut bytes);
+        let good = bytes.clone();
+        // The last text nests 50,000 objects deep, which would overflow
+        // the stack of a parser without a depth bound.
+        let deep = "{\"\":".repeat(50_000);
+        for text in [&b"not a trace\n"[..], &[0xFF, 0xFE, b'\n'], deep.as_bytes()] {
+            let mut bytes = good.clone();
+            (text.len() as u32).encode(&mut bytes);
+            bytes.extend_from_slice(text);
+            assert_eq!(
+                RunFrame::<AwcMessage>::from_bytes(&bytes),
+                Err(WireError::Invalid {
+                    context: "RunFrame.Final.trace",
                 })
             );
         }

@@ -3,7 +3,7 @@
 //! These frames ride the frame header ([`crate::frame`]) whose session ID
 //! is the multiplexing key: a client submits many sessions over one
 //! connection, each under a distinct nonzero session ID it chooses, and
-//! the service's responses carry the same ID back. The tag space (8–15)
+//! the service's responses carry the same ID back. The tag space (8–16)
 //! is disjoint from the setup (0–1) and run (2–7) phases, so a frame
 //! that leaks across protocols fails with a typed
 //! [`WireError::BadTag`](discsp_core::WireError).
@@ -12,7 +12,8 @@
 //! [`ServiceFrame::Cancel`] / [`ServiceFrame::Drain`].
 //! Service → client: [`ServiceFrame::Accepted`] /
 //! [`ServiceFrame::Rejected`] / [`ServiceFrame::Done`] /
-//! [`ServiceFrame::Cancelled`] / [`ServiceFrame::Drained`].
+//! [`ServiceFrame::DoneTooLong`] / [`ServiceFrame::Cancelled`] /
+//! [`ServiceFrame::Drained`].
 //!
 //! The problem travels as an explicit [`SubmitSpec`] — domains, owners,
 //! nogoods, initial assignment — rather than an opaque serialized
@@ -26,7 +27,9 @@ use discsp_core::{AgentId, Assignment, Domain, Nogood, RunMetrics, Wire, WireErr
 use discsp_runtime::LinkPolicy;
 use discsp_trace::TraceEvent;
 
-use crate::frame::{decode_header, encode_header, MuxWire, SESSION_NONE};
+use crate::frame::{
+    decode_header, decode_trace, encode_header, encode_trace, MuxWire, SESSION_NONE,
+};
 use crate::topology::AlgoSpec;
 
 /// A complete solve request: the problem, the algorithm, and the
@@ -181,7 +184,7 @@ impl Wire for SessionOutcome {
         self.ticks.encode(out);
         self.activations.encode(out);
         self.nudges.encode(out);
-        self.trace.encode(out);
+        encode_trace(&self.trace, out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -191,12 +194,12 @@ impl Wire for SessionOutcome {
             ticks: r.u64("SessionOutcome.ticks")?,
             activations: r.u64("SessionOutcome.activations")?,
             nudges: r.u64("SessionOutcome.nudges")?,
-            trace: Vec::<TraceEvent>::decode(r)?,
+            trace: decode_trace(r, "SessionOutcome.trace")?,
         })
     }
 }
 
-/// Service-phase frames (tags 8–15). The session ID lives in the
+/// Service-phase frames (tags 8–16). The session ID lives in the
 /// header, not the body — send these as
 /// [`Mux<ServiceFrame>`](crate::frame::Mux).
 #[derive(Debug, Clone, PartialEq)]
@@ -227,6 +230,13 @@ pub enum ServiceFrame {
     Cancelled,
     /// Service → client: the drain completed; no sessions remain.
     Drained,
+    /// Service → client: the session ran to termination, but its `Done`
+    /// frame would exceed [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) (a
+    /// trace too long to ship), so the outcome is dropped.
+    DoneTooLong {
+        /// The encoded length of the refused `Done` frame.
+        len: u64,
+    },
 }
 
 impl MuxWire for ServiceFrame {
@@ -249,6 +259,10 @@ impl MuxWire for ServiceFrame {
             }
             ServiceFrame::Cancelled => encode_header(14, session, out),
             ServiceFrame::Drained => encode_header(15, session, out),
+            ServiceFrame::DoneTooLong { len } => {
+                encode_header(16, session, out);
+                len.encode(out);
+            }
         }
     }
 
@@ -269,6 +283,9 @@ impl MuxWire for ServiceFrame {
             }),
             14 => Ok(ServiceFrame::Cancelled),
             15 => Ok(ServiceFrame::Drained),
+            16 => Ok(ServiceFrame::DoneTooLong {
+                len: r.u64("ServiceFrame.DoneTooLong.len")?,
+            }),
             tag => Err(WireError::BadTag {
                 context: "ServiceFrame",
                 tag,
@@ -334,6 +351,7 @@ mod tests {
             },
             ServiceFrame::Cancelled,
             ServiceFrame::Drained,
+            ServiceFrame::DoneTooLong { len: 1 << 25 },
         ];
         for (i, frame) in frames.into_iter().enumerate() {
             let mux = Mux::new(1 + i as u64, frame);

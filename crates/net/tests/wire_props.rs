@@ -5,8 +5,8 @@
 
 use discsp_awc::{AwcConfig, AwcMessage, Learning};
 use discsp_core::{
-    AgentId, Assignment, Domain, MessageClass, Nogood, Priority, RunMetrics, Termination, Value,
-    VarValue, VariableId, Wire, WireError,
+    AgentId, Assignment, Domain, Nogood, Priority, RunMetrics, Termination, Value, VarValue,
+    VariableId, Wire, WireError,
 };
 use discsp_dba::{DbaMessage, WeightMode};
 use discsp_net::{
@@ -14,7 +14,7 @@ use discsp_net::{
     SubmitSpec, WIRE_VERSION,
 };
 use discsp_runtime::{AgentStats, Envelope, LinkPolicy, LinkStats, SplitMix64};
-use discsp_trace::{FaultKind, RuntimeKind, TraceEvent};
+use discsp_trace::TraceEvent;
 
 const TRIALS: u64 = 200;
 
@@ -299,34 +299,6 @@ fn gen_link_stats(rng: &mut SplitMix64) -> LinkStats {
     }
 }
 
-fn gen_fault_kind(rng: &mut SplitMix64) -> FaultKind {
-    match rng.next_below(5) {
-        0 => FaultKind::Dropped,
-        1 => FaultKind::Duplicated,
-        2 => FaultKind::Reordered,
-        3 => FaultKind::Delayed(rng.next_below(64)),
-        _ => FaultKind::Retransmitted,
-    }
-}
-
-fn gen_runtime_kind(rng: &mut SplitMix64) -> RuntimeKind {
-    match rng.next_below(5) {
-        0 => RuntimeKind::Sync,
-        1 => RuntimeKind::Virtual,
-        2 => RuntimeKind::Net,
-        3 => RuntimeKind::Service,
-        _ => RuntimeKind::Sharded,
-    }
-}
-
-fn gen_message_class(rng: &mut SplitMix64) -> MessageClass {
-    match rng.next_below(3) {
-        0 => MessageClass::Ok,
-        1 => MessageClass::Nogood,
-        _ => MessageClass::Other,
-    }
-}
-
 fn gen_learning(rng: &mut SplitMix64) -> Learning {
     match rng.next_below(3) {
         0 => Learning::Resolvent,
@@ -434,13 +406,10 @@ fn standalone_wire_impls_roundtrip_and_reject_damage() {
     let mut rng = SplitMix64::new(0xC0DE_5070);
     for _ in 0..TRIALS {
         assert_value_codec_properties(&gen_assignment(&mut rng));
-        assert_value_codec_properties(&gen_message_class(&mut rng));
         assert_value_codec_properties(&gen_termination(&mut rng));
         assert_value_codec_properties(&gen_metrics(&mut rng));
         assert_value_codec_properties(&gen_link_stats(&mut rng));
         assert_value_codec_properties(&gen_learning(&mut rng));
-        assert_value_codec_properties(&gen_fault_kind(&mut rng));
-        assert_value_codec_properties(&gen_runtime_kind(&mut rng));
     }
 }
 
@@ -508,7 +477,7 @@ fn gen_session_outcome(rng: &mut SplitMix64) -> SessionOutcome {
 }
 
 fn gen_service_frame(rng: &mut SplitMix64) -> ServiceFrame {
-    match rng.next_below(8) {
+    match rng.next_below(9) {
         0 => ServiceFrame::Submit {
             spec: gen_submit_spec(rng),
         },
@@ -522,6 +491,9 @@ fn gen_service_frame(rng: &mut SplitMix64) -> ServiceFrame {
             outcome: gen_session_outcome(rng),
         },
         6 => ServiceFrame::Cancelled,
+        7 => ServiceFrame::DoneTooLong {
+            len: rng.next_u64(),
+        },
         _ => ServiceFrame::Drained,
     }
 }

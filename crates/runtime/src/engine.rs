@@ -294,11 +294,6 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
         (self.phase == Phase::Finished).then(|| self.report())
     }
 
-    /// Whether the run has ended.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.phase, Phase::Finished | Phase::Reported)
-    }
-
     /// Waves run so far, the start wave included.
     pub fn waves(&self) -> u64 {
         self.waves
@@ -325,11 +320,6 @@ impl<M: Classify + Clone, G: Admission<M>> WaveEngine<M, G> {
     /// reported it.
     pub(crate) fn snapshot(&self) -> &Assignment {
         &self.snapshot
-    }
-
-    /// The trace recorded so far (disabled unless `record_trace`).
-    pub fn sink(&mut self) -> &mut RingBuffer {
-        self.net.sink()
     }
 
     /// Decides the run's fate before a wave; runs the wave and returns

@@ -18,13 +18,10 @@
 //!   bounded in-flight message budget spills excess sends to a parking
 //!   queue drained as the router's queue empties.
 //! * **Lifecycle.** Graceful [`SolveService::drain`] stops admitting
-//!   and finishes everything in flight (losing nothing), sessions can
-//!   be cancelled mid-run, and a cancelled or live session yields a
-//!   [`SessionSnapshot`] that [`SolveService::restore`] replays onto
-//!   another coordinator — verifying the replayed event log prefix
-//!   bit-for-bit before resuming.
+//!   and finishes everything in flight (losing nothing), and
+//!   [`SolveService::cancel`] drops a session mid-run.
 //! * **Serving.** [`serve`] exposes the whole thing over TCP using the
-//!   v3 multiplexed wire frames from `discsp-net`
+//!   multiplexed wire frames from `discsp-net`
 //!   ([`ServiceFrame`](discsp_net::ServiceFrame)); `discsp-load` (this
 //!   crate's binary) hammers a service with a mixed workload and
 //!   reports sessions/sec and p50/p99 latency.
@@ -47,7 +44,7 @@ mod table;
 
 pub use server::{serve, ServeOptions, ServiceClient, ServiceHandle};
 pub use service::{ServiceConfig, SessionResult, SolveService};
-pub use session::{build_pump, Pump, SessionPoll, SessionSnapshot, SessionSpec};
+pub use session::{build_pump, Pump, SessionPoll, SessionSpec};
 
 /// Identifies one session inside a service. `0` is reserved on the wire
 /// (it marks a single-session peer), so the TCP server rejects it;
@@ -77,13 +74,6 @@ pub enum ServiceError {
         /// What was wrong with it.
         detail: String,
     },
-    /// A snapshot failed to replay onto the restoring coordinator: the
-    /// replayed event log diverged from the recorded one.
-    RestoreDiverged {
-        /// The first replayed wave at which the logs disagreed, or the
-        /// wave count if the replayed log was a different length.
-        wave: u64,
-    },
     /// The session's routing machinery failed mid-run.
     Runtime(RuntimeError),
     /// A client-side transport failure talking to a remote service.
@@ -102,12 +92,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::UnknownSession { id } => write!(f, "no live session {id}"),
             ServiceError::BadSpec { detail } => write!(f, "bad session spec: {detail}"),
-            ServiceError::RestoreDiverged { wave } => {
-                write!(
-                    f,
-                    "snapshot replay diverged from the recorded log at wave {wave}"
-                )
-            }
             ServiceError::Runtime(e) => write!(f, "session runtime error: {e}"),
             ServiceError::Net(e) => write!(f, "service transport error: {e}"),
         }
@@ -149,7 +133,5 @@ mod tests {
             detail: "empty problem".into(),
         };
         assert!(e.to_string().contains("empty problem"));
-        let e = ServiceError::RestoreDiverged { wave: 3 };
-        assert!(e.to_string().contains('3'));
     }
 }

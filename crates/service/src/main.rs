@@ -26,7 +26,7 @@ use discsp_net::AlgoSpec;
 use discsp_probgen::{coloring_to_discsp, paper_coloring};
 use discsp_runtime::{LinkPolicy, VirtualConfig};
 use discsp_service::{ServiceConfig, SessionSpec, SolveService};
-use discsp_trace::event_to_json;
+use discsp_trace::trace_to_jsonl;
 
 struct Args {
     sessions: u64,
@@ -227,13 +227,9 @@ fn run() -> Result<String, String> {
 
     if let Some(dir) = &args.trace_dir {
         for (id, result) in &results {
-            let mut text = String::new();
-            for event in &result.report.trace {
-                text.push_str(&event_to_json(event));
-                text.push('\n');
-            }
             let path = dir.join(format!("session_{id}.jsonl"));
-            std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            std::fs::write(&path, trace_to_jsonl(&result.report.trace))
+                .map_err(|e| format!("writing {}: {e}", path.display()))?;
         }
     }
 

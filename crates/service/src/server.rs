@@ -1,4 +1,4 @@
-//! TCP front-end: [`serve`] exposes a [`SolveService`] over the v3
+//! TCP front-end: [`serve`] exposes a [`SolveService`] over the
 //! multiplexed wire protocol, and [`ServiceClient`] drives it.
 //!
 //! Threading model: one **scheduler thread** owns the service and every
@@ -289,7 +289,16 @@ fn send_to(writers: &mut BTreeMap<u64, FrameConn>, conn: u64, frame: &Mux<Servic
     let Some(writer) = writers.get_mut(&conn) else {
         return;
     };
-    if writer.send(frame).is_err() {
+    let sent = match writer.send(frame) {
+        // Only a `Done` outgrows the cap, through its trace. The
+        // transport refused it before writing a byte, so the stream is
+        // still in step: tell the client why its result is missing.
+        Err(NetError::FrameTooLong { len }) => {
+            writer.send(&Mux::new(frame.session, ServiceFrame::DoneTooLong { len }))
+        }
+        sent => sent,
+    };
+    if sent.is_err() {
         writers.remove(&conn);
     }
 }
@@ -355,7 +364,7 @@ fn handle(
             }
             ServiceFrame::Cancel => {
                 let reply = match service.cancel(session) {
-                    Ok(_snapshot) => {
+                    Ok(()) => {
                         owners.remove(&session);
                         ServiceFrame::Cancelled
                     }
@@ -373,6 +382,7 @@ fn handle(
             ServiceFrame::Accepted
             | ServiceFrame::Rejected { .. }
             | ServiceFrame::Done { .. }
+            | ServiceFrame::DoneTooLong { .. }
             | ServiceFrame::Cancelled
             | ServiceFrame::Drained => {}
         },
@@ -381,10 +391,11 @@ fn handle(
 
 /// A blocking client for a served [`SolveService`]. One TCP connection
 /// multiplexes any number of sessions; out-of-order [`ServiceFrame::Done`]
-/// results are stashed until [`ServiceClient::wait`] claims them.
+/// results (and [`ServiceFrame::DoneTooLong`] refusals) are stashed
+/// until [`ServiceClient::wait`] claims them.
 pub struct ServiceClient {
     conn: FrameConn,
-    done: BTreeMap<u64, SessionOutcome>,
+    done: BTreeMap<u64, Result<SessionOutcome, ServiceError>>,
 }
 
 impl ServiceClient {
@@ -410,9 +421,12 @@ impl ServiceClient {
     }
 
     fn stash(&mut self, session: u64, frame: ServiceFrame) {
-        if let ServiceFrame::Done { outcome } = frame {
-            self.done.insert(session, outcome);
-        }
+        let result = match frame {
+            ServiceFrame::Done { outcome } => Ok(outcome),
+            ServiceFrame::DoneTooLong { len } => Err(NetError::FrameTooLong { len }.into()),
+            _ => return,
+        };
+        self.done.insert(session, result);
     }
 
     /// Submits a session and waits for its admission verdict.
@@ -453,11 +467,14 @@ impl ServiceClient {
     /// # Errors
     ///
     /// [`ServiceError::Net`] on transport failure (including the
-    /// service hanging up before the result arrives).
+    /// service hanging up before the result arrives), and with
+    /// [`NetError::FrameTooLong`] when the session's `Done` frame was
+    /// over [`MAX_FRAME_LEN`](discsp_net::MAX_FRAME_LEN): its trace was
+    /// too long to ship.
     pub fn wait(&mut self, session: u64) -> Result<SessionOutcome, ServiceError> {
         loop {
-            if let Some(outcome) = self.done.remove(&session) {
-                return Ok(outcome);
+            if let Some(result) = self.done.remove(&session) {
+                return result;
             }
             let mux = self.recv()?;
             let frame_session = mux.session;

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use discsp_runtime::{RuntimeError, VirtualReport};
 
-use crate::session::{build_pump, SessionPoll, SessionSnapshot, SessionSpec};
+use crate::session::{build_pump, SessionPoll, SessionSpec};
 use crate::table::{SessionTable, Slot};
 use crate::{ServiceError, SessionId};
 
@@ -126,15 +126,6 @@ impl SolveService {
     /// global budget; [`ServiceError::BadSpec`] when the solver rejects
     /// the spec.
     pub fn submit(&mut self, id: SessionId, spec: SessionSpec) -> Result<(), ServiceError> {
-        self.admit(id, spec, 0)
-    }
-
-    fn admit(
-        &mut self,
-        id: SessionId,
-        spec: SessionSpec,
-        fast_forward: u64,
-    ) -> Result<(), ServiceError> {
         if self.table.draining() {
             return Err(ServiceError::Draining);
         }
@@ -148,15 +139,8 @@ impl SolveService {
         if admitted >= self.config.max_active + self.config.max_pending {
             return Err(ServiceError::Overloaded);
         }
-        let budget = self.config.session_budget;
-        let mut pump = build_pump(&spec, budget)?;
-        for _ in 0..fast_forward {
-            pump.poll()?;
-        }
         let slot = Slot {
-            spec,
-            pump,
-            budget,
+            pump: build_pump(spec, self.config.session_budget)?,
             submitted_sweep: self.sweep,
         };
         if self.table.active_len() < self.config.max_active {
@@ -190,106 +174,17 @@ impl SolveService {
         sweeps
     }
 
-    /// Cancels a live session, returning a snapshot from which
-    /// [`Self::restore`] (on this or any other service) can resume it.
+    /// Cancels a live session, active or parked; its result never
+    /// arrives.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] when `id` is not live.
-    pub fn cancel(&mut self, id: SessionId) -> Result<SessionSnapshot, ServiceError> {
-        let Some(mut slot) = self.table.remove(id) else {
-            return Err(ServiceError::UnknownSession { id });
-        };
-        Ok(SessionSnapshot {
-            spec: slot.spec.clone(),
-            budget: slot.budget,
-            waves: slot.pump.waves(),
-            events: slot.pump.trace_so_far(),
-        })
-    }
-
-    /// Captures a live session without disturbing it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] when `id` is not live.
-    pub fn snapshot(&mut self, id: SessionId) -> Result<SessionSnapshot, ServiceError> {
-        let Some(slot) = self.table.get_mut(id) else {
-            return Err(ServiceError::UnknownSession { id });
-        };
-        Ok(SessionSnapshot {
-            spec: slot.spec.clone(),
-            budget: slot.budget,
-            waves: slot.pump.waves(),
-            events: slot.pump.trace_so_far(),
-        })
-    }
-
-    /// Resumes a snapshotted session on this service: rebuilds the
-    /// driver from the spec, fast-forwards it by the snapshot's wave
-    /// count, and — when the spec recorded a trace — verifies the
-    /// replayed event log equals the snapshot's bit-for-bit before
-    /// admitting the session. Determinism makes this sound: the same
-    /// `(spec, budget)` replays the same waves everywhere.
-    ///
-    /// # Errors
-    ///
-    /// The admission errors of [`Self::submit`], plus
-    /// [`ServiceError::RestoreDiverged`] when the replayed log differs
-    /// from the recorded one.
-    pub fn restore(
-        &mut self,
-        id: SessionId,
-        snapshot: &SessionSnapshot,
-    ) -> Result<(), ServiceError> {
-        if self.table.draining() {
-            return Err(ServiceError::Draining);
+    pub fn cancel(&mut self, id: SessionId) -> Result<(), ServiceError> {
+        match self.table.remove(id) {
+            Some(_) => Ok(()),
+            None => Err(ServiceError::UnknownSession { id }),
         }
-        if self.table.contains(id)
-            || self.completed.contains_key(&id)
-            || self.failed.contains_key(&id)
-        {
-            return Err(ServiceError::DuplicateSession { id });
-        }
-        let admitted = self.table.active_len() + self.table.pending_len();
-        if admitted >= self.config.max_active + self.config.max_pending {
-            return Err(ServiceError::Overloaded);
-        }
-        let verify = snapshot.spec.config.record_trace;
-        let mut pump = build_pump(&snapshot.spec, snapshot.budget)?;
-        let mut verified = 0usize;
-        for wave in 0..snapshot.waves {
-            pump.poll()?;
-            if verify {
-                let replayed = pump.trace_so_far();
-                let matches = snapshot
-                    .events
-                    .get(verified..replayed.len())
-                    .zip(replayed.get(verified..))
-                    .is_some_and(|(expected, got)| expected == got);
-                if !matches {
-                    return Err(ServiceError::RestoreDiverged { wave: wave + 1 });
-                }
-                verified = replayed.len();
-            }
-        }
-        if verify && verified != snapshot.events.len() {
-            return Err(ServiceError::RestoreDiverged {
-                wave: snapshot.waves,
-            });
-        }
-        let slot = Slot {
-            spec: snapshot.spec.clone(),
-            pump,
-            budget: snapshot.budget,
-            submitted_sweep: self.sweep,
-        };
-        if self.table.active_len() < self.config.max_active {
-            self.table.insert_active(id, slot);
-        } else {
-            self.table.park(id, slot);
-        }
-        Ok(())
     }
 
     /// One scheduler step: promote parked sessions into free active

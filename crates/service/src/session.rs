@@ -26,7 +26,7 @@ use discsp_dba::DbaSolver;
 use discsp_net::AlgoSpec;
 use discsp_runtime::{
     Admission, Classify, DistributedAgent, Envelope, InProcess, Router, RuntimeError, Solver,
-    TraceEvent, VirtualConfig, VirtualReport, WaveEngine,
+    VirtualConfig, VirtualReport, WaveEngine,
 };
 use discsp_trace::RuntimeKind;
 
@@ -63,42 +63,14 @@ pub trait Pump: Send {
     /// session is dead afterwards.
     fn poll(&mut self) -> Result<SessionPoll, RuntimeError>;
 
-    /// Whether the session has terminated.
-    fn finished(&self) -> bool;
-
     /// The session's report, once finished (consumes it).
     fn take_report(&mut self) -> Option<VirtualReport>;
-
-    /// Waves executed so far (the snapshot fast-forward count).
-    fn waves(&self) -> u64;
 
     /// Messages currently parked by the in-flight budget.
     fn overflow_len(&self) -> usize;
 
     /// High-water mark of the parking queue over the session's life.
     fn overflow_peak(&self) -> usize;
-
-    /// The events recorded so far, without draining the live sink
-    /// (empty unless the spec requested tracing).
-    fn trace_so_far(&mut self) -> Vec<TraceEvent>;
-}
-
-/// A point-in-time capture of a live (or cancelled) session: its spec,
-/// how many waves it had executed, and the event log it had produced.
-/// [`SolveService::restore`](crate::SolveService) rebuilds the driver
-/// from the spec, fast-forwards `waves` polls, and verifies the
-/// replayed log equals `events` bit-for-bit before resuming — the
-/// trace pipeline *is* the snapshot format.
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
-    /// The session's defining spec.
-    pub spec: SessionSpec,
-    /// The in-flight budget the session ran under.
-    pub budget: u64,
-    /// Waves executed at capture time.
-    pub waves: u64,
-    /// The event log at capture time (empty unless tracing was on).
-    pub events: Vec<TraceEvent>,
 }
 
 /// The session's in-flight budget: sends past it park in a FIFO queue,
@@ -197,16 +169,8 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
         self.engine.poll(&self.problem, &mut self.agents)
     }
 
-    fn finished(&self) -> bool {
-        self.engine.is_finished()
-    }
-
     fn take_report(&mut self) -> Option<VirtualReport> {
         self.engine.take_report()
-    }
-
-    fn waves(&self) -> u64 {
-        self.engine.waves()
     }
 
     fn overflow_len(&self) -> usize {
@@ -216,28 +180,25 @@ impl<A: DistributedAgent + Send> Pump for Driver<A> {
     fn overflow_peak(&self) -> usize {
         self.engine.admission().peak
     }
-
-    fn trace_so_far(&mut self) -> Vec<TraceEvent> {
-        self.engine.sink().iter().cloned().collect()
-    }
 }
 
 /// Builds the type-erased session state machine for a spec: seats the
 /// algorithm's agents as every in-process solver does and instantiates
-/// the matching [`Driver`] under the algorithm's stop rule.
+/// the matching [`Driver`], which takes the spec's problem, under the
+/// algorithm's stop rule.
 ///
 /// # Errors
 ///
 /// [`ServiceError::BadSpec`] when the solver rejects the problem or
 /// initial assignment; [`ServiceError::Runtime`] on non-dense agent ids.
-pub fn build_pump(spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError> {
+pub fn build_pump(spec: SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError> {
     match spec.algo {
         AlgoSpec::Awc(config) => pump(&AwcSolver::new(config), spec, budget),
         AlgoSpec::Dba(mode) => pump(&DbaSolver::new().weight_mode(mode), spec, budget),
     }
 }
 
-fn pump<S>(solver: &S, spec: &SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError>
+fn pump<S>(solver: &S, spec: SessionSpec, budget: u64) -> Result<Box<dyn Pump>, ServiceError>
 where
     S: Solver,
     S::Agent: 'static,
@@ -248,12 +209,7 @@ where
             detail: e.to_string(),
         })?;
     let config = solver.run_config(&spec.config);
-    Ok(Box::new(Driver::new(
-        agents,
-        spec.problem.clone(),
-        config,
-        budget,
-    )?))
+    Ok(Box::new(Driver::new(agents, spec.problem, config, budget)?))
 }
 
 #[cfg(test)]
@@ -261,7 +217,7 @@ mod tests {
     use super::*;
     use discsp_awc::AwcConfig;
     use discsp_core::{AgentId, Domain, Termination, Value, VarValue, VariableId};
-    use discsp_runtime::{run_virtual, AgentStats, MessageClass, Outbox};
+    use discsp_runtime::{run_virtual, AgentStats, MessageClass, Outbox, TraceEvent};
 
     fn ring_spec(n: usize, seed: u64) -> SessionSpec {
         let mut b = DistributedCsp::builder();
@@ -286,7 +242,7 @@ mod tests {
     #[test]
     fn polled_session_matches_solve_virtual_field_by_field() {
         let spec = ring_spec(6, 11);
-        let mut pump = build_pump(&spec, u64::MAX).expect("pump");
+        let mut pump = build_pump(spec.clone(), u64::MAX).expect("pump");
         while pump.poll().expect("poll") == SessionPoll::Running {}
         let report = pump.take_report().expect("report");
 
@@ -307,7 +263,7 @@ mod tests {
         // Out-of-domain initial value: the solver's validation must fire.
         spec.init = Assignment::total((0..3).map(|_| Value::new(99)));
         assert!(matches!(
-            build_pump(&spec, u64::MAX),
+            build_pump(spec, u64::MAX),
             Err(ServiceError::BadSpec { .. })
         ));
     }
@@ -315,7 +271,7 @@ mod tests {
     #[test]
     fn tiny_budget_parks_and_still_solves() {
         let spec = ring_spec(6, 11);
-        let mut pump = build_pump(&spec, 2).expect("pump");
+        let mut pump = build_pump(spec.clone(), 2).expect("pump");
         while pump.poll().expect("poll") == SessionPoll::Running {}
         let report = pump.take_report().expect("report");
         assert_eq!(
@@ -330,7 +286,7 @@ mod tests {
 
         // And the budgeted run is itself deterministic: same spec, same
         // budget, same everything.
-        let mut again = build_pump(&spec, 2).expect("pump");
+        let mut again = build_pump(spec, 2).expect("pump");
         while again.poll().expect("poll") == SessionPoll::Running {}
         let second = again.take_report().expect("report");
         assert_eq!(report.outcome.metrics, second.outcome.metrics);

@@ -10,15 +10,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::session::{Pump, SessionSpec};
+use crate::session::Pump;
 use crate::SessionId;
 
-/// One admitted session: its defining spec (kept for snapshots), its
-/// pollable state machine, and the sweep at which it was submitted.
+/// One admitted session: its pollable state machine and the sweep at
+/// which it was submitted.
 pub(crate) struct Slot {
-    pub spec: SessionSpec,
     pub pump: Box<dyn Pump>,
-    pub budget: u64,
     pub submitted_sweep: u64,
 }
 
@@ -81,16 +79,6 @@ impl SessionTable {
         }
         let position = self.pending.iter().position(|(pid, _)| *pid == id)?;
         self.pending.remove(position).map(|(_, slot)| slot)
-    }
-
-    pub fn get_mut(&mut self, id: SessionId) -> Option<&mut Slot> {
-        if let Some(slot) = self.active.get_mut(&id) {
-            return Some(slot);
-        }
-        self.pending
-            .iter_mut()
-            .find(|(pid, _)| *pid == id)
-            .map(|(_, slot)| slot)
     }
 
     /// Mutable access to every active slot, ascending by session id —

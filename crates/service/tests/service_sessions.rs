@@ -3,8 +3,8 @@
 //! alone on `solve_virtual` — metrics, solution, tick counts, and trace
 //! all match field-for-field, no matter how many sessions interleave,
 //! how they are ordered, or how many worker threads poll the table.
-//! Plus lifecycle: drain loses nothing, cancel/snapshot/restore resumes
-//! exactly, and tampered snapshots are refused.
+//! Plus lifecycle: drain loses nothing, and overload is a typed
+//! refusal the service recovers from.
 
 use discsp_awc::AwcConfig;
 use discsp_core::{Assignment, Termination, Value};
@@ -218,57 +218,6 @@ fn graceful_drain_finishes_every_inflight_session() {
             &reference,
         );
     }
-}
-
-#[test]
-fn cancel_snapshot_restore_resumes_exactly() {
-    // Run the target partway on service A, cancel it (yielding a
-    // snapshot), restore onto a fresh service B, finish there. The
-    // stitched-together run must equal the uninterrupted solo run
-    // field by field.
-    let target = spec(1);
-    let mut a = SolveService::new(ServiceConfig::default());
-    a.submit(7, target.clone()).expect("submit");
-    for _ in 0..5 {
-        a.sweep();
-    }
-    let snapshot = a.cancel(7).expect("cancel yields a snapshot");
-    assert!(snapshot.waves > 0, "the session had made progress");
-    assert!(a.is_idle(), "cancelled session left the table");
-
-    let mut b = SolveService::new(ServiceConfig::default());
-    b.restore(7, &snapshot)
-        .expect("restore verifies and admits");
-    b.run_until_idle();
-    let resumed = b.take_result(7).expect("resumed result");
-
-    let reference = solo(&target);
-    assert_reports_match("resumed session", &resumed.report, &reference);
-}
-
-#[test]
-fn tampered_snapshots_are_refused() {
-    let target = spec(0);
-    let mut a = SolveService::new(ServiceConfig::default());
-    a.submit(7, target).expect("submit");
-    for _ in 0..4 {
-        a.sweep();
-    }
-    let mut snapshot = a.cancel(7).expect("snapshot");
-    // Corrupt one recorded event: the replay must notice.
-    let tampered = snapshot
-        .events
-        .iter()
-        .position(|e| matches!(e, TraceEvent::AgentStep { .. }));
-    let index = tampered.expect("a partial run has agent steps");
-    if let TraceEvent::AgentStep { checks, .. } = &mut snapshot.events[index] {
-        *checks += 1;
-    }
-    let mut b = SolveService::new(ServiceConfig::default());
-    assert!(matches!(
-        b.restore(7, &snapshot),
-        Err(ServiceError::RestoreDiverged { .. })
-    ));
 }
 
 #[test]

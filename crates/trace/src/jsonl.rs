@@ -9,8 +9,10 @@
 //!
 //! Every line carries an `"ev"` discriminator; see DESIGN.md §10 for
 //! the full schema. `parse_line(event_to_json(e)) == e` for every
-//! event (property: round-trip tests in this module and the workspace
-//! golden tests).
+//! event, and `parse_trace(trace_to_jsonl(t)) == t` for every trace
+//! (property: round-trip tests in this module and the workspace golden
+//! tests). This is the trace's only encoding: trace files, and the net
+//! and service frames that carry a trace, all hold this text.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -207,6 +209,17 @@ pub fn event_to_json(event: &TraceEvent) -> String {
     out
 }
 
+/// Serializes a whole trace: one [`event_to_json`] line per event, each
+/// ending in `\n`.
+pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&event_to_json(event));
+        out.push('\n');
+    }
+    out
+}
+
 /// The strict subset of JSON values this schema uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Json {
@@ -216,9 +229,16 @@ enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// How deep objects nest in the schema: the event object, and inside it
+/// `run_end`'s metrics object. The parser recurses once per level, so
+/// refusing deeper text keeps a hostile line (a trace arrives over the
+/// network inside a frame) from overflowing the stack.
+const MAX_DEPTH: usize = 2;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -226,6 +246,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -311,6 +332,18 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Json, String> {
         self.expect_byte(b'{')?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "objects nest deeper than the schema's {MAX_DEPTH} levels"
+            ));
+        }
+        self.depth += 1;
+        let object = self.parse_members();
+        self.depth -= 1;
+        object
+    }
+
+    fn parse_members(&mut self) -> Result<Json, String> {
         let mut obj = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -630,6 +663,16 @@ mod tests {
     }
 
     #[test]
+    fn whole_traces_round_trip_line_by_line() {
+        let events = sample_events();
+        let text = trace_to_jsonl(&events);
+        let by_hand: String = events.iter().map(|e| event_to_json(e) + "\n").collect();
+        assert_eq!(text, by_hand);
+        assert_eq!(parse_trace(&text), Ok(events));
+        assert_eq!(trace_to_jsonl(&[]), "");
+    }
+
+    #[test]
     fn document_round_trips_with_blank_lines() {
         let events = sample_events();
         let mut text = String::new();
@@ -651,6 +694,9 @@ mod tests {
 
     #[test]
     fn hostile_lines_are_rejected_not_panicked() {
+        // Nested past the schema's two levels: unbounded recursion over
+        // these 50,000 objects would overflow the stack.
+        let deep = "{\"\":".repeat(50_000);
         for bad in [
             "",
             "{",
@@ -666,6 +712,7 @@ mod tests {
             "{\"ev\":\"cycle_barrier\",\"cycle\":1} trailing",
             "{\"ev\":\"run_end\",\"cycle\":1,\"runtime\":\"sync\",\"in_flight\":0,\"metrics\":{}}",
             "{\"ev\":\"agent_step\",\"cycle\":18446744073709551616,\"agent\":0,\"checks\":0}",
+            deep.as_str(),
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad}");
         }

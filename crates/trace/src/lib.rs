@@ -13,8 +13,11 @@
 //!   learned nogoods, wave barriers, and a terminal [`TraceEvent::RunEnd`]
 //!   carrying the runtime-reported [`RunMetrics`](discsp_core::RunMetrics));
 //! * [`TraceSink`] — where events go: an in-memory [`RingBuffer`]
-//!   (optionally bounded, evictions counted) or [`NullSink`]; a trace
-//!   becomes JSONL one [`event_to_json`] line per event;
+//!   that keeps every event, or [`NullSink`];
+//! * [`jsonl`] — the trace's one codec: [`trace_to_jsonl`] writes one
+//!   [`event_to_json`] line per event and [`parse_trace`] reads them
+//!   back. Trace files use it, and so do the net and service frames
+//!   that ship a trace between processes;
 //! * [`audit`] — independently recomputes `cycle`, `maxcck`,
 //!   `total_checks`, and the message-conservation identity
 //!   `total == sent − dropped + duplicated + retransmitted` from a
@@ -35,10 +38,9 @@ mod event;
 pub mod jsonl;
 mod sink;
 mod summary;
-mod wire;
 
 pub use audit::{audit, Audit, AuditError, AuditFailure, AuditField};
 pub use event::{canonical_sort, render_trace, FaultKind, RuntimeKind, TraceEvent};
-pub use jsonl::{event_to_json, parse_line, parse_trace, JsonlError};
+pub use jsonl::{event_to_json, parse_line, parse_trace, trace_to_jsonl, JsonlError};
 pub use sink::{NullSink, RingBuffer, TraceSink};
 pub use summary::summarize;

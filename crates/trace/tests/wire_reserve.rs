@@ -1,19 +1,15 @@
 //! A malformed frame must fail to decode in bounded memory.
 //!
-//! A net `Final` frame carries its trace as a `Vec<TraceEvent>`, and a
-//! net `Deliver` or service frame carries assignments. Here a length
-//! prefix claims about 10^6 elements and the first one has a bad tag:
+//! A net `Deliver` or service frame carries assignments. Here a length
+//! prefix claims about 10^6 values and the first one has a bad tag:
 //! decoding must return the typed error having reserved at most
-//! `VEC_RESERVE_BYTES`, not room for every claimed element. Its own test
-//! binary, because the counting allocator sees every thread's heap; the
-//! cases take turns for the same reason.
+//! `VEC_RESERVE_BYTES`, not room for every claimed value. Its own test
+//! binary, because the counting allocator sees every thread's heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use discsp_core::{Assignment, Wire, WireError, VEC_RESERVE_BYTES};
-use discsp_trace::TraceEvent;
 
 /// Forwards to the system allocator, counting live heap bytes and their
 /// peak.
@@ -21,9 +17,6 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Held by each case for its whole run, so no other case's heap shows
-/// in its peak.
-static TURN: Mutex<()> = Mutex::new(());
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -53,38 +46,7 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 #[test]
-fn a_huge_claimed_length_with_a_bad_first_element_fails_in_bounded_memory() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    const CLAIMED: u32 = 1_000_000;
-    // The prefix must not exceed the bytes left, or `len_prefix` rejects
-    // it before any allocation: one byte per claimed element.
-    let mut frame = CLAIMED.to_bytes();
-    frame.resize(4 + CLAIMED as usize, 0);
-    frame[4] = 0xEE; // no TraceEvent has this tag
-
-    let base = LIVE.load(Ordering::SeqCst);
-    PEAK.store(base, Ordering::SeqCst);
-    let decoded = Vec::<TraceEvent>::from_bytes(&frame);
-    let peak = PEAK.load(Ordering::SeqCst) - base;
-
-    assert_eq!(
-        decoded,
-        Err(WireError::BadTag {
-            context: "TraceEvent",
-            tag: 0xEE,
-        })
-    );
-    assert!(
-        peak <= VEC_RESERVE_BYTES,
-        "decoding reserved {peak} bytes for a frame whose first element is bad \
-         (budget {VEC_RESERVE_BYTES}; the claimed length would need {})",
-        CLAIMED as usize * std::mem::size_of::<TraceEvent>()
-    );
-}
-
-#[test]
 fn an_assignment_claiming_a_million_values_fails_in_bounded_memory() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const CLAIMED: u32 = 1_000_000;
     // One byte per claimed value keeps `len_prefix` from refusing it.
     let mut frame = CLAIMED.to_bytes();

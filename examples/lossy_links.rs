@@ -26,7 +26,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use discsp::prelude::*;
-use discsp::trace::event_to_json;
+use discsp::trace::trace_to_jsonl;
 
 fn policies() -> Vec<(&'static str, LinkPolicy)> {
     vec![
@@ -72,8 +72,7 @@ fn audit_and_dump(
         return Err(format!("{label}: RunEnd metrics drifted from the report").into());
     }
     if let Some(dir) = dir {
-        let text: String = trace.iter().map(|e| event_to_json(e) + "\n").collect();
-        fs::write(dir.join(format!("{label}.jsonl")), text)?;
+        fs::write(dir.join(format!("{label}.jsonl")), trace_to_jsonl(trace))?;
     }
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! actually catches corruption by deleting a single `Delivered` event.
 
 use discsp::prelude::*;
-use discsp_trace::{audit, event_to_json, parse_trace, summarize, TraceEvent};
+use discsp_trace::{audit, parse_trace, summarize, trace_to_jsonl, TraceEvent};
 
 fn ring(n: usize) -> DistributedCsp {
     let mut b = DistributedCsp::builder();
@@ -209,7 +209,7 @@ fn jsonl_roundtrip_preserves_the_trace_and_its_audit() {
         )
         .expect("virtual run");
 
-    let text: String = run.trace.iter().map(|e| event_to_json(e) + "\n").collect();
+    let text = trace_to_jsonl(&run.trace);
     let parsed = parse_trace(&text).expect("every emitted line parses back");
     assert_eq!(parsed, run.trace, "JSONL roundtrip must be lossless");
     assert_audit_exact(&parsed, &run.outcome.metrics, "parsed jsonl");
